@@ -120,16 +120,15 @@ class _LfsrCycle:
         self.registers: np.ndarray | None = None
 
     def build(self):
-        bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
         regs = np.empty(LFSR_PERIOD, dtype=np.uint32)
+        r = 1
+        for i in range(LFSR_PERIOD):  # plain-int `lfsr_next`
+            regs[i] = r
+            r = (r >> 1) | ((int.bit_count(r & LFSR_TAP_MASK) & 1) << 15)
+        assert r == 1, "LFSR cycle did not close"
         index = np.zeros(0x10000, dtype=np.int64)
-        s = LfsrState(1)
-        for i in range(LFSR_PERIOD):
-            regs[i] = s.register
-            index[s.register] = i
-            bits[i], s = lfsr_next(s)
-        assert s.register == 1, "LFSR cycle did not close"
-        self.bits, self.index, self.registers = bits, index, regs
+        index[regs] = np.arange(LFSR_PERIOD)
+        self.bits, self.index, self.registers = (regs & 1).astype(np.uint8), index, regs
 
 
 _CYCLE = _LfsrCycle()
@@ -200,9 +199,13 @@ def _flip_probs(p, tau_s: float, dt_s: float, cap: bool):
     stationary ON fraction is exactly p and the mean dwell at p=0.5 is tau.
     With cap=True probabilities saturate at 1 (dwell floor of one step).
     """
-    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    q01 = dt_s / (2.0 * tau_s * (1.0 - p))
-    q10 = dt_s / (2.0 * tau_s * p)
+    # In place: on long drives every fresh temporary costs page faults.
+    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=np.empty(np.shape(p)))
+    q01 = np.subtract(1.0, p, out=np.empty_like(p))
+    q01 *= 2.0 * tau_s
+    np.divide(dt_s, q01, out=q01)
+    p *= 2.0 * tau_s
+    q10 = np.divide(dt_s, p, out=p)
     if cap:
         q01 = np.minimum(q01, 1.0)
         q10 = np.minimum(q10, 1.0)
@@ -243,10 +246,18 @@ def telegraph_run(
     """Evolve the telegraph over a per-step drive-probability array.
 
     Returns the state after each step (uint8), matching a loop of
-    `telegraph_step` calls on the same generator. Unlike the single-step
-    contract this engine accepts saturated drives: flip probabilities are
-    capped at 1, i.e. a dwell floor of one step, so the base retention
-    time only needs dt_s <= tau_s / 10.
+    `telegraph_step` calls on the same generator (one draw for the start
+    state when initial_state is None, then one uniform u per step) but
+    also accepting saturated drives, so only dt_s <= tau_s / 10 is needed.
+
+    With flip0 = u < q01 and flip1 = u < q10 each step applies one of four
+    maps to the state: identity (neither), NOT (both), const 1 (flip0 only)
+    or const 0 (flip1 only). Their composition needs no loop: every NOT
+    step flips the state, and a constant step flips it when the state
+    entering it (the previous constant XOR the parity of NOT steps since)
+    differs from its constant. The flip probabilities are not capped at 1
+    (a dwell floor of one step): u < 1 always, so a cap cannot change any
+    comparison.
     """
     if dt_s <= 0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -257,35 +268,24 @@ def telegraph_run(
     p_steps = np.asarray(p_steps, dtype=np.float64)
     n = p_steps.size
     if initial_state is None:
-        s = 1 if rng.random() < p_steps[0] else 0
+        if n == 0:
+            raise ValueError("p_steps is empty: no drive to draw the start state from")
+        s0 = 1 if rng.random() < p_steps[0] else 0
     else:
-        s = int(initial_state)
-    q01, q10 = _flip_probs(p_steps, cfg.tau_s, dt_s, cap=True)
+        s0 = int(initial_state)
+    q01, q10 = _flip_probs(p_steps, cfg.tau_s, dt_s, cap=False)
     u = rng.random(n)
     flip0 = u < q01
     flip1 = u < q10
-    out = np.empty(n, dtype=np.uint8)
-    block = 4096
-    i = 0
-    while i < n:
-        fl = flip1 if s else flip0
-        j = i
-        flipped = False
-        while j < n:
-            hi = min(j + block, n)
-            k = int(np.argmax(fl[j:hi]))
-            if fl[j + k]:
-                out[i:j + k] = s
-                s ^= 1
-                out[j + k] = s
-                i = j + k + 1
-                flipped = True
-                break
-            j = hi
-        if not flipped:
-            out[i:] = s
-            break
-    return out
+    del u, q01, q10
+    nots = np.flatnonzero(flip0 & flip1)
+    consts = np.flatnonzero(flip0 ^ flip1)
+    # h: each constant step's value XOR the parity of NOT steps before it;
+    # a constant step flips the state exactly when h differs from the last h.
+    h = flip0[consts] ^ (np.searchsorted(nots, consts) & 1)
+    flips = np.sort(np.concatenate((nots, consts[h != np.concatenate(([s0], h[:-1]))])))
+    runs = np.diff(flips, prepend=0, append=n)
+    return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
 
 
 def telegraph_tick_states(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from probsense.pbit import (
     LFSR_PERIOD,
+    P_CLAMP,
     LfsrState,
     PNeuronConfig,
     TelegraphState,
@@ -18,7 +19,51 @@ from probsense.pbit import (
     telegraph_step,
     telegraph_tick_states,
     v_ref_for_min_rate,
+    _CYCLE,
 )
+
+
+def _telegraph_run_loop(p_steps, dt_s, cfg, rng, initial_state=None):
+    """Reference telegraph engine: a Python loop that scans for each flip.
+
+    Same contract and generator use as `telegraph_run` (one draw for the
+    start state when initial_state is None, then rng.random(n)), with flip
+    probabilities capped at 1.
+    """
+    p_steps = np.asarray(p_steps, dtype=np.float64)
+    n = p_steps.size
+    if initial_state is None:
+        s = 1 if rng.random() < p_steps[0] else 0
+    else:
+        s = int(initial_state)
+    pc = np.clip(p_steps, P_CLAMP, 1.0 - P_CLAMP)
+    q01 = np.minimum(dt_s / (2.0 * cfg.tau_s * (1.0 - pc)), 1.0)
+    q10 = np.minimum(dt_s / (2.0 * cfg.tau_s * pc), 1.0)
+    u = rng.random(n)
+    flip0 = u < q01
+    flip1 = u < q10
+    out = np.empty(n, dtype=np.uint8)
+    block = 4096
+    i = 0
+    while i < n:
+        fl = flip1 if s else flip0
+        j = i
+        flipped = False
+        while j < n:
+            hi = min(j + block, n)
+            k = int(np.argmax(fl[j:hi]))
+            if fl[j + k]:
+                out[i:j + k] = s
+                s ^= 1
+                out[j + k] = s
+                i = j + k + 1
+                flipped = True
+                break
+            j = hi
+        if not flipped:
+            out[i:] = s
+            break
+    return out
 
 
 class TestActivationProbability:
@@ -112,6 +157,22 @@ class TestLfsr:
         assert np.array_equal(u_fast, u_slow)
         assert s_fast.register == s.register
 
+    def test_cycle_tables_match_bit_stepping(self):
+        regs = np.empty(LFSR_PERIOD, dtype=np.uint32)
+        bits = np.empty(LFSR_PERIOD, dtype=np.uint8)
+        s = LfsrState(1)
+        for i in range(LFSR_PERIOD):
+            regs[i] = s.register
+            bits[i], s = lfsr_next(s)
+        index = np.zeros(0x10000, dtype=np.int64)
+        index[regs] = np.arange(LFSR_PERIOD)
+        _CYCLE.build()
+        assert np.array_equal(_CYCLE.registers, regs)
+        assert np.array_equal(_CYCLE.bits, bits)
+        assert np.array_equal(_CYCLE.index, index)
+        assert (_CYCLE.registers.dtype, _CYCLE.bits.dtype, _CYCLE.index.dtype) == (
+            regs.dtype, bits.dtype, index.dtype)
+
     def test_uniforms_strictly_inside_unit_interval(self):
         u, _ = lfsr_word_uniforms(LfsrState(1), 70_000)
         assert u.min() > 0.0
@@ -186,6 +247,52 @@ class TestTelegraph:
             ts = telegraph_step(ts, float(p[i]), 5e-6, self.CFG)
             seq[i] = ts.state
         assert np.array_equal(out, seq)
+
+    # drives: random, constant (incl. p in {0, 1, 1e-9}), ramped, saturated;
+    # dt spans slow (rare flips) to fast (flip0 & flip1 steps are common)
+    _drive = st.one_of(
+        st.tuples(st.just("random"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("const"), st.sampled_from([0.0, 1e-9, 0.04, 0.5, 0.98, 1.0])),
+        st.tuples(st.just("const"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("ramp"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("saturated"), st.floats(0.0, 1.0)),
+    )
+
+    @staticmethod
+    def _make_drive(kind, x, n, rng):
+        if kind == "random":
+            return rng.random(n) ** (1.0 + 4.0 * x)
+        if kind == "const":
+            return np.full(n, x)
+        if kind == "ramp":
+            return np.linspace(x, 1.0 - x, n)
+        return np.where(rng.random(n) < x, 1.0, 0.0)
+
+    @given(
+        drive=_drive,
+        n=st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+        dt_s=st.sampled_from([1e-9, 1e-6, 5e-6, 50e-6]),
+        initial_state=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_run_matches_loop_oracle(self, drive, n, dt_s, initial_state, seed):
+        if initial_state is None and n == 0:
+            n = 1
+        p = self._make_drive(*drive, n, np.random.default_rng(seed))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = telegraph_run(p, dt_s, self.CFG, rng_a, initial_state)
+        ref = _telegraph_run_loop(p, dt_s, self.CFG, rng_b, initial_state)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, ref)
+        assert rng_a.random() == rng_b.random()
+
+    def test_run_empty_drive(self):
+        with pytest.raises(ValueError, match="p_steps"):
+            telegraph_run(np.empty(0), 5e-6, self.CFG, np.random.default_rng(0))
+        for s0 in (0, 1):
+            out = telegraph_run(np.empty(0), 5e-6, self.CFG, np.random.default_rng(0), s0)
+            assert out.dtype == np.uint8 and out.size == 0
 
     def test_run_base_resolution_check(self):
         with pytest.raises(ValueError, match="dt too coarse"):
