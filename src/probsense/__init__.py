@@ -24,7 +24,7 @@ from .activation import (
     detection_latency,
     run_activation,
 )
-from .afe import AfeConfig, FeatureSignal, drive_voltage, extract_features, half_wave_rectify
+from .afe import AfeConfig, FeatureSignal, drive_voltage, extract_features
 from .harness import (
     ExperimentConfig,
     SynthSurveySpec,
@@ -72,7 +72,6 @@ __all__ = [
     "drive_voltage",
     "estimate_retention",
     "extract_features",
-    "half_wave_rectify",
     "lfsr_next",
     "load_survey",
     "load_trace",

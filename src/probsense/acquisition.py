@@ -187,16 +187,6 @@ class EvalReport:
     per_event: tuple[EventEval, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        agg = {
-            "nmse_time": self.nmse_time,
-            "nmse_freq": self.nmse_freq,
-            "n_samples_p": self.n_samples_p,
-            "n_samples_r": self.n_samples_r,
-            "savings_pct": self.savings_pct,
-            "active_time_pct": self.active_time_pct,
-            "nmse_time_median": self.nmse_time_median,
-            "nmse_freq_median": self.nmse_freq_median,
-            "n_events": self.n_events,
-            "n_failed": self.n_failed,
-        }
-        return {"aggregate": agg, "per_event": [asdict(e) for e in self.per_event]}
+        agg = asdict(self)
+        per_event = agg.pop("per_event")
+        return {"aggregate": agg, "per_event": list(per_event)}

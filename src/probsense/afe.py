@@ -1,8 +1,9 @@
 """Analog feature extraction: slope-magnitude and amplitude features.
 
 The slope path mirrors the analog circuit structure: the first difference is
-split into half-wave-rectified branches whose sum is the absolute slope, then
-a short trailing moving average stands in for the analog bandwidth limit. The
+split into half-wave-rectified branches whose sum, the absolute slope, is
+computed directly as |diff|; a short trailing moving average then stands in
+for the analog bandwidth limit. The
 amplitude path is a plain rectifier. Both features can be delayed by a
 configurable integer number of grid steps to model analog response latency.
 """
@@ -55,16 +56,6 @@ class FeatureSignal:
         return self.slope_mag.size
 
 
-def half_wave_rectify(x: Trace) -> tuple[Trace, Trace]:
-    """Split a trace into its positive and negated-negative parts.
-
-    pos - neg reconstructs the input exactly; pos + neg is its magnitude.
-    """
-    pos = np.maximum(x.samples, 0.0)
-    neg = np.maximum(-x.samples, 0.0)
-    return Trace(pos, x.rate_hz, x.t0_s), Trace(neg, x.rate_hz, x.t0_s)
-
-
 def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average; leading partial windows divide by their count."""
     c = np.cumsum(v)
@@ -89,9 +80,7 @@ def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
         raise ValueError(
             f"trace too short: need at least {cfg.smoothing_steps + 1} samples, got {n}"
         )
-    diff = Trace(np.diff(x.samples) * x.rate_hz, x.rate_hz, x.t0_s)
-    pos, neg = half_wave_rectify(diff)
-    abs_slope = pos.samples + neg.samples
+    abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
     slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
     amp = np.abs(x.samples)
     if cfg.delay_steps > 0:

@@ -1,24 +1,23 @@
 """Command-line experiment runner.
 
 Subcommands: `run` (survey evaluation), `sweep-vin`, `sweep-slope`, and
-`synth` (emit a synthetic dataset). A flat key = value config file can seed
-any option; CLI flags override file values.
+`synth` (emit a synthetic dataset). A flat key = value config file can set
+any common flag (`FLAGS`; keys are the flag names); CLI flags override file
+values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .activation import ActivationConfig
-from .afe import AfeConfig
 from .harness import (
-    DEFAULT_SURVEY_HOLD_STEPS,
     ExperimentConfig,
-    SynthSurveySpec,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -26,7 +25,6 @@ from .harness import (
     write_survey,
     write_sweep_csv,
 )
-from .pbit import PNeuronConfig
 
 SOURCE_ALIASES = {"digital": "digital_iid", "smtj": "smtj_telegraph"}
 
@@ -60,80 +58,94 @@ def parse_config_file(path: Path | str) -> dict:
 
 def _parse_band(text: str) -> tuple[float, float]:
     try:
-        lo, _, hi = text.partition(":")
+        lo, _, hi = str(text).partition(":")
         return float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"band must be 'low:high', got {text!r}") from None
 
 
+class Flag(NamedTuple):
+    """A common flag: the ExperimentConfig field it sets, as a dotted path."""
+
+    field: str
+    type: Callable  # parses the flag's text, or a config-file value
+    help: str
+    to_field: Callable = lambda v: v  # parsed value -> field value
+    choices: tuple[str, ...] | None = None
+
+
+# The common flags of every subcommand, which are also the config-file keys.
+FLAGS = {
+    "dataset": Flag("dataset", Path, "directory of event CSVs (default: synthetic)"),
+    "rate_hz": Flag("dataset_rate_hz", float, "sample rate for value-only dataset CSVs"),
+    "n_events": Flag("n_events", int, "number of events to evaluate (default 50)"),
+    "seed": Flag("base_seed", int, "base seed; event i uses seed + i"),
+    "tau_us": Flag("activation.pneuron.tau_s", float, "sMTJ retention time in microseconds",
+                   to_field=lambda us: us * 1e-6),
+    "vref": Flag("activation.pneuron.v_ref_v", float,
+                 "p-neuron reference voltage (sets the minimum rate)"),
+    "beta": Flag("activation.pneuron.beta", float, "activation steepness (1/V)"),
+    "source": Flag("activation.pneuron.source", str, "entropy source",
+                   to_field=lambda s: SOURCE_ALIASES.get(s, s),
+                   choices=tuple(sorted(SOURCE_ALIASES))),
+    "sync_hz": Flag("activation.sync_rate_hz", float, "sync clock frequency (default 2000)"),
+    "upsample": Flag("upsample_factor", int, "high-rate grid factor (default 50)"),
+    "band": Flag("band_hz", _parse_band, "frequency band for NMSE, 'low:high' Hz"),
+    "slope_gain": Flag("activation.afe.slope_gain", float, "volts of drive per (V/s) of slope"),
+    "amp_threshold": Flag("activation.afe.amp_threshold_v", float,
+                          "deterministic override threshold (V)"),
+    "hold_steps": Flag("activation.hold_steps", int, "override hold window in high-rate steps"),
+    "snr_db": Flag("synth.snr_db", float, "synthetic event energy SNR (default 26)"),
+    "out": Flag("output_dir", Path, "output directory"),
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key = value config file")
-    p.add_argument("--dataset", type=Path, help="directory of event CSVs (default: synthetic)")
-    p.add_argument("--rate-hz", type=float, help="sample rate for value-only dataset CSVs")
-    p.add_argument("--n-events", type=int, help="number of events to evaluate (default 50)")
-    p.add_argument("--seed", type=int, help="base seed; event i uses seed + i")
-    p.add_argument("--tau-us", type=float, help="sMTJ retention time in microseconds")
-    p.add_argument("--vref", type=float, help="p-neuron reference voltage (sets the minimum rate)")
-    p.add_argument("--beta", type=float, help="activation steepness (1/V)")
-    p.add_argument("--source", choices=sorted(SOURCE_ALIASES), help="entropy source")
-    p.add_argument("--sync-hz", type=float, help="sync clock frequency (default 2000)")
-    p.add_argument("--upsample", type=int, help="high-rate grid factor (default 50)")
-    p.add_argument("--band", type=_parse_band, help="frequency band for NMSE, 'low:high' Hz")
-    p.add_argument("--slope-gain", type=float, help="volts of drive per (V/s) of slope")
-    p.add_argument("--amp-threshold", type=float, help="deterministic override threshold (V)")
-    p.add_argument("--hold-steps", type=int, help="override hold window in high-rate steps")
-    p.add_argument("--snr-db", type=float, help="synthetic event energy SNR (default 26)")
-    p.add_argument("--out", type=Path, help="output directory")
+    for name, flag in FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=flag.type, choices=flag.choices,
+                       help=flag.help)
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """File options first, then any CLI flag that was actually given."""
+    """File options first, then any common flag that was actually given."""
     opts: dict[str, object] = {}
     if args.config is not None:
         opts.update(parse_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in ("config", "command", "func") or val is None:
-            continue
-        opts[key] = val
+        for key in opts:
+            if key not in FLAGS:
+                raise ValueError(
+                    f"unknown key {key!r} in {args.config}; keys are the flag names "
+                    f"{', '.join(FLAGS)}"
+                )
+    for key in FLAGS:
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
     return opts
 
 
+def _with_field(obj, path: str, value):
+    """Copy of dataclass `obj` with the field at dotted `path` set to `value`."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _with_field(getattr(obj, name), rest, value) if rest else value})
+
+
 def build_experiment(opts: dict) -> ExperimentConfig:
-    pneuron = PNeuronConfig(
-        beta=float(opts.get("beta", PNeuronConfig.beta)),
-        v_ref_v=float(opts.get("vref", PNeuronConfig.v_ref_v)),
-        source=SOURCE_ALIASES.get(str(opts.get("source", "smtj")), str(opts.get("source", ""))),
-        tau_s=float(opts["tau_us"]) * 1e-6 if "tau_us" in opts else PNeuronConfig.tau_s,
-    )
-    afe = AfeConfig(
-        slope_gain=float(opts.get("slope_gain", AfeConfig.slope_gain)),
-        amp_threshold_v=float(opts.get("amp_threshold", AfeConfig.amp_threshold_v)),
-    )
-    activation = ActivationConfig(
-        sync_rate_hz=float(opts.get("sync_hz", 2000.0)),
-        hold_steps=int(opts.get("hold_steps", DEFAULT_SURVEY_HOLD_STEPS)),
-        pneuron=pneuron,
-        afe=afe,
-    )
-    synth = SynthSurveySpec(snr_db=float(opts.get("snr_db", SynthSurveySpec.snr_db)))
-    band = opts.get("band", (0.0, 200.0))
-    if isinstance(band, str):
-        band = _parse_band(band)
-    return ExperimentConfig(
-        dataset=Path(opts["dataset"]) if "dataset" in opts else None,
-        dataset_rate_hz=float(opts["rate_hz"]) if "rate_hz" in opts else None,
-        synth=synth,
-        n_events=int(opts.get("n_events", 50)),
-        activation=activation,
-        upsample_factor=int(opts.get("upsample", 50)),
-        band_hz=band,
-        base_seed=int(opts.get("seed", ExperimentConfig.base_seed)),
-        output_dir=Path(opts["out"]) if "out" in opts else None,
-    )
+    """The default ExperimentConfig with each option set on its flag's field.
+
+    Config-file values (text and numbers) are parsed by the flag's type;
+    values argparse already parsed are taken as they are.
+    """
+    cfg = ExperimentConfig()
+    for key, val in opts.items():
+        flag = FLAGS[key]
+        if isinstance(val, (str, int, float)):
+            val = flag.type(val)
+        cfg = _with_field(cfg, flag.field, flag.to_field(val))
+    return cfg
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = build_experiment(_merge(args))
+def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     try:
         report = run_survey(cfg)
     except (FileNotFoundError, RuntimeError) as exc:
@@ -152,34 +164,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.n_failed else 0
 
 
-def _cmd_sweep_vin(args: argparse.Namespace) -> int:
-    cfg = build_experiment(_merge(args))
-    grid = np.linspace(args.vmin, args.vmax, args.points)
-    rows = sweep_vin(cfg, grid, args.ticks)
+def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
+    if args.command == "sweep-vin":
+        sweep, name, x_name = sweep_vin, "sweep_vin", "v_in_v"
+    else:
+        sweep, name, x_name = sweep_slope, "sweep_slope", "slope_v_per_s"
+    rows = sweep(cfg, np.linspace(args.lo, args.hi, args.points), args.ticks)
     out = Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_vin.csv"
-    write_sweep_csv(rows, path, "v_in_v")
+    path = out / f"{name}.csv"
+    write_sweep_csv(rows, path, x_name)
     print(f"wrote {path} ({len(rows)} points, max |measured - model| = "
           f"{np.max(np.abs(rows[:, 1] - rows[:, 2])):.4f})")
     return 0
 
 
-def _cmd_sweep_slope(args: argparse.Namespace) -> int:
-    cfg = build_experiment(_merge(args))
-    grid = np.linspace(args.smin, args.smax, args.points)
-    rows = sweep_slope(cfg, grid, args.ticks)
-    out = Path(cfg.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_slope.csv"
-    write_sweep_csv(rows, path, "slope_v_per_s")
-    print(f"wrote {path} ({len(rows)} points)")
-    return 0
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    opts = _merge(args)
-    cfg = build_experiment(opts)
+def _cmd_synth(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = cfg.output_dir or Path("survey_data")
     ds, _ = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed)
     paths = write_survey(ds, out)
@@ -200,26 +200,31 @@ def main(argv=None) -> int:
 
     p_vin = sub.add_parser("sweep-vin", help="measured sampling rate vs p-neuron input voltage")
     _add_common(p_vin)
-    p_vin.add_argument("--vmin", type=float, default=-0.1)
-    p_vin.add_argument("--vmax", type=float, default=0.8)
+    p_vin.add_argument("--vmin", dest="lo", type=float, default=-0.1)
+    p_vin.add_argument("--vmax", dest="hi", type=float, default=0.8)
     p_vin.add_argument("--points", type=int, default=19)
     p_vin.add_argument("--ticks", type=int, default=10_000)
-    p_vin.set_defaults(func=_cmd_sweep_vin)
+    p_vin.set_defaults(func=_cmd_sweep)
 
     p_slope = sub.add_parser("sweep-slope", help="measured sampling rate vs signal slope")
     _add_common(p_slope)
-    p_slope.add_argument("--smin", type=float, default=0.0)
-    p_slope.add_argument("--smax", type=float, default=500.0)
+    p_slope.add_argument("--smin", dest="lo", type=float, default=0.0)
+    p_slope.add_argument("--smax", dest="hi", type=float, default=500.0)
     p_slope.add_argument("--points", type=int, default=11)
     p_slope.add_argument("--ticks", type=int, default=10_000)
-    p_slope.set_defaults(func=_cmd_sweep_slope)
+    p_slope.set_defaults(func=_cmd_sweep)
 
     p_synth = sub.add_parser("synth", help="emit a synthetic survey as CSV event files")
     _add_common(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = build_experiment(_merge(args))
+    except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

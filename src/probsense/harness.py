@@ -32,7 +32,7 @@ from .pbit import (
     lfsr_word_uniforms,
     telegraph_tick_states,
 )
-from .traces import SurveyDataset, Trace, load_trace, synth_event, upsample, write_trace
+from .traces import SurveyDataset, Trace, load_trace, synth_event, upsample, write_csv, write_trace
 
 # Decouples the p-neuron seed stream from the synthesis noise seed stream.
 NEURON_SEED_OFFSET = 499979
@@ -85,9 +85,11 @@ class ExperimentConfig:
             raise ValueError(f"upsample_factor must be >= 1, got {self.upsample_factor}")
 
 
-def _survey_onsets(spec: SynthSurveySpec, n_events: int, base_seed: int) -> np.ndarray:
+def _survey_onsets(spec: SynthSurveySpec, n_events: int, base_seed: int) -> tuple[float, ...]:
+    """Per-event wavelet onsets, snapped to the event sample grid."""
     rng = np.random.default_rng((base_seed, 1))
-    return spec.onset_min_s + (spec.onset_max_s - spec.onset_min_s) * rng.random(n_events)
+    raw = spec.onset_min_s + (spec.onset_max_s - spec.onset_min_s) * rng.random(n_events)
+    return tuple(round(o * spec.rate_hz) / spec.rate_hz for o in raw.tolist())
 
 
 def _synth_one(spec: SynthSurveySpec, onset_s: float, seed: int) -> Trace:
@@ -108,20 +110,22 @@ def synth_survey(
 ) -> tuple[SurveyDataset, tuple[float, ...]]:
     """Generate the synthetic survey; returns the dataset and per-event onsets."""
     onsets = _survey_onsets(spec, n_events, base_seed)
-    events = tuple(
-        _synth_one(spec, float(onset), base_seed + i) for i, onset in enumerate(onsets)
-    )
-    snapped = tuple(round(float(o) * spec.rate_hz) / spec.rate_hz for o in onsets)
-    return SurveyDataset(events, label="synthetic"), snapped
+    events = tuple(_synth_one(spec, onset, base_seed + i) for i, onset in enumerate(onsets))
+    return SurveyDataset(events, label="synthetic"), onsets
+
+
+def _event_paths(directory: Path | str) -> list[Path]:
+    """The event CSV files of a survey directory, sorted by name."""
+    paths = sorted(Path(directory).glob("*.csv"))
+    if not paths:
+        raise FileNotFoundError(f"no event CSV files in {directory}")
+    return paths
 
 
 def load_survey(directory: Path | str) -> SurveyDataset:
     """Load a survey from a directory of CSV event files (sorted by name)."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"no event CSV files in {directory}")
-    return SurveyDataset(tuple(load_trace(p) for p in paths), label=directory.name)
+    paths = _event_paths(directory)
+    return SurveyDataset(tuple(load_trace(p) for p in paths), label=Path(directory).name)
 
 
 def write_survey(ds: SurveyDataset, directory: Path | str) -> list[Path]:
@@ -197,9 +201,7 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
     (including load/synthesis errors) are recorded without aborting the
     remaining events."""
     if cfg.dataset is not None:
-        paths = sorted(Path(cfg.dataset).glob("*.csv"))
-        if not paths:
-            raise FileNotFoundError(f"no event CSV files in {cfg.dataset}")
+        paths = _event_paths(cfg.dataset)
         n = min(cfg.n_events, len(paths))
         onsets: tuple[float | None, ...] = (None,) * n
         f0 = None
@@ -208,12 +210,11 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             return load_trace(paths[i], rate_hz=cfg.dataset_rate_hz)
     else:
         n = cfg.n_events
-        raw = _survey_onsets(cfg.synth, n, cfg.base_seed)
-        onsets = tuple(round(float(o) * cfg.synth.rate_hz) / cfg.synth.rate_hz for o in raw)
+        onsets = _survey_onsets(cfg.synth, n, cfg.base_seed)
         f0 = cfg.synth.wavelet_f0_hz
 
         def get_event(i: int) -> Trace:
-            return _synth_one(cfg.synth, float(raw[i]), cfg.base_seed + i)
+            return _synth_one(cfg.synth, onsets[i], cfg.base_seed + i)
 
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
     if out_dir is not None:
@@ -234,7 +235,8 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             ev, p_stream, r_stream, recon = run_event(trace, cfg, i, onsets[i], f0)
             results.append(ev)
             if out_dir is not None:
-                _write_stream_csv(out_dir / f"samples_event_{i:03d}.csv", p_stream)
+                write_csv(out_dir / f"samples_event_{i:03d}.csv", "time_s,value",
+                          p_stream.times_s, p_stream.values)
                 write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
                 _write_rate_csv(out_dir / f"rate_event_{i:03d}.csv", p_stream, len(r_stream))
         except Exception as exc:  # noqa: BLE001 - contained per event by contract
@@ -299,13 +301,6 @@ def write_report(report: EvalReport, cfg: ExperimentConfig, path: Path | str) ->
         fh.write("\n")
 
 
-def _write_stream_csv(path: Path, stream) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,value\n")
-        for t, v in zip(stream.times_s.tolist(), stream.values.tolist()):
-            fh.write(f"{t!r},{v!r}\n")
-
-
 RATE_TRACE_WINDOW_TICKS = 100
 
 
@@ -314,11 +309,8 @@ def _write_rate_csv(path: Path, p_stream, n_ticks: int) -> None:
     w = RATE_TRACE_WINDOW_TICKS
     n_win = n_ticks // w
     counts, _ = np.histogram(p_stream.grid_indices, bins=np.arange(0, n_win * w + 1, w))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_start_s,avg_rate\n")
-        for k, c in enumerate(counts.tolist()):
-            t = p_stream.t0_s + k * w / p_stream.rate_hz
-            fh.write(f"{t!r},{c / w!r}\n")
+    starts = p_stream.t0_s + np.arange(n_win) * w / p_stream.rate_hz
+    write_csv(path, "window_start_s,avg_rate", starts, counts / w)
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +395,4 @@ def sweep_slope(
 
 
 def write_sweep_csv(rows: np.ndarray, path: Path | str, x_name: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{x_name},measured_rate,model_probability\n")
-        for x, m, p in rows.tolist():
-            fh.write(f"{x!r},{m!r},{p!r}\n")
+    write_csv(path, f"{x_name},measured_rate,model_probability", *rows.T)

@@ -185,13 +185,6 @@ class TelegraphState:
             raise ValueError(f"state must be 0 or 1, got {self.state}")
 
 
-def telegraph_init(cfg: PNeuronConfig, p0: float = 0.5) -> TelegraphState:
-    """Fresh telegraph state seeded from cfg, started from stationarity at p0."""
-    rng = np.random.default_rng(cfg.seed)
-    state = 1 if rng.random() < p0 else 0
-    return TelegraphState(state=state, time_in_state_s=0.0, rng=rng)
-
-
 def _flip_probs(p, tau_s: float, dt_s: float, cap: bool):
     """Per-step flip probabilities (q_off_to_on, q_on_to_off).
 

@@ -138,18 +138,23 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
     return Trace(values, rate_hz, t0_s)
 
 
-def write_trace(trace: Trace, path, include_time: bool = True) -> None:
-    """Write a trace as CSV. Floats use repr so values survive a round trip."""
-    path = Path(path)
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length columns as CSV rows under `header`.
+
+    Values are written as float64 with repr, so they survive a round trip.
+    """
+    cols = (map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns)
+    text = "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if include_time:
-            fh.write("time_s,value\n")
-            for k, v in enumerate(trace.samples.tolist()):
-                fh.write(f"{trace.t0_s + k / trace.rate_hz!r},{v!r}\n")
-        else:
-            fh.write("value\n")
-            for v in trace.samples.tolist():
-                fh.write(f"{v!r}\n")
+        fh.write(text)
+
+
+def write_trace(trace: Trace, path, include_time: bool = True) -> None:
+    """Write a trace as CSV with header ``time_s,value`` or ``value``."""
+    if include_time:
+        write_csv(path, "time_s,value", trace.times_s, trace.samples)
+    else:
+        write_csv(path, "value", trace.samples)
 
 
 def ricker(t, f0_hz: float):

@@ -5,10 +5,10 @@ from hypothesis.extra.numpy import arrays
 
 from probsense.afe import (
     AfeConfig,
+    _trailing_mean,
     drive_voltage,
     drive_voltages,
     extract_features,
-    half_wave_rectify,
 )
 from probsense.traces import Trace
 
@@ -17,6 +17,16 @@ signal_arrays = arrays(
     st.integers(min_value=5, max_value=300),
     elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
 )
+
+
+def half_wave_rectify(x: Trace) -> tuple[Trace, Trace]:
+    """Reference oracle: split a trace into its positive and negated-negative parts.
+
+    pos - neg reconstructs the input exactly; pos + neg is its magnitude.
+    """
+    pos = np.maximum(x.samples, 0.0)
+    neg = np.maximum(-x.samples, 0.0)
+    return Trace(pos, x.rate_hz, x.t0_s), Trace(neg, x.rate_hz, x.t0_s)
 
 
 class TestRectify:
@@ -38,6 +48,16 @@ class TestRectify:
     def test_magnitude_identity(self, x):
         pos, neg = half_wave_rectify(Trace(x, 10.0))
         assert np.array_equal(pos.samples + neg.samples, np.abs(x))
+
+    @given(signal_arrays, st.integers(min_value=1, max_value=4))
+    def test_extract_features_matches_rectified_branches(self, x, window):
+        # the slope feature is the smoothed sum of the rectified branches of the
+        # scaled first difference, bit for bit (signed zeros included)
+        trace = Trace(x, 100.0)
+        pos, neg = half_wave_rectify(Trace(np.diff(x) * trace.rate_hz, trace.rate_hz))
+        expected = np.concatenate([[0.0], _trailing_mean(pos.samples + neg.samples, window)])
+        got = extract_features(trace, AfeConfig(smoothing_steps=window)).slope_mag
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestExtractFeatures:

@@ -2,21 +2,60 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from probsense.acquisition import SampleStream
 from probsense.activation import ActivationConfig
 from probsense.afe import AfeConfig
 from probsense.cli import build_experiment, main, parse_config_file
 from probsense.harness import (
+    RATE_TRACE_WINDOW_TICKS,
     ExperimentConfig,
     SynthSurveySpec,
+    _write_rate_csv,
     load_survey,
+    run_event,
     run_survey,
     sweep_slope,
     sweep_vin,
     synth_survey,
     write_survey,
+    write_sweep_csv,
 )
 from probsense.pbit import PNeuronConfig
+
+# Every finite float64, with signed zero, subnormals and huge magnitudes forced in.
+csv_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+# Reference: the per-line writers that `traces.write_csv` replaced.
+def _write_stream_loop(path, stream):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time_s,value\n")
+        for t, v in zip(stream.times_s.tolist(), stream.values.tolist()):
+            fh.write(f"{t!r},{v!r}\n")
+
+
+def _write_rate_loop(path, p_stream, n_ticks):
+    w = RATE_TRACE_WINDOW_TICKS
+    n_win = n_ticks // w
+    counts, _ = np.histogram(p_stream.grid_indices, bins=np.arange(0, n_win * w + 1, w))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("window_start_s,avg_rate\n")
+        for k, c in enumerate(counts.tolist()):
+            t = p_stream.t0_s + k * w / p_stream.rate_hz
+            fh.write(f"{t!r},{c / w!r}\n")
+
+
+def _write_sweep_loop(rows, path, x_name):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{x_name},measured_rate,model_probability\n")
+        for x, m, p in rows.tolist():
+            fh.write(f"{x!r},{m!r},{p!r}\n")
 
 
 class TestSynthSurvey:
@@ -152,6 +191,11 @@ class TestRunSurvey:
         )
         assert rep.n_failed == 0
         assert rep.nmse_time < 0.01
+        # the replay sees bit-identical events, so it matches the in-memory run exactly
+        mem = run_survey(ExperimentConfig(n_events=2, base_seed=8))
+        for a, b in zip(rep.per_event, mem.per_event):
+            assert (a.nmse_time, a.nmse_freq, a.n_samples_p, a.n_samples_r) == \
+                (b.nmse_time, b.nmse_freq, b.n_samples_p, b.n_samples_r)
 
     def test_mixed_rate_dataset_contained(self, tmp_path):
         from probsense.traces import Trace, write_trace
@@ -166,6 +210,51 @@ class TestRunSurvey:
         rep = run_survey(ExperimentConfig(dataset=d, n_events=3))
         assert rep.n_failed == 1
         assert "disagrees" in rep.per_event[2].error
+
+
+class TestOutputFiles:
+    def test_event_csvs_match_line_loops(self, tmp_path):
+        cfg = ExperimentConfig(n_events=2, output_dir=tmp_path / "out")
+        run_survey(cfg)
+        ds, onsets = synth_survey(cfg.synth, 2, cfg.base_seed)
+        for i, trace in enumerate(ds.events):
+            _, p_stream, r_stream, _ = run_event(
+                trace, cfg, i, onsets[i], cfg.synth.wavelet_f0_hz
+            )
+            _write_stream_loop(tmp_path / "samples.csv", p_stream)
+            _write_rate_loop(tmp_path / "rate.csv", p_stream, len(r_stream))
+            out = tmp_path / "out"
+            assert (out / f"samples_event_{i:03d}.csv").read_bytes() == \
+                (tmp_path / "samples.csv").read_bytes()
+            assert (out / f"rate_event_{i:03d}.csv").read_bytes() == \
+                (tmp_path / "rate.csv").read_bytes()
+
+    # Each example overwrites the same two files, so a shared tmp_path is fine.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(min_value=0, max_value=700),
+        st.floats(min_value=1.0, max_value=1e5),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.data(),
+    )
+    def test_rate_csv_matches_line_loop(self, tmp_path, n_ticks, rate, t0, data):
+        ticks = sorted(data.draw(st.sets(st.integers(0, max(n_ticks - 1, 0)), max_size=n_ticks)))
+        values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
+        stream = SampleStream(t0 + np.array(ticks, dtype=np.int64) / rate, values,
+                              "p_adc", rate, t0)
+        _write_rate_csv(tmp_path / "new.csv", stream, n_ticks)
+        _write_rate_loop(tmp_path / "ref.csv", stream, n_ticks)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        if n_ticks < RATE_TRACE_WINDOW_TICKS:
+            assert new == b"window_start_s,avg_rate\n"
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(3)), elements=csv_floats))
+    def test_sweep_csv_matches_line_loop(self, tmp_path, rows):
+        write_sweep_csv(rows, tmp_path / "new.csv", "v_in_v")
+        _write_sweep_loop(rows, tmp_path / "ref.csv", "v_in_v")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSweeps:
@@ -294,6 +383,35 @@ class TestCli:
         lines = (out / "sweep_vin.csv").read_text().splitlines()
         assert lines[0] == "v_in_v,measured_rate,model_probability"
         assert len(lines) == 4
+
+    def test_unknown_config_key_fails_before_any_event(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text("sourc = digital\n")
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
+        assert main(["run", "--config", str(p)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'sourc'" in err[0] and str(p) in err[0]
+
+    def test_sweep_grid_key_in_config_rejected(self, tmp_path, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text("points = 5\n")
+        out = tmp_path / "sw"
+        code = main(["sweep-vin", "--config", str(p), "--ticks", "1000", "--out", str(out)])
+        assert code == 2
+        assert not (out / "sweep_vin.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'points'" in err[0] and str(p) in err[0]
+
+    @pytest.mark.parametrize("flags", [["--beta", "-1"], ["--tau-us", "0"]])
+    def test_bad_config_value_is_one_error_line(self, flags, capsys):
+        assert main(["run", "--n-events", "1", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_sweep_slope_writes_csv(self, tmp_path):
         out = tmp_path / "sw"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probsense.traces import (
@@ -11,6 +11,7 @@ from probsense.traces import (
     ricker,
     synth_event,
     upsample,
+    write_csv,
     write_trace,
 )
 
@@ -19,6 +20,25 @@ finite_arrays = arrays(
     st.integers(min_value=2, max_value=200),
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
+
+# Every finite float64, with signed zero, subnormals and huge magnitudes forced in.
+csv_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _write_trace_loop(trace, path, include_time=True):
+    """Reference: the per-line writer that `write_trace` replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if include_time:
+            fh.write("time_s,value\n")
+            for k, v in enumerate(trace.samples.tolist()):
+                fh.write(f"{trace.t0_s + k / trace.rate_hz!r},{v!r}\n")
+        else:
+            fh.write("value\n")
+            for v in trace.samples.tolist():
+                fh.write(f"{v!r}\n")
 
 
 class TestTrace:
@@ -120,6 +140,25 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(TraceError, match="header"):
             load_trace(path)
+
+    # Each example overwrites the same two files, so a shared tmp_path is fine.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        arrays(np.float64, st.integers(min_value=1, max_value=60), elements=csv_floats),
+        st.floats(min_value=1e-3, max_value=1e9),
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.booleans(),
+    )
+    def test_write_trace_matches_line_loop(self, tmp_path, x, rate, t0, include_time):
+        t = Trace(x, rate, t0_s=t0)
+        write_trace(t, tmp_path / "new.csv", include_time)
+        _write_trace_loop(t, tmp_path / "ref.csv", include_time)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", "a,b", [1.0, 2.0], [1.0])
+        assert not (tmp_path / "x.csv").exists()
 
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "crlf.csv"
