@@ -1,8 +1,9 @@
 """Gated acquisition, linear-interpolation reconstruction, NMSE and savings.
 
 The P-ADC samples the high-rate signal at gated sync ticks; the R-ADC at
-every sync tick. Reconstruction interpolates linearly back onto the regular
-ADC grid, holding the nearest sample value beyond the first/last point.
+every sync tick. Both streams carry integer ticks of the regular ADC grid.
+Reconstruction interpolates linearly back onto that grid, holding the
+nearest sample value beyond the first/last point.
 """
 
 from __future__ import annotations
@@ -17,64 +18,52 @@ from .traces import Trace
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Non-uniform (timestamp, value) pairs on the sync grid."""
+    """Samples at integer ticks of a regular ADC grid (tick k is at t0_s + k / rate_hz)."""
 
-    times_s: np.ndarray
+    ticks: np.ndarray
     values: np.ndarray
     source: str  # "p_adc" | "r_adc"
-    rate_hz: float  # sync grid rate the timestamps live on
+    rate_hz: float  # rate of the ADC grid the ticks count
     t0_s: float = 0.0
 
     def __post_init__(self):
-        if self.times_s.shape != self.values.shape:
-            raise ValueError("times and values must have identical length")
-        if self.times_s.size > 1 and np.any(np.diff(self.times_s) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
+        if self.ticks.shape != self.values.shape:
+            raise ValueError("ticks and values must have identical length")
+        if not np.issubdtype(self.ticks.dtype, np.integer):
+            raise ValueError(f"ticks must be integers, got {self.ticks.dtype}")
+        if self.ticks.size > 1 and np.any(np.diff(self.ticks) <= 0):
+            raise ValueError("ticks must be strictly increasing")
         if self.source not in ("p_adc", "r_adc"):
             raise ValueError(f"source must be 'p_adc' or 'r_adc', got {self.source!r}")
 
     def __len__(self) -> int:
-        return self.times_s.size
+        return self.ticks.size
 
     @property
-    def grid_indices(self) -> np.ndarray:
-        """Positions on the sync grid; every timestamp must sit on it."""
-        idx = (self.times_s - self.t0_s) * self.rate_hz
-        k = np.round(idx)
-        if np.any(np.abs(idx - k) > 1e-6):
-            raise ValueError("timestamps do not lie on the sync grid")
-        return k.astype(np.int64)
+    def times_s(self) -> np.ndarray:
+        return self.t0_s + self.ticks / self.rate_hz
+
+
+def _sample(x_high: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> SampleStream:
+    if len(x_high) != len(a) or x_high.rate_hz != a.rate_hz:
+        raise ValueError("activation trace was not derived from this grid")
+    return SampleStream(
+        ticks=steps // a.steps_per_tick,
+        values=x_high.samples[steps],
+        source=source,
+        rate_hz=a.rate_hz / a.steps_per_tick,
+        t0_s=x_high.t0_s,
+    )
 
 
 def sample_gated(x_high: Trace, a: ActivationTrace) -> SampleStream:
     """P-ADC: capture the signal at every gated sync tick."""
-    if len(x_high) != len(a) or x_high.rate_hz != a.rate_hz:
-        raise ValueError("activation trace was not derived from this grid")
-    sync_rate = a.rate_hz / a.steps_per_tick
-    gated_steps = a.sync_ticks[a.gate[a.sync_ticks] > 0]
-    tick_k = gated_steps // a.steps_per_tick
-    return SampleStream(
-        times_s=x_high.t0_s + tick_k / sync_rate,
-        values=x_high.samples[gated_steps].copy(),
-        source="p_adc",
-        rate_hz=sync_rate,
-        t0_s=x_high.t0_s,
-    )
+    return _sample(x_high, a, a.sync_ticks[a.gate[a.sync_ticks] > 0], "p_adc")
 
 
 def sample_regular(x_high: Trace, a: ActivationTrace) -> SampleStream:
     """R-ADC: capture the signal at every sync tick."""
-    if len(x_high) != len(a) or x_high.rate_hz != a.rate_hz:
-        raise ValueError("activation trace was not derived from this grid")
-    sync_rate = a.rate_hz / a.steps_per_tick
-    tick_k = a.sync_ticks // a.steps_per_tick
-    return SampleStream(
-        times_s=x_high.t0_s + tick_k / sync_rate,
-        values=x_high.samples[a.sync_ticks].copy(),
-        source="r_adc",
-        rate_hz=sync_rate,
-        t0_s=x_high.t0_s,
-    )
+    return _sample(x_high, a, a.sync_ticks, "r_adc")
 
 
 def quantize_stream(s: SampleStream, n_bits: int = 24, full_scale_v: float = 1.0) -> SampleStream:
@@ -85,14 +74,14 @@ def quantize_stream(s: SampleStream, n_bits: int = 24, full_scale_v: float = 1.0
         raise ValueError(f"full_scale_v must be positive, got {full_scale_v}")
     lsb = 2.0 * full_scale_v / (2**n_bits)
     q = np.clip(np.round(s.values / lsb) * lsb, -full_scale_v, full_scale_v)
-    return SampleStream(s.times_s.copy(), q, s.source, s.rate_hz, s.t0_s)
+    return SampleStream(s.ticks.copy(), q, s.source, s.rate_hz, s.t0_s)
 
 
 def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> Trace:
     """Linear interpolation onto a regular grid, constant beyond the ends.
 
-    Interpolation runs on grid indices rather than raw times so retained
-    samples are reproduced exactly.
+    Interpolation runs on the stream's ticks rather than raw times so
+    retained samples are reproduced exactly.
     """
     if len(s) < 2:
         raise ValueError(f"need at least 2 samples to reconstruct, got {len(s)}")
@@ -100,9 +89,8 @@ def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> T
         raise ValueError(
             f"stream grid ({s.rate_hz} Hz) does not match target grid ({rate_hz} Hz)"
         )
-    idx = s.grid_indices
     grid = np.arange(n, dtype=np.float64)
-    out = np.interp(grid, idx.astype(np.float64), s.values)
+    out = np.interp(grid, s.ticks.astype(np.float64), s.values)
     return Trace(out, rate_hz, t0_s)
 
 

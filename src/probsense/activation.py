@@ -1,7 +1,8 @@
-"""Activation unit: p-neuron output ANDed with the sync clock, plus override.
+"""Activation unit: p-neuron output ANDed with the ADC clock, plus override.
 
 Per high-rate step the AFE features drive the p-neuron; its output is masked
-by the synchronous clock so samples only ever fall on the regular ADC grid.
+by the regular ADC's clock (every steps_per_tick-th step of the high-rate
+grid) so samples only ever fall on the regular ADC grid.
 A deterministic amplitude override, latched for a configurable hold window,
 forces acquisition whenever the signal is unambiguously large.
 """
@@ -25,31 +26,13 @@ from .traces import Trace
 
 @dataclass(frozen=True)
 class ActivationConfig:
-    sync_rate_hz: float = 2000.0
     hold_steps: int | None = None  # None: one sync period
     pneuron: PNeuronConfig = field(default_factory=PNeuronConfig)
     afe: AfeConfig = field(default_factory=AfeConfig)
 
     def __post_init__(self):
-        if self.sync_rate_hz <= 0:
-            raise ValueError(f"sync_rate_hz must be positive, got {self.sync_rate_hz}")
         if self.hold_steps is not None and self.hold_steps < 0:
             raise ValueError(f"hold_steps must be >= 0, got {self.hold_steps}")
-
-    @property
-    def amp_threshold_v(self) -> float:
-        return self.afe.amp_threshold_v
-
-    def steps_per_tick(self, rate_hz: float) -> int:
-        """High-rate steps per sync tick; the grid must divide exactly."""
-        ratio = rate_hz / self.sync_rate_hz
-        spt = int(round(ratio))
-        if spt < 1 or abs(ratio - spt) > 1e-9 * ratio:
-            raise ValueError(
-                f"high-rate grid ({rate_hz} Hz) is not an integer multiple of "
-                f"sync_rate_hz ({self.sync_rate_hz} Hz)"
-            )
-        return spt
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,14 +60,19 @@ class ActivationTrace:
         return np.flatnonzero(self.gate[self.sync_ticks])
 
 
-def run_activation(x_high: Trace, cfg: ActivationConfig) -> ActivationTrace:
+def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) -> ActivationTrace:
     """Sweep the activation unit over a high-rate trace.
 
-    The digital source draws one fresh Bernoulli decision per sync tick; the
-    telegraph source evolves on every high-rate step and is read at ticks.
+    Sync ticks fall on every steps_per_tick-th step from step 0. Callers pass
+    the upsampling factor that made x_high, so the ticks are the samples of
+    the ADC-rate trace: the regular ADC's clock is the trace's grid. The digital
+    source draws one fresh Bernoulli decision per sync tick; the telegraph
+    source evolves on every high-rate step and is read at ticks.
     Deterministic per cfg.pneuron.seed.
     """
-    spt = cfg.steps_per_tick(x_high.rate_hz)
+    spt = steps_per_tick
+    if spt < 1:
+        raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
     n = len(x_high)
     feats = extract_features(x_high, cfg.afe)
     v_in = drive_voltages(feats, cfg.afe)

@@ -90,13 +90,6 @@ def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     return FeatureSignal(slope, amp, x.rate_hz, cfg.delay_steps)
 
 
-def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
-    """Voltage fed to the p-neuron at step i: slope_gain * slope_mag[i]."""
-    if not 0 <= i < len(f):
-        raise IndexError(f"step index {i} out of range [0, {len(f)})")
-    return cfg.slope_gain * float(f.slope_mag[i])
-
-
 def drive_voltages(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:
-    """Vectorized `drive_voltage` over all steps."""
+    """Voltage fed to the p-neuron at every step: slope_gain * slope_mag."""
     return cfg.slope_gain * f.slope_mag

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
+    GridError,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -69,7 +71,7 @@ class Flag(NamedTuple):
 
     field: str
     type: Callable  # parses the flag's text, or a config-file value
-    help: str
+    help: str  # "{default}" is replaced by the field's value in ExperimentConfig()
     to_field: Callable = lambda v: v  # parsed value -> field value
     choices: tuple[str, ...] | None = None
 
@@ -78,8 +80,8 @@ class Flag(NamedTuple):
 FLAGS = {
     "dataset": Flag("dataset", Path, "directory of event CSVs (default: synthetic)"),
     "rate_hz": Flag("dataset_rate_hz", float, "sample rate for value-only dataset CSVs"),
-    "n_events": Flag("n_events", int, "number of events to evaluate (default 50)"),
-    "seed": Flag("base_seed", int, "base seed; event i uses seed + i"),
+    "n_events": Flag("n_events", int, "number of events to evaluate (default {default})"),
+    "seed": Flag("base_seed", int, "base seed; event i uses seed + i (default {default})"),
     "tau_us": Flag("activation.pneuron.tau_s", float, "sMTJ retention time in microseconds",
                    to_field=lambda us: us * 1e-6),
     "vref": Flag("activation.pneuron.v_ref_v", float,
@@ -88,23 +90,27 @@ FLAGS = {
     "source": Flag("activation.pneuron.source", str, "entropy source",
                    to_field=lambda s: SOURCE_ALIASES.get(s, s),
                    choices=tuple(sorted(SOURCE_ALIASES))),
-    "sync_hz": Flag("activation.sync_rate_hz", float, "sync clock frequency (default 2000)"),
-    "upsample": Flag("upsample_factor", int, "high-rate grid factor (default 50)"),
+    "upsample": Flag("upsample_factor", int,
+                     "high-rate steps per ADC sample; the ADC rate is the trace's rate "
+                     "(default {default})"),
     "band": Flag("band_hz", _parse_band, "frequency band for NMSE, 'low:high' Hz"),
     "slope_gain": Flag("activation.afe.slope_gain", float, "volts of drive per (V/s) of slope"),
     "amp_threshold": Flag("activation.afe.amp_threshold_v", float,
                           "deterministic override threshold (V)"),
-    "hold_steps": Flag("activation.hold_steps", int, "override hold window in high-rate steps"),
-    "snr_db": Flag("synth.snr_db", float, "synthetic event energy SNR (default 26)"),
+    "hold_steps": Flag("activation.hold_steps", int,
+                       "override hold window in high-rate steps (default {default})"),
+    "snr_db": Flag("synth.snr_db", float, "synthetic event energy SNR in dB (default {default})"),
     "out": Flag("output_dir", Path, "output directory"),
 }
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key = value config file")
+    defaults = ExperimentConfig()
     for name, flag in FLAGS.items():
+        default = reduce(getattr, flag.field.split("."), defaults)
         p.add_argument("--" + name.replace("_", "-"), type=flag.type, choices=flag.choices,
-                       help=flag.help)
+                       help=flag.help.format(default=default))
 
 
 def _merge(args: argparse.Namespace) -> dict:
@@ -148,6 +154,10 @@ def build_experiment(opts: dict) -> ExperimentConfig:
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     try:
         report = run_survey(cfg)
+    except GridError as exc:
+        flag = next(name for name, f in FLAGS.items() if f.field == exc.field)
+        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ from .acquisition import (
 )
 from .activation import ActivationConfig, detection_latency, run_activation
 from .pbit import (
+    DT_RESOLUTION_FACTOR,
     P_CLAMP,
     activation_probability,
     lfsr_from_seed,
@@ -85,6 +86,32 @@ class ExperimentConfig:
             raise ValueError(f"upsample_factor must be >= 1, got {self.upsample_factor}")
 
 
+class GridError(ValueError):
+    """A setting that would fail every event on the survey's ADC grid.
+
+    `field` is the dotted ExperimentConfig path of the setting at fault.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_grid(cfg: ExperimentConfig, rate_hz: float) -> None:
+    """Reject a band or upsampling factor that cannot work at ADC rate rate_hz."""
+    low, high = cfg.band_hz
+    if not 0 <= low < high <= rate_hz / 2:
+        raise GridError("band_hz", f"band {low:g}:{high:g} Hz is empty or exceeds the "
+                        f"Nyquist frequency {rate_hz / 2:g} Hz of the {rate_hz:g} Hz ADC grid")
+    pn = cfg.activation.pneuron
+    dt = 1.0 / (rate_hz * cfg.upsample_factor)
+    if pn.source == "smtj_telegraph" and dt > pn.tau_s / DT_RESOLUTION_FACTOR:
+        raise GridError("upsample_factor", f"factor {cfg.upsample_factor} on the {rate_hz:g} Hz "
+                        f"ADC grid gives a {dt:.3g} s step, too coarse for the telegraph "
+                        f"(needs <= tau_s / {DT_RESOLUTION_FACTOR} = "
+                        f"{pn.tau_s / DT_RESOLUTION_FACTOR:.3g} s)")
+
+
 def _survey_onsets(spec: SynthSurveySpec, n_events: int, base_seed: int) -> tuple[float, ...]:
     """Per-event wavelet onsets, snapped to the event sample grid."""
     rng = np.random.default_rng((base_seed, 1))
@@ -122,10 +149,15 @@ def _event_paths(directory: Path | str) -> list[Path]:
     return paths
 
 
-def load_survey(directory: Path | str) -> SurveyDataset:
-    """Load a survey from a directory of CSV event files (sorted by name)."""
+def load_survey(directory: Path | str, rate_hz: float | None = None) -> SurveyDataset:
+    """Load a survey from a directory of CSV event files (sorted by name).
+
+    rate_hz is the sample rate of value-only files (see `load_trace`).
+    """
     paths = _event_paths(directory)
-    return SurveyDataset(tuple(load_trace(p) for p in paths), label=Path(directory).name)
+    return SurveyDataset(
+        tuple(load_trace(p, rate_hz=rate_hz) for p in paths), label=Path(directory).name
+    )
 
 
 def write_survey(ds: SurveyDataset, directory: Path | str) -> list[Path]:
@@ -148,14 +180,16 @@ def run_event(
 ):
     """Run one event through upsample -> activation -> P-ADC -> reconstruction.
 
-    Returns (EventEval, p_stream, r_stream, recon).
+    The trace's own grid is the ADC grid: the activation's sync ticks are
+    every upsample_factor-th high-rate step. Returns (EventEval, p_stream,
+    r_stream, recon).
     """
     x_high = upsample(trace, cfg.upsample_factor)
     act_cfg = replace(
         cfg.activation,
         pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + NEURON_SEED_OFFSET + index),
     )
-    act = run_activation(x_high, act_cfg)
+    act = run_activation(x_high, act_cfg, cfg.upsample_factor)
     p_stream = sample_gated(x_high, act)
     r_stream = sample_regular(x_high, act)
     if cfg.quantizer_bits is not None:
@@ -170,8 +204,9 @@ def run_event(
     if onset_s is not None and wavelet_f0_hz is not None:
         half_width = 2.0 / wavelet_f0_hz
         lo, hi = onset_s - half_width, onset_s + half_width
-        in_win_p = np.sum((p_stream.times_s >= lo) & (p_stream.times_s <= hi))
-        in_win_r = np.sum((r_stream.times_s >= lo) & (r_stream.times_s <= hi))
+        t_p, t_r = p_stream.times_s, r_stream.times_s
+        in_win_p = np.sum((t_p >= lo) & (t_p <= hi))
+        in_win_r = np.sum((t_r >= lo) & (t_r <= hi))
         if in_win_r > 0:
             window_sav = float(100.0 * (1.0 - in_win_p / in_win_r))
         # latency measured from where the wavelet emerges (half-period early)
@@ -199,7 +234,13 @@ def run_event(
 def run_survey(cfg: ExperimentConfig) -> EvalReport:
     """Evaluate the first n_events of the survey; per-event failures
     (including load/synthesis errors) are recorded without aborting the
-    remaining events."""
+    remaining events.
+
+    The survey's ADC rate is the synthetic rate_hz, the sidecar
+    dataset_rate_hz, or else the rate of the first event that loads; every
+    event must share it. A band or upsampling factor that cannot work at
+    that rate raises `GridError` before any event runs.
+    """
     if cfg.dataset is not None:
         paths = _event_paths(cfg.dataset)
         n = min(cfg.n_events, len(paths))
@@ -216,21 +257,31 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
         def get_event(i: int) -> Trace:
             return _synth_one(cfg.synth, onsets[i], cfg.base_seed + i)
 
+    rate = cfg.synth.rate_hz if cfg.dataset is None else cfg.dataset_rate_hz
+    first: list[Trace | Exception] = []  # events loaded to find the rate
+    while rate is None and len(first) < n:
+        try:
+            first.append(get_event(len(first)))
+            rate = first[-1].rate_hz
+        except Exception as exc:  # noqa: BLE001 - recorded as that event's failure
+            first.append(exc)
+    if rate is not None:
+        _check_grid(cfg, rate)
+
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     results: list[EventEval] = []
-    ref_rate: float | None = None
     for i in range(n):
         try:
-            trace = get_event(i)
-            if ref_rate is None:
-                ref_rate = trace.rate_hz
-            elif abs(trace.rate_hz - ref_rate) > 1e-6 * ref_rate:
+            trace = first[i] if i < len(first) else get_event(i)
+            if isinstance(trace, Exception):
+                raise trace
+            if abs(trace.rate_hz - rate) > 1e-6 * rate:
                 raise ValueError(
                     f"event rate {trace.rate_hz:.6g} Hz disagrees with survey rate "
-                    f"{ref_rate:.6g} Hz"
+                    f"{rate:.6g} Hz"
                 )
             ev, p_stream, r_stream, recon = run_event(trace, cfg, i, onsets[i], f0)
             results.append(ev)
@@ -262,11 +313,11 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
         per_event=tuple(results),
     )
     if out_dir is not None:
-        write_report(report, cfg, out_dir / "report.json")
+        write_report(report, cfg, rate, out_dir / "report.json")
     return report
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
+def _config_echo(cfg: ExperimentConfig, rate_hz: float) -> dict:
     pn = cfg.activation.pneuron
     fe = cfg.activation.afe
     return {
@@ -275,7 +326,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "base_seed": cfg.base_seed,
         "upsample_factor": cfg.upsample_factor,
         "band_hz": list(cfg.band_hz),
-        "sync_rate_hz": cfg.activation.sync_rate_hz,
+        "sync_rate_hz": rate_hz,
         "hold_steps": cfg.activation.hold_steps,
         "quantizer_bits": cfg.quantizer_bits,
         "pneuron": {
@@ -294,8 +345,11 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_report(report: EvalReport, cfg: ExperimentConfig, path: Path | str) -> None:
-    doc = {"config": _config_echo(cfg)} | report.to_dict()
+def write_report(
+    report: EvalReport, cfg: ExperimentConfig, rate_hz: float, path: Path | str
+) -> None:
+    """Write report.json; rate_hz is the survey's ADC rate, echoed as sync_rate_hz."""
+    doc = {"config": _config_echo(cfg, rate_hz)} | report.to_dict()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -308,7 +362,7 @@ def _write_rate_csv(path: Path, p_stream, n_ticks: int) -> None:
     """Windowed average sampling rate of the gated stream, plot-ready."""
     w = RATE_TRACE_WINDOW_TICKS
     n_win = n_ticks // w
-    counts, _ = np.histogram(p_stream.grid_indices, bins=np.arange(0, n_win * w + 1, w))
+    counts, _ = np.histogram(p_stream.ticks, bins=np.arange(0, n_win * w + 1, w))
     starts = p_stream.t0_s + np.arange(n_win) * w / p_stream.rate_hz
     write_csv(path, "window_start_s,avg_rate", starts, counts / w)
 
@@ -323,7 +377,8 @@ def sweep_vin(
     """Measured sampling rate vs constant p-neuron input voltage.
 
     The drive is pinned to each grid value (zero signal, AFE bypassed) and
-    the gated fraction over ticks_per_point sync ticks is recorded. Returns
+    the gated fraction over ticks_per_point sync ticks, on the synthetic
+    survey's ADC grid (cfg.synth.rate_hz), is recorded. Returns
     rows of (v_in, measured_rate, model_probability).
     """
     if ticks_per_point < 1000:
@@ -341,7 +396,7 @@ def sweep_vin(
             measured = float(np.mean(u < p_model))
         else:
             spt = cfg.upsample_factor
-            dt = 1.0 / (cfg.activation.sync_rate_hz * spt)
+            dt = 1.0 / (cfg.synth.rate_hz * spt)
             p_run = min(max(p_model, P_CLAMP), 1.0 - P_CLAMP)
             states = telegraph_tick_states(
                 p_run, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
@@ -367,8 +422,9 @@ def sweep_slope(
     """Measured sampling rate vs signal slope through the full AFE chain.
 
     Each grid point feeds a triangle wave (constant slope magnitude) through
-    feature extraction and the p-neuron; the amplitude override is disabled
-    so the probabilistic path is isolated. Returns rows of
+    feature extraction and the p-neuron, on the synthetic survey's ADC grid
+    (cfg.synth.rate_hz) upsampled by cfg.upsample_factor; the amplitude
+    override is disabled so the probabilistic path is isolated. Returns rows of
     (slope_v_per_s, measured_rate, model_probability).
     """
     if ticks_per_point < 1000:
@@ -376,7 +432,7 @@ def sweep_slope(
     slope_grid = np.asarray(slope_grid, dtype=np.float64)
     if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
         raise ValueError("slope_grid must be non-empty, finite and non-negative")
-    rate_high = cfg.activation.sync_rate_hz * cfg.upsample_factor
+    rate_high = cfg.synth.rate_hz * cfg.upsample_factor
     n = ticks_per_point * cfg.upsample_factor
     afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)
     rows = np.empty((slope_grid.size, 3))
@@ -387,7 +443,7 @@ def sweep_slope(
             afe=afe_cfg,
             pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + i),
         )
-        act = run_activation(x, act_cfg)
+        act = run_activation(x, act_cfg, cfg.upsample_factor)
         measured = float(np.mean(act.gate[act.sync_ticks]))
         model = activation_probability(afe_cfg.slope_gain * float(s), cfg.activation.pneuron)
         rows[i] = (s, measured, model)

@@ -12,7 +12,7 @@ occupancy of the ON state equals the activation probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -153,16 +153,8 @@ def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     return u, LfsrState(int(_CYCLE.registers[end]))
 
 
-def pbit_decide_iid(p: float, s: LfsrState) -> tuple[int, LfsrState]:
-    """One Bernoulli(p) decision from the LFSR word stream."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    u, s = lfsr_word_uniforms(s, 1)
-    return int(u[0] < p), s
-
-
 def iid_decisions(p, s: LfsrState) -> tuple[np.ndarray, LfsrState]:
-    """Vectorized `pbit_decide_iid` for an array of per-decision probabilities."""
+    """One Bernoulli(p) decision per entry of p, each from one LFSR word."""
     p = np.asarray(p, dtype=np.float64)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -173,17 +165,6 @@ def iid_decisions(p, s: LfsrState) -> tuple[np.ndarray, LfsrState]:
 # --------------------------------------------------------------------------
 # Spintronic entropy source: two-state random telegraph with retention time
 # --------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class TelegraphState:
-    state: int
-    time_in_state_s: float = 0.0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
-
-    def __post_init__(self):
-        if self.state not in (0, 1):
-            raise ValueError(f"state must be 0 or 1, got {self.state}")
-
 
 def _flip_probs(p, tau_s: float, dt_s: float, cap: bool):
     """Per-step flip probabilities (q_off_to_on, q_on_to_off).
@@ -205,30 +186,6 @@ def _flip_probs(p, tau_s: float, dt_s: float, cap: bool):
     return q01, q10
 
 
-def telegraph_step(ts: TelegraphState, p: float, dt_s: float, cfg: PNeuronConfig) -> TelegraphState:
-    """Advance the telegraph by one step of dt_s at drive probability p.
-
-    dt_s must resolve both dwell times (dt <= min dwell / 10); too-coarse
-    steps raise instead of silently distorting the dwell statistics.
-    """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    pc = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
-    min_dwell = 2.0 * cfg.tau_s * min(pc, 1.0 - pc)
-    if dt_s > min_dwell / DT_RESOLUTION_FACTOR:
-        raise ValueError(
-            f"dt too coarse: {dt_s:.3g} s exceeds min dwell {min_dwell:.3g} s / "
-            f"{DT_RESOLUTION_FACTOR}"
-        )
-    q01, q10 = _flip_probs(pc, cfg.tau_s, dt_s, cap=False)
-    q = q10 if ts.state == 1 else q01
-    if ts.rng.random() < q:
-        return TelegraphState(state=1 - ts.state, time_in_state_s=0.0, rng=ts.rng)
-    return TelegraphState(state=ts.state, time_in_state_s=ts.time_in_state_s + dt_s, rng=ts.rng)
-
-
 def telegraph_run(
     p_steps: np.ndarray,
     dt_s: float,
@@ -238,10 +195,10 @@ def telegraph_run(
 ) -> np.ndarray:
     """Evolve the telegraph over a per-step drive-probability array.
 
-    Returns the state after each step (uint8), matching a loop of
-    `telegraph_step` calls on the same generator (one draw for the start
-    state when initial_state is None, then one uniform u per step) but
-    also accepting saturated drives, so only dt_s <= tau_s / 10 is needed.
+    Returns the state after each step (uint8). The generator gives one draw
+    for the start state when initial_state is None, then one uniform u per
+    step; a step flips the state when u < q01 (from OFF) or u < q10 (from
+    ON). Saturated drives are accepted, so only dt_s <= tau_s / 10 is needed.
 
     With flip0 = u < q01 and flip1 = u < q10 each step applies one of four
     maps to the state: identity (neither), NOT (both), const 1 (flip0 only)

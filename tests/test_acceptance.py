@@ -86,7 +86,7 @@ def test_criterion_3_oracle_equivalence():
         pneuron=PNeuronConfig(v_ref_v=-5.0, source="digital_iid"),
         afe=AfeConfig(amp_threshold_v=1e9),
     )
-    act = run_activation(x_high, cfg)
+    act = run_activation(x_high, cfg, 50)
     p_stream = sample_gated(x_high, act)
     r_stream = sample_regular(x_high, act)
     identical = np.array_equal(p_stream.times_s, r_stream.times_s) and np.array_equal(

@@ -44,7 +44,7 @@ def _never_cfg():
 class TestSampling:
     def test_saturated_equals_regular(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg())
+        act = run_activation(x, _saturated_cfg(), 50)
         p = sample_gated(x, act)
         r = sample_regular(x, act)
         assert np.array_equal(p.times_s, r.times_s)
@@ -52,28 +52,30 @@ class TestSampling:
 
     def test_no_gate_empty_stream(self):
         x = Trace(np.zeros(50_000), 100_000.0)
-        act = run_activation(x, _never_cfg())
+        act = run_activation(x, _never_cfg(), 50)
         assert len(sample_gated(x, act)) == 0
 
     def test_baseline_sample_count_binomial(self):
         # X = 0.05 over 1e4 ticks: expect 500 +- 3 sigma (binomial)
         x = Trace(np.zeros(10_000 * 50), 100_000.0)
-        act = run_activation(x, _baseline_cfg(0.05, seed=2))
+        act = run_activation(x, _baseline_cfg(0.05, seed=2), 50)
         n = len(sample_gated(x, act))
         sigma = np.sqrt(10_000 * 0.05 * 0.95)
         assert abs(n - 500) <= 3 * sigma
 
     def test_timestamps_on_sync_grid(self):
         x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=5), 50)
-        act = run_activation(x, ActivationConfig())
+        act = run_activation(x, ActivationConfig(), 50)
         s = sample_gated(x, act)
-        idx = s.grid_indices
-        assert np.array_equal(np.sort(idx), idx)
-        assert np.all(idx >= 0)
+        assert s.ticks.dtype == np.int64
+        assert np.array_equal(np.sort(s.ticks), s.ticks)
+        assert np.all(s.ticks >= 0)
+        assert s.rate_hz == 2000.0
+        assert np.array_equal(s.times_s, s.ticks / 2000.0)
 
     def test_grid_mismatch_rejected(self):
         x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0), 50)
-        act = run_activation(x, ActivationConfig())
+        act = run_activation(x, ActivationConfig(), 50)
         other = Trace(np.zeros(100), 100_000.0)
         with pytest.raises(ValueError, match="grid"):
             sample_gated(other, act)
@@ -82,18 +84,18 @@ class TestSampling:
 class TestReconstruct:
     def test_all_points_exact(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg())
+        act = run_activation(x, _saturated_cfg(), 50)
         rec = reconstruct(sample_gated(x, act), 2000.0, 1000)
         orig = x.samples[::50]
         assert np.array_equal(rec.samples, orig)
 
     def test_midpoint(self):
-        s = SampleStream(np.array([0.0, 1.0]), np.array([0.0, 1.0]), "p_adc", rate_hz=2.0)
+        s = SampleStream(np.array([0, 2]), np.array([0.0, 1.0]), "p_adc", rate_hz=2.0)
         rec = reconstruct(s, 2.0, 3)
         assert np.array_equal(rec.samples, [0.0, 0.5, 1.0])
 
     def test_constant_extrapolation(self):
-        s = SampleStream(np.array([1.0, 2.0]), np.array([5.0, 7.0]), "p_adc", rate_hz=2.0)
+        s = SampleStream(np.array([2, 4]), np.array([5.0, 7.0]), "p_adc", rate_hz=2.0)
         rec = reconstruct(s, 2.0, 6)
         assert np.array_equal(rec.samples, [5.0, 5.0, 5.0, 6.0, 7.0, 7.0])
 
@@ -104,12 +106,12 @@ class TestReconstruct:
         t = np.arange(n) / 2000.0
         sine = np.sin(2 * np.pi * 50.0 * t)
         keep = np.sort(rng.choice(n, size=60, replace=False))
-        s = SampleStream(t[keep], sine[keep], "p_adc", rate_hz=2000.0)
+        s = SampleStream(keep, sine[keep], "p_adc", rate_hz=2000.0)
         rec = reconstruct(s, 2000.0, n)
         assert np.array_equal(rec.samples[keep], sine[keep])
 
     def test_too_few_points(self):
-        s = SampleStream(np.array([0.0]), np.array([1.0]), "p_adc", rate_hz=10.0)
+        s = SampleStream(np.array([0]), np.array([1.0]), "p_adc", rate_hz=10.0)
         with pytest.raises(ValueError, match="at least 2"):
             reconstruct(s, 10.0, 5)
 
@@ -187,18 +189,18 @@ class TestNmseFreq:
 
 class TestSavings:
     def _stream(self, n, source="p_adc"):
-        return SampleStream(np.arange(n, dtype=float), np.zeros(n), source, rate_hz=1.0)
+        return SampleStream(np.arange(n), np.zeros(n), source, rate_hz=1.0)
 
     def test_equal_streams_zero_savings(self):
         p, r = self._stream(100), self._stream(100, "r_adc")
         assert savings(p, r) == (0.0, 100.0)
 
     def test_empty_p_full_savings(self):
-        p = SampleStream(np.zeros(0), np.zeros(0), "p_adc", rate_hz=1.0)
+        p = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), "p_adc", rate_hz=1.0)
         assert savings(p, self._stream(100, "r_adc")) == (100.0, 0.0)
 
     def test_empty_reference_rejected(self):
-        r = SampleStream(np.zeros(0), np.zeros(0), "r_adc", rate_hz=1.0)
+        r = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), "r_adc", rate_hz=1.0)
         with pytest.raises(ValueError, match="empty"):
             savings(self._stream(10), r)
 
@@ -214,7 +216,7 @@ class TestQuantize:
     def test_error_bounded_by_half_lsb(self):
         rng = np.random.default_rng(4)
         v = rng.uniform(-1, 1, 500)
-        s = SampleStream(np.arange(500, dtype=float), v, "p_adc", rate_hz=1.0)
+        s = SampleStream(np.arange(500), v, "p_adc", rate_hz=1.0)
         q = quantize_stream(s, n_bits=8, full_scale_v=1.0)
         lsb = 2.0 / 256
         assert np.max(np.abs(q.values - v)) <= lsb / 2 + 1e-15
@@ -222,7 +224,7 @@ class TestQuantize:
     def test_24_bit_nearly_transparent(self):
         rng = np.random.default_rng(5)
         v = rng.uniform(-1, 1, 100)
-        s = SampleStream(np.arange(100, dtype=float), v, "p_adc", rate_hz=1.0)
+        s = SampleStream(np.arange(100), v, "p_adc", rate_hz=1.0)
         q = quantize_stream(s, n_bits=24, full_scale_v=1.0)
         assert np.max(np.abs(q.values - v)) < 1e-6
 
@@ -230,13 +232,17 @@ class TestQuantize:
 class TestStreamValidation:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            SampleStream(np.array([0.0, 0.0]), np.zeros(2), "p_adc", rate_hz=1.0)
+            SampleStream(np.array([0, 0]), np.zeros(2), "p_adc", rate_hz=1.0)
 
     def test_bad_source(self):
         with pytest.raises(ValueError, match="source"):
-            SampleStream(np.array([0.0]), np.zeros(1), "x_adc", rate_hz=1.0)
+            SampleStream(np.array([0]), np.zeros(1), "x_adc", rate_hz=1.0)
 
-    def test_off_grid_timestamps_detected(self):
-        s = SampleStream(np.array([0.0, 0.3]), np.zeros(2), "p_adc", rate_hz=2.0)
-        with pytest.raises(ValueError, match="sync grid"):
-            s.grid_indices
+    def test_times_from_ticks(self):
+        s = SampleStream(np.array([0, 3]), np.zeros(2), "p_adc", rate_hz=2.0, t0_s=1.25)
+        assert s.times_s.tolist() == [1.25, 2.75]
+
+    def test_float_ticks_rejected(self):
+        # seconds passed where ticks belong
+        with pytest.raises(ValueError, match="integers"):
+            SampleStream(np.array([0.0, 0.5]), np.zeros(2), "p_adc", rate_hz=2.0)

@@ -13,11 +13,11 @@ from probsense.pbit import PNeuronConfig, v_ref_for_min_rate
 from probsense.traces import Trace, synth_event, upsample
 
 RATE_HI = 100_000.0
+SPT = 50  # high-rate steps per tick: a 2 kHz ADC grid upsampled to RATE_HI
 
 
 def _cfg(x_min=0.05, source="digital_iid", seed=0, amp_thr=0.05, hold=None, tau=500e-6):
     return ActivationConfig(
-        sync_rate_hz=2000.0,
         hold_steps=hold,
         pneuron=PNeuronConfig(
             v_ref_v=v_ref_for_min_rate(x_min, 10.0), source=source, seed=seed, tau_s=tau
@@ -34,20 +34,15 @@ class TestRunActivation:
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_zero_signal_baseline_rate(self, source):
         # no features -> gating fraction equals the minimum rate X
-        act = run_activation(_zero_trace(10_000), _cfg(x_min=0.05, source=source))
+        act = run_activation(_zero_trace(10_000), _cfg(x_min=0.05, source=source), SPT)
         frac = act.gate[act.sync_ticks].mean()
         assert frac == pytest.approx(0.05, abs=0.01)
-
-    def test_rate_mismatch_rejected(self):
-        x = Trace(np.zeros(1000), 3000.0)  # 3 kHz is not a multiple of 2 kHz
-        with pytest.raises(ValueError, match="integer multiple"):
-            run_activation(x, _cfg())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_override_dominates_any_seed(self, seed):
         # amplitude above threshold everywhere -> every sync tick gated
         x = Trace(np.full(50_000, 2.0), RATE_HI)
-        act = run_activation(x, _cfg(amp_thr=0.5, seed=seed))
+        act = run_activation(x, _cfg(amp_thr=0.5, seed=seed), SPT)
         assert np.all(act.gate[act.sync_ticks] == 1)
 
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
@@ -57,7 +52,7 @@ class TestRunActivation:
             pneuron=PNeuronConfig(v_ref_v=-5.0, source=source),
             afe=AfeConfig(amp_threshold_v=1e9),
         )
-        act = run_activation(_zero_trace(2000), cfg)
+        act = run_activation(_zero_trace(2000), cfg, SPT)
         if source == "digital_iid":
             assert np.all(act.gate[act.sync_ticks] == 1)
         else:
@@ -70,13 +65,13 @@ class TestRunActivation:
 
     def test_gating_subset_of_sync_ticks(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=3), 50)
-        act = run_activation(x, _cfg())
+        act = run_activation(x, _cfg(), SPT)
         gated_steps = np.flatnonzero(act.gate)
         assert np.all(np.isin(gated_steps, act.sync_ticks))
 
     def test_gate_composition_invariant(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=4), 50)
-        act = run_activation(x, _cfg(source="smtj_telegraph"))
+        act = run_activation(x, _cfg(source="smtj_telegraph"), SPT)
         expect = np.zeros(len(act), dtype=np.uint8)
         t = act.sync_ticks
         expect[t] = act.pneuron_out[t] | act.det_override[t]
@@ -85,16 +80,16 @@ class TestRunActivation:
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_deterministic(self, source):
         x = upsample(synth_event(0.2, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=9), 50)
-        a = run_activation(x, _cfg(source=source, seed=5))
-        b = run_activation(x, _cfg(source=source, seed=5))
+        a = run_activation(x, _cfg(source=source, seed=5), SPT)
+        b = run_activation(x, _cfg(source=source, seed=5), SPT)
         assert np.array_equal(a.gate, b.gate)
         assert np.array_equal(a.pneuron_out, b.pneuron_out)
         assert np.array_equal(a.det_override, b.det_override)
 
     def test_monotone_drive_monotone_rate(self):
         # two constant drive levels via X: higher p must gate more (3 sigma)
-        lo = run_activation(_zero_trace(10_000), _cfg(x_min=0.1, seed=3))
-        hi = run_activation(_zero_trace(10_000), _cfg(x_min=0.3, seed=3))
+        lo = run_activation(_zero_trace(10_000), _cfg(x_min=0.1, seed=3), SPT)
+        hi = run_activation(_zero_trace(10_000), _cfg(x_min=0.3, seed=3), SPT)
         f_lo = lo.gate[lo.sync_ticks].mean()
         f_hi = hi.gate[hi.sync_ticks].mean()
         sigma = np.sqrt(0.3 * 0.7 / 10_000)
@@ -104,7 +99,7 @@ class TestRunActivation:
         # single above-threshold spike held for hold_steps
         x = np.zeros(5000)
         x[1000] = 1.0
-        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200))
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), SPT)
         det = np.flatnonzero(act.det_override)
         assert det[0] == 1000
         assert det[-1] == 1200
@@ -114,23 +109,23 @@ class TestRunActivation:
 class TestAverageRate:
     def test_all_gated(self):
         x = Trace(np.full(50_000, 2.0), RATE_HI)
-        act = run_activation(x, _cfg(amp_thr=0.5))
+        act = run_activation(x, _cfg(amp_thr=0.5), SPT)
         assert np.all(average_rate(act, 100) == 1.0)
 
     def test_no_gate(self):
         # p ~ 1e-22 at v_ref = 5 V: digital decisions never fire
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))
-        act = run_activation(_zero_trace(1000), cfg)
+        act = run_activation(_zero_trace(1000), cfg, SPT)
         assert np.all(average_rate(act, 100) == 0.0)
 
     def test_baseline_window_statistics(self):
-        act = run_activation(_zero_trace(100_000), _cfg(x_min=0.05, seed=1))
+        act = run_activation(_zero_trace(100_000), _cfg(x_min=0.05, seed=1), SPT)
         w = average_rate(act, 1000)
         assert w.mean() == pytest.approx(0.05, abs=0.01)
         assert w.std() < 0.01
 
     def test_window_validation(self):
-        act = run_activation(_zero_trace(100), _cfg())
+        act = run_activation(_zero_trace(100), _cfg(), SPT)
         with pytest.raises(ValueError):
             average_rate(act, 0)
 
@@ -140,7 +135,7 @@ class TestDetectionLatency:
         # signal crosses the threshold exactly at a sync tick
         x = np.zeros(10_000)
         x[5000:] = 1.0
-        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5))
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5), SPT)
         assert detection_latency(act, 5000) == 0.0
 
     def test_delay_steps_shift_latency(self):
@@ -148,17 +143,17 @@ class TestDetectionLatency:
         x[5000:] = 1.0
         cfg = _cfg(amp_thr=0.5)
         cfg = replace(cfg, afe=replace(cfg.afe, delay_steps=50))
-        act = run_activation(Trace(x, RATE_HI), cfg)
+        act = run_activation(Trace(x, RATE_HI), cfg, SPT)
         assert detection_latency(act, 5000) == pytest.approx(50 / RATE_HI)
 
     def test_flat_signal_no_activation(self):
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))
-        act = run_activation(_zero_trace(500), cfg)
+        act = run_activation(_zero_trace(500), cfg, SPT)
         with pytest.raises(ValueError, match="no activation"):
             detection_latency(act, 100)
 
     def test_onset_out_of_range(self):
-        act = run_activation(_zero_trace(100), _cfg())
+        act = run_activation(_zero_trace(100), _cfg(), SPT)
         with pytest.raises(ValueError, match="out of range"):
             detection_latency(act, 10**7)
 
@@ -172,7 +167,7 @@ class TestDetectionLatency:
         trace = Trace(x, RATE_HI)
         ok = 0
         for seed in range(100):
-            act = run_activation(trace, _cfg(x_min=0.05, seed=seed, amp_thr=1e9))
+            act = run_activation(trace, _cfg(x_min=0.05, seed=seed, amp_thr=1e9), SPT)
             try:
                 ok += detection_latency(act, onset) <= 2 / 2000.0
             except ValueError:
@@ -181,18 +176,12 @@ class TestDetectionLatency:
 
 
 class TestConfigValidation:
-    def test_bad_sync_rate(self):
-        with pytest.raises(ValueError):
-            ActivationConfig(sync_rate_hz=0.0)
+    def test_ticks_every_steps_per_tick(self):
+        act = run_activation(_zero_trace(100), _cfg(), 10)
+        assert np.array_equal(act.sync_ticks, np.arange(0, 5000, 10))
+        with pytest.raises(ValueError, match="steps_per_tick"):
+            run_activation(_zero_trace(100), _cfg(), 0)
 
     def test_bad_hold(self):
         with pytest.raises(ValueError):
             ActivationConfig(hold_steps=-1)
-
-    def test_amp_threshold_passthrough(self):
-        cfg = ActivationConfig(afe=AfeConfig(amp_threshold_v=0.25))
-        assert cfg.amp_threshold_v == 0.25
-
-    def test_steps_per_tick(self):
-        cfg = ActivationConfig(sync_rate_hz=2000.0)
-        assert cfg.steps_per_tick(100_000.0) == 50

@@ -5,8 +5,8 @@ from hypothesis.extra.numpy import arrays
 
 from probsense.afe import (
     AfeConfig,
+    FeatureSignal,
     _trailing_mean,
-    drive_voltage,
     drive_voltages,
     extract_features,
 )
@@ -27,6 +27,13 @@ def half_wave_rectify(x: Trace) -> tuple[Trace, Trace]:
     pos = np.maximum(x.samples, 0.0)
     neg = np.maximum(-x.samples, 0.0)
     return Trace(pos, x.rate_hz, x.t0_s), Trace(neg, x.rate_hz, x.t0_s)
+
+
+def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
+    """Reference oracle for `drive_voltages`: the p-neuron voltage at step i."""
+    if not 0 <= i < len(f):
+        raise IndexError(f"step index {i} out of range [0, {len(f)})")
+    return cfg.slope_gain * float(f.slope_mag[i])
 
 
 class TestRectify:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from probsense.cli import build_experiment, main, parse_config_file
 from probsense.harness import (
     RATE_TRACE_WINDOW_TICKS,
     ExperimentConfig,
+    GridError,
     SynthSurveySpec,
     _write_rate_csv,
     load_survey,
@@ -43,7 +45,7 @@ def _write_stream_loop(path, stream):
 def _write_rate_loop(path, p_stream, n_ticks):
     w = RATE_TRACE_WINDOW_TICKS
     n_win = n_ticks // w
-    counts, _ = np.histogram(p_stream.grid_indices, bins=np.arange(0, n_win * w + 1, w))
+    counts, _ = np.histogram(p_stream.ticks, bins=np.arange(0, n_win * w + 1, w))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("window_start_s,avg_rate\n")
         for k, c in enumerate(counts.tolist()):
@@ -197,6 +199,49 @@ class TestRunSurvey:
             assert (a.nmse_time, a.nmse_freq, a.n_samples_p, a.n_samples_r) == \
                 (b.nmse_time, b.nmse_freq, b.n_samples_p, b.n_samples_r)
 
+    def test_load_survey_value_only(self, tmp_path):
+        from probsense.traces import write_trace
+
+        ds, _ = synth_survey(SynthSurveySpec(), 2, base_seed=3)
+        for i, ev in enumerate(ds.events):
+            write_trace(ev, tmp_path / f"event_{i:03d}.csv", include_time=False)
+        loaded = load_survey(tmp_path, rate_hz=2000.0)
+        assert loaded.rate_hz == 2000.0
+        for a, b in zip(ds.events, loaded.events):
+            assert np.array_equal(a.samples, b.samples)
+
+    def test_1khz_dataset_replays_at_its_own_rate(self, tmp_path):
+        # the ADC grid is the trace's grid: no flag has to name the rate
+        ds, _ = synth_survey(SynthSurveySpec(rate_hz=1000.0), 3, base_seed=5)
+        write_survey(ds, tmp_path / "data")
+        out = tmp_path / "out"
+        rep = run_survey(ExperimentConfig(dataset=tmp_path / "data", n_events=3,
+                                          output_dir=out))
+        assert rep.n_failed == 0
+        assert rep.n_samples_r == 3 * 1000
+        assert rep.nmse_time < 0.02
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["sync_rate_hz"] == pytest.approx(1000.0, rel=1e-9)
+        times = np.loadtxt(out / "samples_event_000.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.allclose(times * 1000.0, np.round(times * 1000.0))
+
+    def test_grid_checked_before_any_event(self, monkeypatch):
+        import probsense.harness as harness_mod
+
+        # the digital source has no dwell time to resolve, so upsample 1 works
+        coarse = ExperimentConfig(upsample_factor=1, n_events=1)
+        pn = replace(coarse.activation.pneuron, source="digital_iid")
+        digital = replace(coarse, activation=replace(coarse.activation, pneuron=pn))
+        assert run_survey(digital).n_failed == 0
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
+        for cfg, field, match in ((ExperimentConfig(band_hz=(0.0, 2000.0)), "band_hz", "Nyquist"),
+                                  (coarse, "upsample_factor", "too coarse")):
+            with pytest.raises(GridError, match=match) as exc:
+                run_survey(cfg)
+            assert exc.value.field == field
+        assert calls == []
+
     def test_mixed_rate_dataset_contained(self, tmp_path):
         from probsense.traces import Trace, write_trace
 
@@ -240,8 +285,7 @@ class TestOutputFiles:
     def test_rate_csv_matches_line_loop(self, tmp_path, n_ticks, rate, t0, data):
         ticks = sorted(data.draw(st.sets(st.integers(0, max(n_ticks - 1, 0)), max_size=n_ticks)))
         values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
-        stream = SampleStream(t0 + np.array(ticks, dtype=np.int64) / rate, values,
-                              "p_adc", rate, t0)
+        stream = SampleStream(np.array(ticks, dtype=np.int64), values, "p_adc", rate, t0)
         _write_rate_csv(tmp_path / "new.csv", stream, n_ticks)
         _write_rate_loop(tmp_path / "ref.csv", stream, n_ticks)
         new = (tmp_path / "new.csv").read_bytes()
@@ -412,6 +456,46 @@ class TestCli:
         assert main(["run", "--n-events", "1", *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--band", "0:2000"], "--band"),
+        (["--upsample", "1", "--source", "smtj"], "--upsample"),
+    ], ids=["band", "upsample"])
+    def test_grid_error_is_one_line_before_any_event(self, flags, flag, monkeypatch, capsys):
+        import probsense.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
+        assert main(["run", "--n-events", "3", *flags]) == 2
+        assert calls == []
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}:")
+        assert cap.out == ""
+
+    def test_sync_hz_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--sync-hz", "2000"])
+        assert exc.value.code == 2
+        p = tmp_path / "cfg.txt"
+        p.write_text("sync_hz = 2000\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "'sync_hz'" in capsys.readouterr().err
+
+    def test_help_shows_dataclass_defaults(self, monkeypatch, capsys):
+        import functools
+
+        import probsense.cli as cli_mod
+
+        monkeypatch.setenv("COLUMNS", "200")
+        monkeypatch.setattr(cli_mod, "ExperimentConfig", functools.partial(
+            ExperimentConfig, n_events=7, upsample_factor=13, synth=SynthSurveySpec(snr_db=19.5)))
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for flag, default in (("--n-events", "7"), ("--upsample", "13"), ("--snr-db", "19.5")):
+            line = next(ln for ln in lines if ln.lstrip().startswith(flag))
+            assert line.endswith(f"(default {default})")
 
     def test_sweep_slope_writes_csv(self, tmp_path):
         out = tmp_path / "sw"

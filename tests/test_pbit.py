@@ -1,26 +1,71 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from probsense.pbit import (
+    DT_RESOLUTION_FACTOR,
     LFSR_PERIOD,
     P_CLAMP,
     LfsrState,
     PNeuronConfig,
-    TelegraphState,
     activation_probability,
     estimate_retention,
     iid_decisions,
     lfsr_from_seed,
     lfsr_next,
     lfsr_word_uniforms,
-    pbit_decide_iid,
     telegraph_run,
-    telegraph_step,
     telegraph_tick_states,
     v_ref_for_min_rate,
     _CYCLE,
 )
+
+
+# Reference oracles: the scalar twins of `iid_decisions` and `telegraph_run`.
+def pbit_decide_iid(p: float, s: LfsrState) -> tuple[int, LfsrState]:
+    """One Bernoulli(p) decision from the LFSR word stream."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    u, s = lfsr_word_uniforms(s, 1)
+    return int(u[0] < p), s
+
+
+@dataclass(eq=False)
+class TelegraphState:
+    state: int
+    time_in_state_s: float = 0.0
+    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+
+    def __post_init__(self):
+        if self.state not in (0, 1):
+            raise ValueError(f"state must be 0 or 1, got {self.state}")
+
+
+def telegraph_step(ts: TelegraphState, p: float, dt_s: float, cfg: PNeuronConfig) -> TelegraphState:
+    """Advance the telegraph by one step of dt_s at drive probability p.
+
+    dt_s must resolve both dwell times (dt <= min dwell / 10). The flip
+    probabilities use the same float operations as `telegraph_run`.
+    """
+    if dt_s <= 0:
+        raise ValueError(f"dt_s must be positive, got {dt_s}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    pc = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
+    min_dwell = 2.0 * cfg.tau_s * min(pc, 1.0 - pc)
+    if dt_s > min_dwell / DT_RESOLUTION_FACTOR:
+        raise ValueError(
+            f"dt too coarse: {dt_s:.3g} s exceeds min dwell {min_dwell:.3g} s / "
+            f"{DT_RESOLUTION_FACTOR}"
+        )
+    q01 = dt_s / ((1.0 - pc) * (2.0 * cfg.tau_s))
+    q10 = dt_s / (pc * (2.0 * cfg.tau_s))
+    q = q10 if ts.state == 1 else q01
+    if ts.rng.random() < q:
+        return TelegraphState(state=1 - ts.state, time_in_state_s=0.0, rng=ts.rng)
+    return TelegraphState(state=ts.state, time_in_state_s=ts.time_in_state_s + dt_s, rng=ts.rng)
 
 
 def _telegraph_run_loop(p_steps, dt_s, cfg, rng, initial_state=None):
@@ -192,6 +237,17 @@ class TestIidDecisions:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             pbit_decide_iid(1.5, lfsr_from_seed(0))
+
+    def test_vectorized_matches_scalar_loop(self):
+        p = np.random.default_rng(1).random(500)
+        bits, end = iid_decisions(p, lfsr_from_seed(9))
+        s = lfsr_from_seed(9)
+        ref = []
+        for pi in p.tolist():
+            bit, s = pbit_decide_iid(pi, s)
+            ref.append(bit)
+        assert bits.tolist() == ref
+        assert end == s
 
     def test_mean_at_half(self):
         bits, _ = iid_decisions(np.full(100_000, 0.5), lfsr_from_seed(3))
