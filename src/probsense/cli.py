@@ -154,10 +154,6 @@ def build_experiment(opts: dict) -> ExperimentConfig:
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     try:
         report = run_survey(cfg)
-    except GridError as exc:
-        flag = next(name for name, f in FLAGS.items() if f.field == exc.field)
-        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -234,7 +230,12 @@ def main(argv=None) -> int:
     except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except GridError as exc:
+        flag = next(name for name, f in FLAGS.items() if f.field == exc.field)
+        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,16 @@ from .pbit import (
     lfsr_word_uniforms,
     telegraph_tick_states,
 )
-from .traces import SurveyDataset, Trace, load_trace, synth_event, upsample, write_csv, write_trace
+from .traces import (
+    RateMismatchError,
+    SurveyDataset,
+    Trace,
+    load_trace,
+    synth_event,
+    upsample,
+    write_csv,
+    write_trace,
+)
 
 # Decouples the p-neuron seed stream from the synthesis noise seed stream.
 NEURON_SEED_OFFSET = 499979
@@ -103,6 +112,11 @@ def _check_grid(cfg: ExperimentConfig, rate_hz: float) -> None:
     if not 0 <= low < high <= rate_hz / 2:
         raise GridError("band_hz", f"band {low:g}:{high:g} Hz is empty or exceeds the "
                         f"Nyquist frequency {rate_hz / 2:g} Hz of the {rate_hz:g} Hz ADC grid")
+    _check_telegraph_step(cfg, rate_hz)
+
+
+def _check_telegraph_step(cfg: ExperimentConfig, rate_hz: float) -> None:
+    """Reject an upsampling factor whose step is too coarse for the telegraph."""
     pn = cfg.activation.pneuron
     dt = 1.0 / (rate_hz * cfg.upsample_factor)
     if pn.source == "smtj_telegraph" and dt > pn.tau_s / DT_RESOLUTION_FACTOR:
@@ -238,8 +252,9 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
 
     The survey's ADC rate is the synthetic rate_hz, the sidecar
     dataset_rate_hz, or else the rate of the first event that loads; every
-    event must share it. A band or upsampling factor that cannot work at
-    that rate raises `GridError` before any event runs.
+    event must share it. A sidecar rate that event 0's own time column
+    contradicts, or a band or upsampling factor that cannot work at the
+    survey's rate, raises `GridError` before any event runs.
     """
     if cfg.dataset is not None:
         paths = _event_paths(cfg.dataset)
@@ -258,13 +273,19 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             return _synth_one(cfg.synth, onsets[i], cfg.base_seed + i)
 
     rate = cfg.synth.rate_hz if cfg.dataset is None else cfg.dataset_rate_hz
-    first: list[Trace | Exception] = []  # events loaded to find the rate
-    while rate is None and len(first) < n:
+    # Dataset events loaded up front, kept so no file is read twice: event 0
+    # checks a sidecar rate; without one, the first event that loads sets it.
+    first: list[Trace | Exception] = []
+    while cfg.dataset is not None and len(first) < n and (rate is None or not first):
         try:
             first.append(get_event(len(first)))
-            rate = first[-1].rate_hz
+        except RateMismatchError as exc:
+            raise GridError("dataset_rate_hz", str(exc)) from None
         except Exception as exc:  # noqa: BLE001 - recorded as that event's failure
             first.append(exc)
+        else:
+            if rate is None:
+                rate = first[-1].rate_hz
     if rate is not None:
         _check_grid(cfg, rate)
 
@@ -378,14 +399,16 @@ def sweep_vin(
 
     The drive is pinned to each grid value (zero signal, AFE bypassed) and
     the gated fraction over ticks_per_point sync ticks, on the synthetic
-    survey's ADC grid (cfg.synth.rate_hz), is recorded. Returns
-    rows of (v_in, measured_rate, model_probability).
+    survey's ADC grid (cfg.synth.rate_hz), is recorded. An upsampling factor
+    too coarse for the telegraph raises `GridError` before any point runs.
+    Returns rows of (v_in, measured_rate, model_probability).
     """
     if ticks_per_point < 1000:
         raise ValueError(f"ticks_per_point must be >= 1000, got {ticks_per_point}")
     v_grid = np.asarray(v_grid, dtype=np.float64)
     if v_grid.size == 0 or not np.all(np.isfinite(v_grid)):
         raise ValueError("v_grid must be non-empty and finite")
+    _check_telegraph_step(cfg, cfg.synth.rate_hz)
     pn = cfg.activation.pneuron
     rows = np.empty((v_grid.size, 3))
     for i, v in enumerate(v_grid):
@@ -424,14 +447,16 @@ def sweep_slope(
     Each grid point feeds a triangle wave (constant slope magnitude) through
     feature extraction and the p-neuron, on the synthetic survey's ADC grid
     (cfg.synth.rate_hz) upsampled by cfg.upsample_factor; the amplitude
-    override is disabled so the probabilistic path is isolated. Returns rows of
-    (slope_v_per_s, measured_rate, model_probability).
+    override is disabled so the probabilistic path is isolated. An upsampling
+    factor too coarse for the telegraph raises `GridError` before any point
+    runs. Returns rows of (slope_v_per_s, measured_rate, model_probability).
     """
     if ticks_per_point < 1000:
         raise ValueError(f"ticks_per_point must be >= 1000, got {ticks_per_point}")
     slope_grid = np.asarray(slope_grid, dtype=np.float64)
     if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
         raise ValueError("slope_grid must be non-empty, finite and non-negative")
+    _check_telegraph_step(cfg, cfg.synth.rate_hz)
     rate_high = cfg.synth.rate_hz * cfg.upsample_factor
     n = ticks_per_point * cfg.upsample_factor
     afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)

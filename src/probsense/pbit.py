@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # x^16 + x^15 + x^13 + x^4 + 1 (maximal length): s[n+16] = s[n+15]^s[n+13]^s[n+4]^s[n].
 LFSR_TAP_MASK = 0xA011
@@ -68,7 +67,20 @@ class PNeuronConfig:
     @property
     def min_rate(self) -> float:
         """Activation probability at zero drive (the minimum sampling rate X)."""
-        return float(expit(-self.beta * self.v_ref_v))
+        return float(_logistic_inplace(np.array(-self.beta * self.v_ref_v)))
+
+
+def _logistic_inplace(z: np.ndarray) -> np.ndarray:
+    """In place: z <- 1 / (1 + exp(-z)), exactly 0.0 where exp(-z) overflows.
+
+    One buffer for the whole evaluation: on the per-event drive every fresh
+    temporary costs page faults.
+    """
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def activation_probability(v_in_v, cfg: PNeuronConfig):
@@ -76,8 +88,11 @@ def activation_probability(v_in_v, cfg: PNeuronConfig):
     v = np.asarray(v_in_v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("v_in_v must be finite")
-    p = expit(cfg.beta * (v - cfg.v_ref_v))
-    return float(p) if np.isscalar(v_in_v) else p
+    z = np.subtract(v, cfg.v_ref_v, out=np.empty_like(v))
+    z *= cfg.beta
+    p = _logistic_inplace(z)
+    # p[()]: a 0-d array in gives a numpy scalar out, as a ufunc would
+    return float(p) if np.isscalar(v_in_v) else p[()]
 
 
 # --------------------------------------------------------------------------
@@ -100,10 +115,17 @@ def lfsr_from_seed(seed: int) -> LfsrState:
 
 def lfsr_next(s: LfsrState) -> tuple[int, LfsrState]:
     """Emit one output bit (register LSB) and shift with taps 16,15,13,4."""
-    reg = s.register
-    bit = reg & 1
-    fb = bin(reg & LFSR_TAP_MASK).count("1") & 1
-    return bit, LfsrState((reg >> 1) | (fb << 15))
+    return s.register & 1, LfsrState(_lfsr_step(s.register))
+
+
+def _lfsr_step(r: int) -> int:
+    """One shift of a plain-int register: feedback is the parity of the taps."""
+    return (r >> 1) | ((int.bit_count(r & LFSR_TAP_MASK) & 1) << 15)
+
+
+def _apply_jump(jump: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Map registers through the linear step power whose byte images are jump."""
+    return jump[:256][regs & 0xFF] ^ jump[256:][regs >> 8]
 
 
 class _LfsrCycle:
@@ -120,12 +142,19 @@ class _LfsrCycle:
         self.registers: np.ndarray | None = None
 
     def build(self):
-        regs = np.empty(LFSR_PERIOD, dtype=np.uint32)
-        r = 1
-        for i in range(LFSR_PERIOD):  # plain-int `lfsr_next`
-            regs[i] = r
-            r = (r >> 1) | ((int.bit_count(r & LFSR_TAP_MASK) & 1) << 15)
-        assert r == 1, "LFSR cycle did not close"
+        # The step is linear over GF(2), so step^n of a register is the XOR of
+        # step^n of its low byte and of its high byte: `jump` holds those 512
+        # images, and squaring it (jump applied to itself) doubles n. Each
+        # round appends step^n of the n registers so far: 16 rounds, no loop
+        # over the cycle.
+        jump = np.array([_lfsr_step(b) for b in range(256)]
+                        + [_lfsr_step(b << 8) for b in range(256)], dtype=np.uint32)
+        regs = np.ones(1, dtype=np.uint32)
+        while regs.size <= LFSR_PERIOD:
+            regs = np.concatenate((regs, _apply_jump(jump, regs)))
+            jump = _apply_jump(jump, jump)
+        assert regs[LFSR_PERIOD] == 1, "LFSR cycle did not close"
+        regs = regs[:LFSR_PERIOD]
         index = np.zeros(0x10000, dtype=np.int64)
         index[regs] = np.arange(LFSR_PERIOD)
         self.bits, self.index, self.registers = (regs & 1).astype(np.uint8), index, regs

@@ -21,6 +21,10 @@ class TraceError(ValueError):
     """Malformed trace file or invalid trace parameters."""
 
 
+class RateMismatchError(TraceError):
+    """A timestamped trace file whose grid is not the rate the caller gave."""
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A uniformly sampled real-valued signal (volts by convention).
@@ -129,9 +133,8 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
             raise TraceError(f"non-uniform grid in {path}")
         inferred = 1.0 / dt_mean
         if rate_hz is not None and abs(inferred - rate_hz) > UNIFORM_GRID_TOL * rate_hz:
-            raise TraceError(
-                f"rate mismatch: file grid is {inferred:.6g} Hz, caller said {rate_hz:.6g} Hz"
-            )
+            raise RateMismatchError(f"rate mismatch in {path}: file grid is {inferred:.6g} Hz, "
+                                    f"caller said {rate_hz:.6g} Hz")
         return Trace(values, inferred, float(t[0]))
     if rate_hz is None:
         raise TraceError(f"{path} has no time column; pass rate_hz explicitly")

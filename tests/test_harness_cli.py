@@ -242,6 +242,30 @@ class TestRunSurvey:
             assert exc.value.field == field
         assert calls == []
 
+    def test_sidecar_rate_checked_against_event_0(self, tmp_path, monkeypatch):
+        import probsense.harness as harness_mod
+
+        ds, _ = synth_survey(SynthSurveySpec(), 3, base_seed=8)
+        write_survey(ds, tmp_path / "data")
+        loads = []
+        load = harness_mod.load_trace
+        monkeypatch.setattr(harness_mod, "load_trace",
+                            lambda p, **kw: loads.append(p) or load(p, **kw))
+        sidecar = 2000.0 * (1 + 1e-8)  # agrees with the files' grid within its tolerance
+        rep = run_survey(ExperimentConfig(dataset=tmp_path / "data", dataset_rate_hz=sidecar,
+                                          n_events=3, output_dir=tmp_path / "out"))
+        assert rep.n_failed == 0
+        assert sorted(loads) == sorted(set(loads)) and len(loads) == 3  # no file read twice
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["config"]["sync_rate_hz"] == sidecar  # the given rate stays the survey's
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
+        with pytest.raises(GridError, match="rate mismatch .*event_000") as exc:
+            run_survey(ExperimentConfig(dataset=tmp_path / "data", dataset_rate_hz=1000.0,
+                                        n_events=3))
+        assert exc.value.field == "dataset_rate_hz"
+        assert calls == []
+
     def test_mixed_rate_dataset_contained(self, tmp_path):
         from probsense.traces import Trace, write_trace
 
@@ -471,6 +495,34 @@ class TestCli:
         cap = capsys.readouterr()
         err = cap.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag}:")
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep-vin", "sweep-slope"])
+    def test_sweep_coarse_step_is_one_line_before_any_point(self, command, tmp_path,
+                                                            monkeypatch, capsys):
+        import probsense.harness as harness_mod
+
+        calls = []
+        for name in ("run_activation", "telegraph_tick_states"):
+            monkeypatch.setattr(harness_mod, name, lambda *a: calls.append(a))
+        out = tmp_path / "sw"
+        code = main([command, "--source", "smtj", "--upsample", "1", "--points", "2",
+                     "--ticks", "1000", "--out", str(out)])
+        assert code == 2
+        assert calls == [] and not out.exists()
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --upsample:")
+        assert cap.out == ""
+
+    def test_sidecar_rate_mismatch_is_one_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-events", "2", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(data), "--rate-hz", "1000"]) == 2
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --rate-hz: rate mismatch")
         assert cap.out == ""
 
     def test_sync_hz_removed(self, tmp_path, capsys):

@@ -1,12 +1,20 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probsense
 from probsense.pbit import (
     DT_RESOLUTION_FACTOR,
     LFSR_PERIOD,
+    LFSR_TAP_MASK,
     P_CLAMP,
     LfsrState,
     PNeuronConfig,
@@ -20,10 +28,33 @@ from probsense.pbit import (
     telegraph_tick_states,
     v_ref_for_min_rate,
     _CYCLE,
+    _LfsrCycle,
 )
 
 
-# Reference oracles: the scalar twins of `iid_decisions` and `telegraph_run`.
+# Reference oracles: the scalar twins of `activation_probability`,
+# `iid_decisions` and `telegraph_run`, and the loop that built the LFSR tables.
+def _logistic_oracle(z: float) -> float:
+    """sigma(z) through libm's exp; 0.0 where exp(-z) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
+def _lfsr_cycle_loop():
+    """(bits, index, registers) of the cycle from register 1, one step at a time."""
+    regs = np.empty(LFSR_PERIOD, dtype=np.uint32)
+    r = 1
+    for i in range(LFSR_PERIOD):
+        regs[i] = r
+        r = (r >> 1) | ((int.bit_count(r & LFSR_TAP_MASK) & 1) << 15)
+    assert r == 1, "LFSR cycle did not close"
+    index = np.zeros(0x10000, dtype=np.int64)
+    index[regs] = np.arange(LFSR_PERIOD)
+    return (regs & 1).astype(np.uint8), index, regs
+
+
 def pbit_decide_iid(p: float, s: LfsrState) -> tuple[int, LfsrState]:
     """One Bernoulli(p) decision from the LFSR word stream."""
     if not 0.0 <= p <= 1.0:
@@ -145,6 +176,53 @@ class TestActivationProbability:
         with pytest.raises(ValueError):
             activation_probability(np.nan, PNeuronConfig())
 
+    # numpy's vectorized exp may differ from libm's by an ulp, so the oracle
+    # is matched to a few float64 ulps (relative, or absolute among the
+    # subnormals), not bit for bit.
+    RTOL = 4 * np.finfo(float).eps
+    ATOL = 4 * np.finfo(float).smallest_subnormal
+
+    @given(st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=64),
+           st.floats(0.01, 10.0), st.floats(-1.0, 1.0))
+    def test_matches_scalar_oracle(self, v, beta, v_ref):
+        cfg = PNeuronConfig(beta=beta, v_ref_v=v_ref)
+        expected = [_logistic_oracle(beta * (x - v_ref)) for x in v]
+        np.testing.assert_allclose(activation_probability(np.array(v), cfg), expected,
+                                   rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose([activation_probability(x, cfg) for x in v], expected,
+                                   rtol=self.RTOL, atol=self.ATOL)
+
+    def test_exact_values(self):
+        cfg = PNeuronConfig(beta=10.0, v_ref_v=0.3)
+        assert activation_probability(np.array([0.3, 100.0]), cfg).tolist() == [0.5, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert activation_probability(-1e3, cfg) == 0.0
+            assert activation_probability(np.full(3, -1e3), cfg).tolist() == [0.0] * 3
+
+    def test_return_types(self):
+        cfg = PNeuronConfig()
+        assert type(activation_probability(0.1, cfg)) is float
+        assert type(activation_probability(np.float64(0.1), cfg)) is float
+        assert type(activation_probability(np.array(0.1), cfg)) is np.float64
+        p = activation_probability([0.1, 0.2], cfg)
+        assert isinstance(p, np.ndarray) and p.shape == (2,) and p.dtype == np.float64
+        v = np.linspace(0.0, 1.0, 5)
+        v0 = v.copy()
+        activation_probability(v, cfg)
+        assert np.array_equal(v, v0)  # the input is not overwritten
+        assert type(cfg.min_rate) is float
+
+    def test_cli_import_needs_no_scipy(self):
+        src = str(Path(probsense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, probsense.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestLfsr:
     def test_zero_register_rejected(self):
@@ -217,6 +295,13 @@ class TestLfsr:
         assert np.array_equal(_CYCLE.index, index)
         assert (_CYCLE.registers.dtype, _CYCLE.bits.dtype, _CYCLE.index.dtype) == (
             regs.dtype, bits.dtype, index.dtype)
+
+    def test_jump_build_matches_loop_oracle(self):
+        cycle = _LfsrCycle()
+        cycle.build()
+        for got, want in zip((cycle.bits, cycle.index, cycle.registers), _lfsr_cycle_loop()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_uniforms_strictly_inside_unit_interval(self):
         u, _ = lfsr_word_uniforms(LfsrState(1), 70_000)
