@@ -40,7 +40,12 @@ class ActivationTrace:
     """Per-step activation outputs on the high-rate grid.
 
     gate is nonzero only at sync ticks: gate[i] = (pneuron_out[i] OR
-    det_override[i]) AND (i in sync_ticks).
+    det_override[i]) AND (i in sync_ticks). With the digital source
+    pneuron_out is nonzero only at sync ticks, the only steps it decides, and
+    its logistic is evaluated only there; the telegraph's pneuron_out is its
+    state after every step. det_override[i] is 1 when a trigger (amplitude >=
+    amp_threshold_v) fell on a step t with t <= i <= t + hold, built from the
+    merged intervals [t, t + hold] of the triggers.
     """
 
     gate: np.ndarray
@@ -60,14 +65,32 @@ class ActivationTrace:
         return np.flatnonzero(self.gate[self.sync_ticks])
 
 
+def _override_latch(trigger_steps: np.ndarray, hold: int, n: int) -> np.ndarray:
+    """uint8 mask over n steps, 1 on each interval [t, t + hold] of a trigger t.
+
+    trigger_steps is sorted. Overlapping or adjacent intervals are merged, so
+    each run is one +1 at its start and one -1 past its end, and the mask is
+    their running sum.
+    """
+    edge = np.zeros(n, dtype=np.int8)
+    if trigger_steps.size:
+        gap = np.diff(trigger_steps) > hold + 1
+        edge[trigger_steps[np.concatenate(([True], gap))]] = 1
+        ends = trigger_steps[np.concatenate((gap, [True]))] + hold + 1
+        edge[ends[ends < n]] = -1
+    return np.cumsum(edge, dtype=np.int8, out=edge).view(np.uint8)
+
+
 def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) -> ActivationTrace:
     """Sweep the activation unit over a high-rate trace.
 
     Sync ticks fall on every steps_per_tick-th step from step 0. Callers pass
     the upsampling factor that made x_high, so the ticks are the samples of
     the ADC-rate trace: the regular ADC's clock is the trace's grid. The digital
-    source draws one fresh Bernoulli decision per sync tick; the telegraph
-    source evolves on every high-rate step and is read at ticks.
+    source draws one fresh Bernoulli decision per sync tick, so the logistic is
+    evaluated only at the ticks; the telegraph source evolves on every
+    high-rate step and is read at ticks. The override latch is built from the
+    merged trigger intervals (see `_override_latch`), not a per-step scan.
     Deterministic per cfg.pneuron.seed.
     """
     spt = steps_per_tick
@@ -75,24 +98,24 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
         raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
     n = len(x_high)
     feats = extract_features(x_high, cfg.afe)
+    trigger_steps = np.flatnonzero(feats.amplitude >= cfg.afe.amp_threshold_v)
     v_in = drive_voltages(feats, cfg.afe)
-    p = activation_probability(v_in, cfg.pneuron)
+    del feats
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
-    pneuron_out = np.zeros(n, dtype=np.uint8)
     if cfg.pneuron.source == "digital_iid":
         lfsr = lfsr_from_seed(cfg.pneuron.seed)
-        decisions, _ = iid_decisions(p[ticks], lfsr)
+        decisions, _ = iid_decisions(activation_probability(v_in[ticks], cfg.pneuron), lfsr)
+        pneuron_out = np.zeros(n, dtype=np.uint8)
         pneuron_out[ticks] = decisions
     else:
+        p = activation_probability(v_in, cfg.pneuron)
+        del v_in
         rng = np.random.default_rng(cfg.pneuron.seed)
-        pneuron_out[:] = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
+        pneuron_out = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
 
     hold = spt if cfg.hold_steps is None else cfg.hold_steps
-    trigger = feats.amplitude >= cfg.afe.amp_threshold_v
-    steps = np.arange(n, dtype=np.int64)
-    last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
-    det_override = (steps - last_trigger <= hold).astype(np.uint8)
+    det_override = _override_latch(trigger_steps, hold, n)
 
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]

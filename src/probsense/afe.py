@@ -56,37 +56,35 @@ class FeatureSignal:
         return self.slope_mag.size
 
 
-def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
-    """Trailing moving average; leading partial windows divide by their count."""
-    c = np.cumsum(v)
-    out = np.empty_like(v)
-    w = min(window, v.size)
-    out[:w] = c[:w] / np.arange(1, w + 1)
-    if v.size > window:
-        out[window:] = (c[window:] - c[:-window]) / window
-    return out
-
-
 def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     """Compute slope-magnitude and amplitude features aligned with `x`.
 
     slope_mag[i] is the trailing moving average of |x[i] - x[i-1]| * rate
-    (index 0, which has no predecessor, is zero and excluded from averages);
-    amplitude[i] is |x[i]|. Both are shifted right by cfg.delay_steps with
-    zero fill.
+    (index 0, which has no predecessor, is zero and excluded from averages;
+    leading partial windows divide by their count); amplitude[i] is |x[i]|.
+    Both are shifted right by cfg.delay_steps with zero fill.
     """
     n = len(x)
-    if n < cfg.smoothing_steps + 1:
-        raise ValueError(
-            f"trace too short: need at least {cfg.smoothing_steps + 1} samples, got {n}"
-        )
-    abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
-    slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
+    w = cfg.smoothing_steps
+    if n < w + 1:
+        raise ValueError(f"trace too short: need at least {w + 1} samples, got {n}")
+    # One running-sum buffer; the window means go straight into slope[1:].
+    c = np.subtract(x.samples[1:], x.samples[:-1])
+    c *= x.rate_hz
+    np.abs(c, out=c)
+    np.cumsum(c, out=c)
+    slope = np.empty(n)
+    slope[0] = 0.0
+    np.divide(c[:w], np.arange(1, w + 1), out=slope[1:w + 1])
+    np.subtract(c[w:], c[:-w], out=slope[w + 1:])
+    del c
+    slope[w + 1:] /= w
     amp = np.abs(x.samples)
     if cfg.delay_steps > 0:
         d = min(cfg.delay_steps, n)
-        slope = np.concatenate([np.zeros(d), slope[: n - d]])
-        amp = np.concatenate([np.zeros(d), amp[: n - d]])
+        for f in (slope, amp):
+            f[d:] = f[:n - d]
+            f[:d] = 0.0
     return FeatureSignal(slope, amp, x.rate_hz, cfg.delay_steps)
 
 

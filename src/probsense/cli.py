@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .harness import (
+    MIN_TICKS_PER_POINT,
     ExperimentConfig,
     GridError,
     run_survey,
@@ -170,12 +171,37 @@ def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 1 if report.n_failed else 0
 
 
+class _FlagError(ValueError):
+    """A flag value that cannot work; `flag` is the flag as typed, e.g. '--points'."""
+
+    def __init__(self, flag: str, message: str):
+        super().__init__(message)
+        self.flag = flag
+
+
+def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
+    """The sweep's grid points from its grid flags, each checked before any point runs."""
+    if args.points < 1:
+        raise _FlagError("--points", f"need at least 1 point, got {args.points}")
+    if args.ticks < MIN_TICKS_PER_POINT:
+        raise _FlagError("--ticks", f"need at least {MIN_TICKS_PER_POINT} ticks per point, "
+                         f"got {args.ticks}")
+    slope = args.command == "sweep-slope"
+    for flag, value in zip(("--smin", "--smax") if slope else ("--vmin", "--vmax"),
+                           (args.lo, args.hi)):
+        if not np.isfinite(value):
+            raise _FlagError(flag, f"must be finite, got {value}")
+        if slope and value < 0:
+            raise _FlagError(flag, f"a slope magnitude must be >= 0, got {value}")
+    return np.linspace(args.lo, args.hi, args.points)
+
+
 def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "sweep-vin":
         sweep, name, x_name = sweep_vin, "sweep_vin", "v_in_v"
     else:
         sweep, name, x_name = sweep_slope, "sweep_slope", "slope_v_per_s"
-    rows = sweep(cfg, np.linspace(args.lo, args.hi, args.points), args.ticks)
+    rows = sweep(cfg, _sweep_grid(args), args.ticks)
     out = Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
@@ -233,9 +259,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args, cfg)
     except GridError as exc:
-        flag = next(name for name, f in FLAGS.items() if f.field == exc.field)
-        print(f"error: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
-        return 2
+        name = next(name for name, f in FLAGS.items() if f.field == exc.field)
+        bad = _FlagError("--" + name.replace("_", "-"), str(exc))
+    except _FlagError as exc:
+        bad = exc
+    print(f"error: {bad.flag}: {bad}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

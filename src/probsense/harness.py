@@ -392,6 +392,9 @@ def _write_rate_csv(path: Path, p_stream, n_ticks: int) -> None:
 # Characterization sweeps
 # --------------------------------------------------------------------------
 
+MIN_TICKS_PER_POINT = 1000
+
+
 def sweep_vin(
     cfg: ExperimentConfig, v_grid, ticks_per_point: int = 10_000
 ) -> np.ndarray:
@@ -403,8 +406,9 @@ def sweep_vin(
     too coarse for the telegraph raises `GridError` before any point runs.
     Returns rows of (v_in, measured_rate, model_probability).
     """
-    if ticks_per_point < 1000:
-        raise ValueError(f"ticks_per_point must be >= 1000, got {ticks_per_point}")
+    if ticks_per_point < MIN_TICKS_PER_POINT:
+        raise ValueError(
+            f"ticks_per_point must be >= {MIN_TICKS_PER_POINT}, got {ticks_per_point}")
     v_grid = np.asarray(v_grid, dtype=np.float64)
     if v_grid.size == 0 or not np.all(np.isfinite(v_grid)):
         raise ValueError("v_grid must be non-empty and finite")
@@ -433,10 +437,18 @@ def _triangle_wave(n: int, rate_hz: float, slope: float, peak: float) -> np.ndar
     """Bounded waveform whose slope magnitude is `slope` everywhere."""
     if slope == 0.0:
         return np.zeros(n)
-    t = np.arange(n) / rate_hz
-    period = 4.0 * peak / slope
-    u = (t / period + 0.75) % 1.0
-    return peak * (4.0 * np.abs(u - 0.5) - 1.0)
+    # In place, one array: u = t / period + 0.75 >= 0.75, so fmod(u, 1) is u % 1.
+    u = np.arange(n, dtype=np.float64)
+    u /= rate_hz
+    u /= 4.0 * peak / slope
+    u += 0.75
+    np.fmod(u, 1.0, out=u)
+    u -= 0.5
+    np.abs(u, out=u)
+    u *= 4.0
+    u -= 1.0
+    u *= peak
+    return u
 
 
 def sweep_slope(
@@ -451,8 +463,9 @@ def sweep_slope(
     factor too coarse for the telegraph raises `GridError` before any point
     runs. Returns rows of (slope_v_per_s, measured_rate, model_probability).
     """
-    if ticks_per_point < 1000:
-        raise ValueError(f"ticks_per_point must be >= 1000, got {ticks_per_point}")
+    if ticks_per_point < MIN_TICKS_PER_POINT:
+        raise ValueError(
+            f"ticks_per_point must be >= {MIN_TICKS_PER_POINT}, got {ticks_per_point}")
     slope_grid = np.asarray(slope_grid, dtype=np.float64)
     if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
         raise ValueError("slope_grid must be non-empty, finite and non-negative")

@@ -195,24 +195,17 @@ def iid_decisions(p, s: LfsrState) -> tuple[np.ndarray, LfsrState]:
 # Spintronic entropy source: two-state random telegraph with retention time
 # --------------------------------------------------------------------------
 
-def _flip_probs(p, tau_s: float, dt_s: float, cap: bool):
-    """Per-step flip probabilities (q_off_to_on, q_on_to_off).
+def _flip_probs(p: float, tau_s: float, dt_s: float) -> tuple[float, float]:
+    """Per-step flip probabilities (q_off_to_on, q_on_to_off) at drive p.
 
     Dwell means are tau_on = 2*tau*p and tau_off = 2*tau*(1-p), so the
     stationary ON fraction is exactly p and the mean dwell at p=0.5 is tau.
-    With cap=True probabilities saturate at 1 (dwell floor of one step).
+    Probabilities saturate at 1 (dwell floor of one step).
     """
-    # In place: on long drives every fresh temporary costs page faults.
-    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=np.empty(np.shape(p)))
-    q01 = np.subtract(1.0, p, out=np.empty_like(p))
-    q01 *= 2.0 * tau_s
-    np.divide(dt_s, q01, out=q01)
-    p *= 2.0 * tau_s
-    q10 = np.divide(dt_s, p, out=p)
-    if cap:
-        q01 = np.minimum(q01, 1.0)
-        q10 = np.minimum(q10, 1.0)
-    return q01, q10
+    pc = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
+    q01 = dt_s / ((1.0 - pc) * (2.0 * tau_s))
+    q10 = dt_s / (pc * (2.0 * tau_s))
+    return min(q01, 1.0), min(q10, 1.0)
 
 
 def telegraph_run(
@@ -252,11 +245,17 @@ def telegraph_run(
         s0 = 1 if rng.random() < p_steps[0] else 0
     else:
         s0 = int(initial_state)
-    q01, q10 = _flip_probs(p_steps, cfg.tau_s, dt_s, cap=False)
     u = rng.random(n)
-    flip0 = u < q01
-    flip1 = u < q10
-    del u, q01, q10
+    # q01 = dt / ((1 - p) * 2 tau), then q10 = dt / (p * 2 tau), with p clipped
+    # to [P_CLAMP, 1 - P_CLAMP], each computed in turn in the one buffer q.
+    q = np.clip(p_steps, P_CLAMP, 1.0 - P_CLAMP)
+    np.subtract(1.0, q, out=q)
+    q *= 2.0 * cfg.tau_s
+    flip0 = u < np.divide(dt_s, q, out=q)
+    np.clip(p_steps, P_CLAMP, 1.0 - P_CLAMP, out=q)
+    q *= 2.0 * cfg.tau_s
+    flip1 = u < np.divide(dt_s, q, out=q)
+    del u, q
     nots = np.flatnonzero(flip0 & flip1)
     consts = np.flatnonzero(flip0 ^ flip1)
     # h: each constant step's value XOR the parity of NOT steps before it;
@@ -283,7 +282,7 @@ def telegraph_tick_states(
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    q01, q10 = _flip_probs(p, cfg.tau_s, dt_s, cap=True)
+    q01, q10 = _flip_probs(p, cfg.tau_s, dt_s)
     s0 = 1 if rng.random() < p else 0
     total = n_ticks * steps_per_tick + 1
     q_even = q10 if s0 else q01  # dwells at even index are spent in state s0

@@ -217,12 +217,16 @@ def upsample(trace: Trace, factor: int) -> Trace:
     n = x.size
     if n == 1:
         return Trace(x, trace.rate_hz * factor, trace.t0_s)
-    base = np.repeat(x[:-1], factor)
-    delta = np.repeat(np.diff(x), factor)
-    frac = np.tile(np.arange(factor) / factor, n - 1)
-    seg = base + delta * frac
-    lo = np.repeat(np.minimum(x[:-1], x[1:]), factor)
-    hi = np.repeat(np.maximum(x[:-1], x[1:]), factor)
-    seg = np.clip(seg, lo, hi)
-    out = np.concatenate([seg, x[-1:]])
+    # Each row of seg is one segment: base + delta * frac, clipped to the
+    # segment's hull, computed in the output array itself. The clip is two
+    # masked copies, so a tie with a bound (-0.0 against +0.0) takes the bound
+    # whatever loop numpy picks for the broadcast bounds.
+    out = np.empty((n - 1) * factor + 1)
+    seg = out[:-1].reshape(n - 1, factor)
+    np.multiply(np.diff(x)[:, None], np.arange(factor) / factor, out=seg)
+    seg += x[:-1, None]
+    lo, hi = np.minimum(x[:-1], x[1:])[:, None], np.maximum(x[:-1], x[1:])[:, None]
+    np.copyto(seg, lo, where=seg <= lo)
+    np.copyto(seg, hi, where=seg >= hi)
+    out[-1] = x[-1]
     return Trace(out, trace.rate_hz * factor, trace.t0_s)

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from probsense.activation import (
     ActivationConfig,
+    ActivationTrace,
     average_rate,
     detection_latency,
     run_activation,
 )
-from probsense.afe import AfeConfig
-from probsense.pbit import PNeuronConfig, v_ref_for_min_rate
+from probsense.afe import AfeConfig, drive_voltages, extract_features
+from probsense.pbit import (
+    PNeuronConfig,
+    activation_probability,
+    iid_decisions,
+    lfsr_from_seed,
+    telegraph_run,
+    v_ref_for_min_rate,
+)
 from probsense.traces import Trace, synth_event, upsample
 
 RATE_HI = 100_000.0
@@ -28,6 +37,60 @@ def _cfg(x_min=0.05, source="digital_iid", seed=0, amp_thr=0.05, hold=None, tau=
 
 def _zero_trace(n_ticks):
     return Trace(np.zeros(n_ticks * 50), RATE_HI)
+
+
+def _run_activation_scan(x_high, cfg, steps_per_tick):
+    """Reference oracle for `run_activation`: the logistic at every step and
+    the override latch as a running maximum of trigger indices."""
+    spt = steps_per_tick
+    n = len(x_high)
+    feats = extract_features(x_high, cfg.afe)
+    v_in = drive_voltages(feats, cfg.afe)
+    p = activation_probability(v_in, cfg.pneuron)
+    ticks = np.arange(0, n, spt, dtype=np.int64)
+    pneuron_out = np.zeros(n, dtype=np.uint8)
+    if cfg.pneuron.source == "digital_iid":
+        decisions, _ = iid_decisions(p[ticks], lfsr_from_seed(cfg.pneuron.seed))
+        pneuron_out[ticks] = decisions
+    else:
+        rng = np.random.default_rng(cfg.pneuron.seed)
+        pneuron_out[:] = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
+    hold = spt if cfg.hold_steps is None else cfg.hold_steps
+    trigger = feats.amplitude >= cfg.afe.amp_threshold_v
+    steps = np.arange(n, dtype=np.int64)
+    last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
+    det_override = (steps - last_trigger <= hold).astype(np.uint8)
+    gate = np.zeros(n, dtype=np.uint8)
+    gate[ticks] = pneuron_out[ticks] | det_override[ticks]
+    return ActivationTrace(gate, ticks, pneuron_out, det_override, x_high.rate_hz,
+                           x_high.t0_s, spt)
+
+
+@st.composite
+def _trigger_cases(draw):
+    """(x, hold_steps, steps_per_tick): triggers are the steps with |x| >= 0.5."""
+    n = draw(st.integers(min_value=6, max_value=400))
+    spt = draw(st.integers(min_value=1, max_value=8))
+    hold = draw(st.one_of(st.none(), st.just(0), st.integers(min_value=0, max_value=40)))
+    h = spt if hold is None else hold
+    kind = draw(st.sampled_from(["random", "none", "all", "spaced"]))
+    if kind == "random":
+        trig = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    elif kind == "none":
+        trig = set()
+    elif kind == "all":
+        trig = set(range(n))
+    else:
+        # triggers exactly hold, hold + 1 (adjacent intervals) or hold + 2 apart
+        step = max(1, h + draw(st.sampled_from([0, 1, 2])))
+        trig = set(range(draw(st.integers(min_value=0, max_value=step)), n, step))
+    if kind != "none":
+        trig |= draw(st.sets(st.sampled_from([0, n - 1])))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.uniform(-0.45, 0.45, n) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    idx = np.array(sorted(trig), dtype=np.int64)
+    x[idx] = rng.choice([-1.0, 1.0], idx.size) * rng.uniform(0.5, 2.0, idx.size)
+    return x, hold, spt
 
 
 class TestRunActivation:
@@ -104,6 +167,39 @@ class TestRunActivation:
         assert det[0] == 1000
         assert det[-1] == 1200
         assert det.size == 201
+
+
+    @given(
+        case=_trigger_cases(),
+        source=st.sampled_from(["digital_iid", "smtj_telegraph"]),
+        delay=st.one_of(st.just(0), st.integers(min_value=1, max_value=20)),
+        window=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=300)
+    def test_matches_scan_oracle(self, case, source, delay, window, seed):
+        x, hold, spt = case
+        cfg = ActivationConfig(
+            hold_steps=hold,
+            pneuron=PNeuronConfig(source=source, seed=seed),
+            afe=AfeConfig(smoothing_steps=window, delay_steps=delay, amp_threshold_v=0.5),
+        )
+        trace = Trace(x, RATE_HI, 0.25)
+        got = run_activation(trace, cfg, spt)
+        ref = _run_activation_scan(trace, cfg, spt)
+        for name in ("gate", "sync_ticks", "pneuron_out", "det_override"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got.rate_hz, got.t0_s, got.steps_per_tick) == (ref.rate_hz, ref.t0_s, spt)
+
+    @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
+    def test_survey_event_matches_scan_oracle(self, source):
+        x = upsample(synth_event(1.0, 2000.0, 50.0, 0.4, 1.0, 0.02, seed=11), 50)
+        cfg = replace(_cfg(source=source, seed=8, amp_thr=0.05), hold_steps=1000)
+        got, ref = run_activation(x, cfg, SPT), _run_activation_scan(x, cfg, SPT)
+        assert ref.det_override.any() and not ref.det_override.all()
+        for name in ("gate", "pneuron_out", "det_override"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 class TestAverageRate:

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from probsense.afe import (
     AfeConfig,
     FeatureSignal,
-    _trailing_mean,
     drive_voltages,
     extract_features,
 )
@@ -27,6 +26,30 @@ def half_wave_rectify(x: Trace) -> tuple[Trace, Trace]:
     pos = np.maximum(x.samples, 0.0)
     neg = np.maximum(-x.samples, 0.0)
     return Trace(pos, x.rate_hz, x.t0_s), Trace(neg, x.rate_hz, x.t0_s)
+
+
+def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
+    """Reference oracle: trailing moving average; leading partial windows divide by their count."""
+    c = np.cumsum(v)
+    out = np.empty_like(v)
+    w = min(window, v.size)
+    out[:w] = c[:w] / np.arange(1, w + 1)
+    if v.size > window:
+        out[window:] = (c[window:] - c[:-window]) / window
+    return out
+
+
+def _extract_features_concat(x: Trace, cfg: AfeConfig) -> FeatureSignal:
+    """Reference oracle for `extract_features`: np.diff, then concatenated shifts."""
+    n = len(x)
+    abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
+    slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
+    amp = np.abs(x.samples)
+    if cfg.delay_steps > 0:
+        d = min(cfg.delay_steps, n)
+        slope = np.concatenate([np.zeros(d), slope[: n - d]])
+        amp = np.concatenate([np.zeros(d), amp[: n - d]])
+    return FeatureSignal(slope, amp, x.rate_hz, cfg.delay_steps)
 
 
 def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
@@ -68,6 +91,23 @@ class TestRectify:
 
 
 class TestExtractFeatures:
+    @given(
+        signal_arrays,
+        st.integers(min_value=1, max_value=300),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=400)),
+        st.sampled_from([1.0, 100.0, 1e5]),
+    )
+    def test_matches_concatenate_oracle(self, x, window, delay, rate):
+        # windows up to the whole trace (n = window + 1) and delays past its end
+        window = min(window, x.size - 1)
+        cfg = AfeConfig(smoothing_steps=window, delay_steps=delay)
+        got = extract_features(Trace(x, rate), cfg)
+        ref = _extract_features_concat(Trace(x, rate), cfg)
+        assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
+        assert got.amplitude.tobytes() == ref.amplitude.tobytes()
+        assert got.slope_mag.dtype == got.amplitude.dtype == np.float64
+        assert (got.rate_hz, got.delay_steps) == (ref.rate_hz, ref.delay_steps)
+
     def test_constant_signal_zero_slope(self):
         f = extract_features(Trace(np.full(500, 3.3), 1000.0), AfeConfig(smoothing_steps=5))
         assert np.all(f.slope_mag == 0.0)

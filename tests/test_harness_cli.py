@@ -15,6 +15,7 @@ from probsense.harness import (
     ExperimentConfig,
     GridError,
     SynthSurveySpec,
+    _triangle_wave,
     _write_rate_csv,
     load_survey,
     run_event,
@@ -58,6 +59,16 @@ def _write_sweep_loop(rows, path, x_name):
         fh.write(f"{x_name},measured_rate,model_probability\n")
         for x, m, p in rows.tolist():
             fh.write(f"{x!r},{m!r},{p!r}\n")
+
+
+def _triangle_wave_mod(n, rate_hz, slope, peak):
+    """Reference oracle for `_triangle_wave`: the phase wrapped with %."""
+    if slope == 0.0:
+        return np.zeros(n)
+    t = np.arange(n) / rate_hz
+    period = 4.0 * peak / slope
+    u = (t / period + 0.75) % 1.0
+    return peak * (4.0 * np.abs(u - 0.5) - 1.0)
 
 
 class TestSynthSurvey:
@@ -366,6 +377,18 @@ class TestSweeps:
         assert rows[0, 1] > 0.97
 
 
+    @given(
+        n=st.integers(min_value=1, max_value=20_000),
+        rate_hz=st.sampled_from([2000.0, 1e5, 3.3e5]),
+        slope=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
+        peak=st.floats(min_value=1e-3, max_value=10.0),
+    )
+    def test_triangle_wave_matches_mod_oracle(self, n, rate_hz, slope, peak):
+        # small slopes make one period span the whole trace
+        got = _triangle_wave(n, rate_hz, slope, peak)
+        assert got.tobytes() == _triangle_wave_mod(n, rate_hz, slope, peak).tobytes()
+
+
 class TestConfigFile:
     def test_parse_types(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -513,6 +536,33 @@ class TestCli:
         cap = capsys.readouterr()
         err = cap.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --upsample:")
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("command, flags, flag", [
+        ("sweep-slope", ["--points", "0"], "--points"),
+        ("sweep-slope", ["--points", "-1"], "--points"),
+        ("sweep-vin", ["--points", "0"], "--points"),
+        ("sweep-slope", ["--ticks", "10"], "--ticks"),
+        ("sweep-vin", ["--ticks", "999"], "--ticks"),
+        ("sweep-slope", ["--smin", "-5"], "--smin"),
+        ("sweep-slope", ["--smax", "inf"], "--smax"),
+        ("sweep-vin", ["--vmin", "nan"], "--vmin"),
+        ("sweep-vin", ["--vmax=-inf"], "--vmax"),
+    ], ids=["slope-points-0", "slope-points-neg", "vin-points-0", "slope-ticks", "vin-ticks",
+            "smin", "smax", "vmin", "vmax"])
+    def test_bad_sweep_grid_flag_is_one_line_before_any_point(self, command, flags, flag,
+                                                              tmp_path, monkeypatch, capsys):
+        import probsense.cli as cli_mod
+
+        calls = []
+        for name in ("sweep_vin", "sweep_slope"):
+            monkeypatch.setattr(cli_mod, name, lambda *a: calls.append(a))
+        out = tmp_path / "sw"
+        assert main([command, *flags, "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}:")
         assert cap.out == ""
 
     def test_sidecar_rate_mismatch_is_one_line(self, tmp_path, capsys):

@@ -29,11 +29,13 @@ from probsense.pbit import (
     v_ref_for_min_rate,
     _CYCLE,
     _LfsrCycle,
+    _flip_probs,
 )
 
 
 # Reference oracles: the scalar twins of `activation_probability`,
-# `iid_decisions` and `telegraph_run`, and the loop that built the LFSR tables.
+# `iid_decisions` and `telegraph_run`, the loop that built the LFSR tables and
+# the three-array flip setup of `telegraph_run`.
 def _logistic_oracle(z: float) -> float:
     """sigma(z) through libm's exp; 0.0 where exp(-z) overflows."""
     try:
@@ -140,6 +142,37 @@ def _telegraph_run_loop(p_steps, dt_s, cfg, rng, initial_state=None):
             out[i:] = s
             break
     return out
+
+
+def _flip_probs_arrays(p, tau_s, dt_s, cap):
+    """(q01, q10) as two fresh arrays from one clipped copy of p."""
+    p = np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=np.empty(np.shape(p)))
+    q01 = np.subtract(1.0, p, out=np.empty_like(p))
+    q01 *= 2.0 * tau_s
+    np.divide(dt_s, q01, out=q01)
+    p *= 2.0 * tau_s
+    q10 = np.divide(dt_s, p, out=p)
+    if cap:
+        q01 = np.minimum(q01, 1.0)
+        q10 = np.minimum(q10, 1.0)
+    return q01, q10
+
+
+def _telegraph_run_three_arrays(p_steps, dt_s, cfg, rng, initial_state=None):
+    """`telegraph_run` with q01, q10 and u all alive at once."""
+    p_steps = np.asarray(p_steps, dtype=np.float64)
+    n = p_steps.size
+    s0 = (1 if rng.random() < p_steps[0] else 0) if initial_state is None else int(initial_state)
+    q01, q10 = _flip_probs_arrays(p_steps, cfg.tau_s, dt_s, cap=False)
+    u = rng.random(n)
+    flip0 = u < q01
+    flip1 = u < q10
+    nots = np.flatnonzero(flip0 & flip1)
+    consts = np.flatnonzero(flip0 ^ flip1)
+    h = flip0[consts] ^ (np.searchsorted(nots, consts) & 1)
+    flips = np.sort(np.concatenate((nots, consts[h != np.concatenate(([s0], h[:-1]))])))
+    runs = np.diff(flips, prepend=0, append=n)
+    return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
 
 
 class TestActivationProbability:
@@ -427,6 +460,33 @@ class TestTelegraph:
         assert out.dtype == np.uint8
         assert np.array_equal(out, ref)
         assert rng_a.random() == rng_b.random()
+
+    @given(
+        drive=_drive,
+        n=st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+        # dt 1e-11 keeps flip probabilities below 1 at the P_CLAMP-clipped ends
+        dt_s=st.sampled_from([1e-11, 1e-9, 1e-6, 5e-6, 50e-6]),
+        tau_s=st.sampled_from([500e-6, 1e-3, 2.3e-3]),
+        initial_state=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_run_matches_three_array_oracle(self, drive, n, dt_s, tau_s, initial_state, seed):
+        if initial_state is None and n == 0:
+            n = 1
+        cfg = PNeuronConfig(tau_s=tau_s)
+        p = self._make_drive(*drive, n, np.random.default_rng(seed))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = telegraph_run(p, dt_s, cfg, rng_a, initial_state)
+        ref = _telegraph_run_three_arrays(p, dt_s, cfg, rng_b, initial_state)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    @given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([1e-9, 1e-6, 20e-6, 1e-3]),
+           st.sampled_from([500e-6, 3.7e-4, 2.3e-3]))
+    def test_scalar_flip_probs_match_arrays(self, p, dt_s, tau_s):
+        q01, q10 = _flip_probs_arrays(p, tau_s, dt_s, cap=True)
+        assert _flip_probs(p, tau_s, dt_s) == (float(q01), float(q10))
 
     def test_run_empty_drive(self):
         with pytest.raises(ValueError, match="p_steps"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probsense.traces import (
@@ -39,6 +39,25 @@ def _write_trace_loop(trace, path, include_time=True):
             fh.write("value\n")
             for v in trace.samples.tolist():
                 fh.write(f"{v!r}\n")
+
+
+def _upsample_repeat(trace, factor):
+    """Reference oracle for `upsample`: repeated and tiled segment arrays."""
+    if factor == 1:
+        return trace
+    x = trace.samples
+    n = x.size
+    if n == 1:
+        return Trace(x, trace.rate_hz * factor, trace.t0_s)
+    base = np.repeat(x[:-1], factor)
+    delta = np.repeat(np.diff(x), factor)
+    frac = np.tile(np.arange(factor) / factor, n - 1)
+    seg = base + delta * frac
+    lo = np.repeat(np.minimum(x[:-1], x[1:]), factor)
+    hi = np.repeat(np.maximum(x[:-1], x[1:]), factor)
+    seg = np.clip(seg, lo, hi)
+    out = np.concatenate([seg, x[-1:]])
+    return Trace(out, trace.rate_hz * factor, trace.t0_s)
 
 
 class TestTrace:
@@ -257,6 +276,24 @@ class TestUpsample:
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
             upsample(Trace(np.array([1.0, 2.0]), 1.0), 0)
+
+    @given(
+        arrays(np.float64, st.one_of(st.integers(1, 3), st.integers(1, 200)), elements=st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310]),
+            st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+        )),
+        st.one_of(st.sampled_from([1, 2, 3, 50]), st.integers(min_value=1, max_value=64)),
+        st.floats(min_value=-10.0, max_value=10.0),
+    )
+    # subnormal rounding lands on +0.0 past a -0.0 bound: each clip bound acts
+    @example(x=np.array([-5e-324, -0.0]), factor=3, t0_s=0.0)
+    @example(x=np.array([5e-324, -0.0]), factor=3, t0_s=0.0)
+    def test_matches_repeat_oracle(self, x, factor, t0_s):
+        # 1- and 2-sample traces, factor 1 (no copy), signed zeros, subnormals
+        trace = Trace(x, 100.0, t0_s)
+        got, ref = upsample(trace, factor), _upsample_repeat(trace, factor)
+        assert got.samples.tobytes() == ref.samples.tobytes()
+        assert (got.rate_hz, got.t0_s) == (ref.rate_hz, ref.t0_s)
 
     @given(finite_arrays, st.integers(min_value=1, max_value=9))
     def test_envelope_property(self, x, factor):
