@@ -18,9 +18,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .harness import (
+    MIN_RAMP_STEPS,
     MIN_TICKS_PER_POINT,
     ExperimentConfig,
     GridError,
+    max_sweep_slope,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -179,7 +181,7 @@ class _FlagError(ValueError):
         self.flag = flag
 
 
-def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
+def _sweep_grid(args: argparse.Namespace, cfg: ExperimentConfig) -> np.ndarray:
     """The sweep's grid points from its grid flags, each checked before any point runs."""
     if args.points < 1:
         raise _FlagError("--points", f"need at least 1 point, got {args.points}")
@@ -187,12 +189,17 @@ def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
         raise _FlagError("--ticks", f"need at least {MIN_TICKS_PER_POINT} ticks per point, "
                          f"got {args.ticks}")
     slope = args.command == "sweep-slope"
+    s_max = max_sweep_slope(cfg) if slope else np.inf
     for flag, value in zip(("--smin", "--smax") if slope else ("--vmin", "--vmax"),
                            (args.lo, args.hi)):
         if not np.isfinite(value):
             raise _FlagError(flag, f"must be finite, got {value}")
         if slope and value < 0:
             raise _FlagError(flag, f"a slope magnitude must be >= 0, got {value}")
+        if value > s_max:
+            raise _FlagError(flag, f"slope {value:g} V/s exceeds the maximum {s_max:g} V/s "
+                             f"at this ADC rate and --upsample; each triangle ramp must span "
+                             f">= {MIN_RAMP_STEPS} high-rate steps")
     return np.linspace(args.lo, args.hi, args.points)
 
 
@@ -201,7 +208,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         sweep, name, x_name = sweep_vin, "sweep_vin", "v_in_v"
     else:
         sweep, name, x_name = sweep_slope, "sweep_slope", "slope_v_per_s"
-    rows = sweep(cfg, _sweep_grid(args), args.ticks)
+    rows = sweep(cfg, _sweep_grid(args, cfg), args.ticks)
     out = Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"

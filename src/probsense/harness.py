@@ -433,21 +433,55 @@ def sweep_vin(
     return rows
 
 
+# The slope sweep's triangle wave swings between -SLOPE_SWEEP_PEAK_V and
+# +SLOPE_SWEEP_PEAK_V. Each ramp must span at least MIN_RAMP_STEPS high-rate
+# steps: a steeper wave aliases on the step grid (at 1e300 V/s it is constant)
+# and its measured rate no longer tracks the slope.
+SLOPE_SWEEP_PEAK_V = 0.25
+MIN_RAMP_STEPS = 10
+
+
+def max_sweep_slope(cfg: ExperimentConfig) -> float:
+    """Steepest slope (V/s) `sweep_slope` accepts: 5000 V/s at the defaults.
+
+    The limit scales with the high-rate step, so an upsampling factor too
+    coarse for the telegraph raises `GridError` first.
+    """
+    _check_telegraph_step(cfg, cfg.synth.rate_hz)
+    rate_high = cfg.synth.rate_hz * cfg.upsample_factor
+    return 2.0 * SLOPE_SWEEP_PEAK_V * rate_high / MIN_RAMP_STEPS
+
+
+# Elements of the triangle wave computed per pass: a block and its floor
+# temporary stay in cache, and the temporary is a small fraction of the wave.
+TRIANGLE_BLOCK = 1 << 16
+
+
 def _triangle_wave(n: int, rate_hz: float, slope: float, peak: float) -> np.ndarray:
-    """Bounded waveform whose slope magnitude is `slope` everywhere."""
+    """Bounded waveform whose slope magnitude is `slope` everywhere.
+
+    The phase u = t / period + 0.75 is wrapped as u - floor(u), which equals
+    fmod(u, 1) and u % 1 bit for bit, at a quarter of fmod's cost: below 1,
+    floor(u) is 0; from 1 up, floor(u) <= u <= 2 floor(u), so the subtraction
+    is exact (Sterbenz), as fmod is. The work runs in place over blocks of
+    TRIANGLE_BLOCK elements, so floor's temporary is a block long, not a
+    second wave-length array.
+    """
     if slope == 0.0:
         return np.zeros(n)
-    # In place, one array: u = t / period + 0.75 >= 0.75, so fmod(u, 1) is u % 1.
+    period = 4.0 * peak / slope
     u = np.arange(n, dtype=np.float64)
-    u /= rate_hz
-    u /= 4.0 * peak / slope
-    u += 0.75
-    np.fmod(u, 1.0, out=u)
-    u -= 0.5
-    np.abs(u, out=u)
-    u *= 4.0
-    u -= 1.0
-    u *= peak
+    for start in range(0, n, TRIANGLE_BLOCK):
+        seg = u[start:start + TRIANGLE_BLOCK]
+        seg /= rate_hz
+        seg /= period
+        seg += 0.75
+        seg -= np.floor(seg)
+        seg -= 0.5
+        np.abs(seg, out=seg)
+        seg *= 4.0
+        seg -= 1.0
+        seg *= peak
     return u
 
 
@@ -460,8 +494,9 @@ def sweep_slope(
     feature extraction and the p-neuron, on the synthetic survey's ADC grid
     (cfg.synth.rate_hz) upsampled by cfg.upsample_factor; the amplitude
     override is disabled so the probabilistic path is isolated. An upsampling
-    factor too coarse for the telegraph raises `GridError` before any point
-    runs. Returns rows of (slope_v_per_s, measured_rate, model_probability).
+    factor too coarse for the telegraph raises `GridError`, and a slope above
+    `max_sweep_slope` raises ValueError, before any point runs. Returns rows
+    of (slope_v_per_s, measured_rate, model_probability).
     """
     if ticks_per_point < MIN_TICKS_PER_POINT:
         raise ValueError(
@@ -469,13 +504,17 @@ def sweep_slope(
     slope_grid = np.asarray(slope_grid, dtype=np.float64)
     if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
         raise ValueError("slope_grid must be non-empty, finite and non-negative")
-    _check_telegraph_step(cfg, cfg.synth.rate_hz)
+    s_max = max_sweep_slope(cfg)
+    if np.any(slope_grid > s_max):
+        raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s: "
+                         f"each ramp of the {SLOPE_SWEEP_PEAK_V:g} V triangle wave must span "
+                         f">= {MIN_RAMP_STEPS} high-rate steps")
     rate_high = cfg.synth.rate_hz * cfg.upsample_factor
     n = ticks_per_point * cfg.upsample_factor
     afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
-        x = Trace(_triangle_wave(n, rate_high, float(s), peak=0.25), rate_high)
+        x = Trace(_triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V), rate_high)
         act_cfg = replace(
             cfg.activation,
             afe=afe_cfg,

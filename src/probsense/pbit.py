@@ -132,12 +132,13 @@ class _LfsrCycle:
     """Lazily built full-period tables for vectorized word generation.
 
     The LFSR state sequence is one cycle through all 65535 nonzero registers,
-    so any stream is a rotation of the canonical cycle; words are read out of
-    the cached bit array instead of stepping bit by bit.
+    so any stream is a rotation of the canonical cycle. The output bit is the
+    register's LSB and each shift moves bit j down to bit j - 1, so the
+    register at cycle position i holds the next 16 output bits, LSB first:
+    a word is one register read, not 16 steps.
     """
 
     def __init__(self):
-        self.bits: np.ndarray | None = None
         self.index: np.ndarray | None = None  # register value -> cycle position
         self.registers: np.ndarray | None = None
 
@@ -157,7 +158,7 @@ class _LfsrCycle:
         regs = regs[:LFSR_PERIOD]
         index = np.zeros(0x10000, dtype=np.int64)
         index[regs] = np.arange(LFSR_PERIOD)
-        self.bits, self.index, self.registers = (regs & 1).astype(np.uint8), index, regs
+        self.index, self.registers = index, regs
 
 
 _CYCLE = _LfsrCycle()
@@ -166,18 +167,19 @@ _CYCLE = _LfsrCycle()
 def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     """Draw n uniforms in (0, 1), one 16-bit word (LSB-first) per draw.
 
-    Equivalent to packing 16 successive `lfsr_next` bits per word; the
+    Equivalent to packing 16 successive `lfsr_next` bits per word: word k is
+    the register 16 k steps into the stream, read from the cycle table. The
     all-zero word never occurs, so the uniforms are strictly positive and
     strictly below 1.
     """
-    if _CYCLE.bits is None:
+    if _CYCLE.registers is None:
         _CYCLE.build()
     start = int(_CYCLE.index[s.register])
-    pos = (start + np.arange(n, dtype=np.int64)[:, None] * LFSR_WORD_BITS
-           + np.arange(LFSR_WORD_BITS, dtype=np.int64)[None, :]) % LFSR_PERIOD
-    words = (_CYCLE.bits[pos].astype(np.uint32)
-             << np.arange(LFSR_WORD_BITS, dtype=np.uint32)).sum(axis=1)
-    u = words.astype(np.float64) / 65536.0
+    pos = np.arange(n, dtype=np.int64)
+    pos *= LFSR_WORD_BITS
+    pos += start
+    pos %= LFSR_PERIOD
+    u = np.divide(_CYCLE.registers[pos], 65536.0)
     end = (start + n * LFSR_WORD_BITS) % LFSR_PERIOD
     return u, LfsrState(int(_CYCLE.registers[end]))
 
@@ -227,9 +229,11 @@ def telegraph_run(
     or const 0 (flip1 only). Their composition needs no loop: every NOT
     step flips the state, and a constant step flips it when the state
     entering it (the previous constant XOR the parity of NOT steps since)
-    differs from its constant. The flip probabilities are not capped at 1
-    (a dwell floor of one step): u < 1 always, so a cap cannot change any
-    comparison.
+    differs from its constant. The non-identity steps are taken once, in
+    step order, so the NOT parity is one cumsum over them and the flips are
+    marked in place among them: the flip list comes out sorted, with no
+    search or sort. The flip probabilities are not capped at 1 (a dwell
+    floor of one step): u < 1 always, so a cap cannot change any comparison.
     """
     if dt_s <= 0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -256,12 +260,24 @@ def telegraph_run(
     q *= 2.0 * cfg.tau_s
     flip1 = u < np.divide(dt_s, q, out=q)
     del u, q
-    nots = np.flatnonzero(flip0 & flip1)
-    consts = np.flatnonzero(flip0 ^ flip1)
-    # h: each constant step's value XOR the parity of NOT steps before it;
-    # a constant step flips the state exactly when h differs from the last h.
-    h = flip0[consts] ^ (np.searchsorted(nots, consts) & 1)
-    flips = np.sort(np.concatenate((nots, consts[h != np.concatenate(([s0], h[:-1]))])))
+    active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
+    value = flip0[active]  # a constant step's value
+    flipped = flip1[active]
+    del flip0, flip1
+    flipped &= value  # the NOT steps, each a flip; constant steps are marked below
+    # h: each constant step's value XOR the parity of NOT steps up to it (only
+    # the low bit of the uint8 cumsum is read); a constant step flips the
+    # state exactly when h differs from the last constant step's h, or s0.
+    h = np.cumsum(flipped, dtype=np.uint8)
+    h ^= value
+    h &= 1
+    consts = np.flatnonzero(~flipped)
+    h = h[consts]
+    changed = np.empty(h.size, dtype=bool)
+    changed[:1] = h[:1] != s0
+    np.not_equal(h[1:], h[:-1], out=changed[1:])
+    flipped[consts[changed]] = True
+    flips = active[flipped]
     runs = np.diff(flips, prepend=0, append=n)
     return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,14 @@ from probsense.afe import AfeConfig
 from probsense.cli import build_experiment, main, parse_config_file
 from probsense.harness import (
     RATE_TRACE_WINDOW_TICKS,
+    TRIANGLE_BLOCK,
     ExperimentConfig,
     GridError,
     SynthSurveySpec,
     _triangle_wave,
     _write_rate_csv,
     load_survey,
+    max_sweep_slope,
     run_event,
     run_survey,
     sweep_slope,
@@ -373,20 +376,82 @@ class TestSweeps:
         assert np.max(np.abs(s_rows[:, 1] - v_rows[:, 1])) < 0.03
 
     def test_slope_saturates(self):
-        rows = sweep_slope(ExperimentConfig(), [2000.0], 2000)
-        assert rows[0, 1] > 0.97
+        # up to the steepest slope the sweep accepts, max_sweep_slope
+        rows = sweep_slope(ExperimentConfig(), [2000.0, 5000.0], 2000)
+        assert np.all(rows[:, 1] > 0.97)
 
 
     @given(
-        n=st.integers(min_value=1, max_value=20_000),
+        n=st.one_of(st.integers(min_value=1, max_value=20_000),
+                    st.sampled_from([TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1,
+                                     3 * TRIANGLE_BLOCK + 17])),
         rate_hz=st.sampled_from([2000.0, 1e5, 3.3e5]),
-        slope=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
+        slope=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6),
+                        st.floats(min_value=1e6, max_value=1e12)),
         peak=st.floats(min_value=1e-3, max_value=10.0),
     )
     def test_triangle_wave_matches_mod_oracle(self, n, rate_hz, slope, peak):
-        # small slopes make one period span the whole trace
+        # small slopes make one period span the whole trace; large ones push
+        # the phase u = t / period + 0.75 past 1e6, where floor(u) is far from 0
         got = _triangle_wave(n, rate_hz, slope, peak)
         assert got.tobytes() == _triangle_wave_mod(n, rate_hz, slope, peak).tobytes()
+
+    @pytest.mark.parametrize("n", [TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1,
+                                   4 * TRIANGLE_BLOCK + 3])
+    @pytest.mark.parametrize("rate_hz, slope, peak", [
+        (1e5, 5000.0, 0.25),  # the slope sweep's steepest wave
+        (2000.0, 1e6, 1e-3),  # phase past 1e6 within the first block
+        (3.3e5, 7.7e7, 0.3),  # phase past 1e6 only in later blocks
+    ])
+    def test_triangle_wave_blocks_match_mod_oracle(self, n, rate_hz, slope, peak):
+        got = _triangle_wave(n, rate_hz, slope, peak)
+        assert got.tobytes() == _triangle_wave_mod(n, rate_hz, slope, peak).tobytes()
+        if slope > 1e6:
+            assert (n - 1) / rate_hz / (4.0 * peak / slope) > 1e6
+
+    def test_slope_above_maximum_rejected_before_any_point(self, monkeypatch):
+        import probsense.harness as harness_mod
+
+        cfg = ExperimentConfig()
+        assert max_sweep_slope(cfg) == 5000.0  # 2 * 0.25 V * 100 kHz / 10 steps
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_activation", lambda *a: calls.append(a))
+        for grid, named in (([0.0, 5000.5], "5000.5"), ([50_000.0], "50000"),
+                            ([1e300], "1e+300")):
+            with pytest.raises(ValueError, match=re.escape(f"slope {named} V/s exceeds the "
+                                                           "maximum 5000 V/s")):
+                sweep_slope(cfg, grid, 1000)
+        assert calls == []
+        # the limit scales with the high-rate step: 5x the factor, 5x the slope
+        assert max_sweep_slope(replace(cfg, upsample_factor=250)) == 25_000.0
+
+    def test_sweeps_match_oracle_kernels(self, monkeypatch):
+        # every row, bit for bit, as computed with the reference kernels: the
+        # %-wrapped triangle, the sort-based telegraph and 16-bit-gather words
+        import probsense.activation as activation_mod
+        import probsense.harness as harness_mod
+        import probsense.pbit as pbit_mod
+        from test_pbit import _lfsr_word_uniforms_gather, _telegraph_run_three_arrays
+
+        smtj = ExperimentConfig()
+        digital = replace(smtj, activation=replace(
+            smtj.activation, pneuron=PNeuronConfig(source="digital_iid")))
+        # 306.6 V/s drives p to 0.98: q01 = 0.5, so half the steps are not identity
+        slopes = [0.0, 150.0, 306.6, 500.0, max_sweep_slope(smtj)]
+        v_grid = np.linspace(-0.1, 0.8, 4)
+
+        def rows():
+            return (sweep_slope(smtj, slopes, 1000), sweep_vin(smtj, v_grid, 1000),
+                    sweep_vin(digital, v_grid, 1000))
+
+        got = rows()
+        assert got[0][2, 2] == pytest.approx(0.98, abs=0.002)
+        monkeypatch.setattr(harness_mod, "_triangle_wave", _triangle_wave_mod)
+        monkeypatch.setattr(activation_mod, "telegraph_run", _telegraph_run_three_arrays)
+        for mod in (harness_mod, pbit_mod):
+            monkeypatch.setattr(mod, "lfsr_word_uniforms", _lfsr_word_uniforms_gather)
+        for a, b in zip(got, rows()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestConfigFile:
@@ -548,8 +613,13 @@ class TestCli:
         ("sweep-slope", ["--smax", "inf"], "--smax"),
         ("sweep-vin", ["--vmin", "nan"], "--vmin"),
         ("sweep-vin", ["--vmax=-inf"], "--vmax"),
+        ("sweep-slope", ["--smax", "1e300"], "--smax"),
+        ("sweep-slope", ["--smax", "50000"], "--smax"),
+        ("sweep-slope", ["--smin", "6000", "--smax", "7000"], "--smin"),
+        ("sweep-slope", ["--source", "digital", "--upsample", "4"], "--smax"),
     ], ids=["slope-points-0", "slope-points-neg", "vin-points-0", "slope-ticks", "vin-ticks",
-            "smin", "smax", "vmin", "vmax"])
+            "smin", "smax", "vmin", "vmax", "smax-1e300", "smax-50000", "smin-6000",
+            "smax-500-at-upsample-4"])
     def test_bad_sweep_grid_flag_is_one_line_before_any_point(self, command, flags, flag,
                                                               tmp_path, monkeypatch, capsys):
         import probsense.cli as cli_mod

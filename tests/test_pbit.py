@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import probsense
 from probsense.pbit import (
     DT_RESOLUTION_FACTOR,
     LFSR_PERIOD,
+    LFSR_WORD_BITS,
     LFSR_TAP_MASK,
     P_CLAMP,
     LfsrState,
@@ -34,8 +36,9 @@ from probsense.pbit import (
 
 
 # Reference oracles: the scalar twins of `activation_probability`,
-# `iid_decisions` and `telegraph_run`, the loop that built the LFSR tables and
-# the three-array flip setup of `telegraph_run`.
+# `iid_decisions` and `telegraph_run`, the loop that built the LFSR tables, the
+# 16-bit gather that built each LFSR word and the three-array flip setup of
+# `telegraph_run`.
 def _logistic_oracle(z: float) -> float:
     """sigma(z) through libm's exp; 0.0 where exp(-z) overflows."""
     try:
@@ -44,6 +47,7 @@ def _logistic_oracle(z: float) -> float:
         return 0.0
 
 
+@functools.cache
 def _lfsr_cycle_loop():
     """(bits, index, registers) of the cycle from register 1, one step at a time."""
     regs = np.empty(LFSR_PERIOD, dtype=np.uint32)
@@ -55,6 +59,19 @@ def _lfsr_cycle_loop():
     index = np.zeros(0x10000, dtype=np.int64)
     index[regs] = np.arange(LFSR_PERIOD)
     return (regs & 1).astype(np.uint8), index, regs
+
+
+def _lfsr_word_uniforms_gather(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
+    """Reference for `lfsr_word_uniforms`: each word gathers its 16 output bits."""
+    bits, index, regs = _lfsr_cycle_loop()
+    start = int(index[s.register])
+    pos = (start + np.arange(n, dtype=np.int64)[:, None] * LFSR_WORD_BITS
+           + np.arange(LFSR_WORD_BITS, dtype=np.int64)[None, :]) % LFSR_PERIOD
+    words = (bits[pos].astype(np.uint32)
+             << np.arange(LFSR_WORD_BITS, dtype=np.uint32)).sum(axis=1)
+    u = words.astype(np.float64) / 65536.0
+    end = (start + n * LFSR_WORD_BITS) % LFSR_PERIOD
+    return u, LfsrState(int(regs[end]))
 
 
 def pbit_decide_iid(p: float, s: LfsrState) -> tuple[int, LfsrState]:
@@ -324,17 +341,33 @@ class TestLfsr:
         index[regs] = np.arange(LFSR_PERIOD)
         _CYCLE.build()
         assert np.array_equal(_CYCLE.registers, regs)
-        assert np.array_equal(_CYCLE.bits, bits)
+        assert np.array_equal(_CYCLE.registers & 1, bits)
         assert np.array_equal(_CYCLE.index, index)
-        assert (_CYCLE.registers.dtype, _CYCLE.bits.dtype, _CYCLE.index.dtype) == (
-            regs.dtype, bits.dtype, index.dtype)
+        assert (_CYCLE.registers.dtype, _CYCLE.index.dtype) == (regs.dtype, index.dtype)
 
     def test_jump_build_matches_loop_oracle(self):
         cycle = _LfsrCycle()
         cycle.build()
-        for got, want in zip((cycle.bits, cycle.index, cycle.registers), _lfsr_cycle_loop()):
+        bits, index, regs = _lfsr_cycle_loop()
+        for got, want in ((cycle.index, index), (cycle.registers, regs)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+        assert np.array_equal(cycle.registers & 1, bits)
+
+    @given(
+        # registers near the cycle end make the word reads wrap mod LFSR_PERIOD
+        register=st.one_of(
+            st.integers(0, 2**40).map(lambda seed: lfsr_from_seed(seed).register),
+            st.integers(LFSR_PERIOD - 4 * LFSR_WORD_BITS, LFSR_PERIOD - 1).map(
+                lambda position: int(_lfsr_cycle_loop()[2][position]))),
+        n=st.sampled_from([0, 1, 4095, 4096, 4097, 70_000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_uniforms_match_gather_oracle(self, register, n):
+        u, s = lfsr_word_uniforms(LfsrState(register), n)
+        u_ref, s_ref = _lfsr_word_uniforms_gather(LfsrState(register), n)
+        assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
+        assert s == s_ref
 
     def test_uniforms_strictly_inside_unit_interval(self):
         u, _ = lfsr_word_uniforms(LfsrState(1), 70_000)
