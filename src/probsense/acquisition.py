@@ -66,17 +66,6 @@ def sample_regular(x_high: Trace, a: ActivationTrace) -> SampleStream:
     return _sample(x_high, a, a.sync_ticks, "r_adc")
 
 
-def quantize_stream(s: SampleStream, n_bits: int = 24, full_scale_v: float = 1.0) -> SampleStream:
-    """Optional uniform mid-tread quantizer over [-full_scale, +full_scale]."""
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    if full_scale_v <= 0:
-        raise ValueError(f"full_scale_v must be positive, got {full_scale_v}")
-    lsb = 2.0 * full_scale_v / (2**n_bits)
-    q = np.clip(np.round(s.values / lsb) * lsb, -full_scale_v, full_scale_v)
-    return SampleStream(s.ticks.copy(), q, s.source, s.rate_hz, s.t0_s)
-
-
 def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> Trace:
     """Linear interpolation onto a regular grid, constant beyond the ends.
 

@@ -59,11 +59,6 @@ class ActivationTrace:
     def __len__(self) -> int:
         return self.gate.size
 
-    @property
-    def gated_ticks(self) -> np.ndarray:
-        """Indices (into sync_ticks) of ticks that fired."""
-        return np.flatnonzero(self.gate[self.sync_ticks])
-
 
 def _override_latch(trigger_steps: np.ndarray, hold: int, n: int) -> np.ndarray:
     """uint8 mask over n steps, 1 on each interval [t, t + hold] of a trigger t.
@@ -128,22 +123,6 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
         t0_s=x_high.t0_s,
         steps_per_tick=spt,
     )
-
-
-def average_rate(a: ActivationTrace, window_ticks: int) -> np.ndarray:
-    """Fraction of gated ticks per non-overlapping window of sync ticks.
-
-    A trailing partial window is dropped.
-    """
-    if window_ticks < 1:
-        raise ValueError(f"window_ticks must be >= 1, got {window_ticks}")
-    if len(a) == 0 or a.sync_ticks.size == 0:
-        raise ValueError("empty activation trace")
-    g = a.gate[a.sync_ticks]
-    n_win = g.size // window_ticks
-    if n_win == 0:
-        return np.zeros(0, dtype=np.float64)
-    return g[: n_win * window_ticks].reshape(n_win, window_ticks).mean(axis=1)
 
 
 def detection_latency(a: ActivationTrace, onset_step: int) -> float:

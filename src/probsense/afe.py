@@ -3,9 +3,7 @@
 The slope path mirrors the analog circuit structure: the first difference is
 split into half-wave-rectified branches whose sum, the absolute slope, is
 computed directly as |diff|; a short trailing moving average then stands in
-for the analog bandwidth limit. The
-amplitude path is a plain rectifier. Both features can be delayed by a
-configurable integer number of grid steps to model analog response latency.
+for the analog bandwidth limit. The amplitude path is a plain rectifier.
 """
 
 from __future__ import annotations
@@ -24,19 +22,16 @@ DEFAULT_SLOPE_GAIN = 0.002306
 @dataclass(frozen=True)
 class AfeConfig:
     smoothing_steps: int = 100
-    delay_steps: int = 0
     slope_gain: float = DEFAULT_SLOPE_GAIN
     amp_threshold_v: float = 0.05
 
     def __post_init__(self):
         if self.smoothing_steps < 1:
             raise ValueError(f"smoothing_steps must be >= 1, got {self.smoothing_steps}")
-        if self.delay_steps < 0:
-            raise ValueError(f"delay_steps must be >= 0, got {self.delay_steps}")
-        if self.slope_gain <= 0:
-            raise ValueError(f"slope_gain must be positive, got {self.slope_gain}")
-        if self.amp_threshold_v <= 0:
-            raise ValueError(f"amp_threshold_v must be positive, got {self.amp_threshold_v}")
+        for name in ("slope_gain", "amp_threshold_v"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +41,6 @@ class FeatureSignal:
     slope_mag: np.ndarray
     amplitude: np.ndarray
     rate_hz: float
-    delay_steps: int
 
     def __post_init__(self):
         if self.slope_mag.shape != self.amplitude.shape:
@@ -62,7 +56,6 @@ def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     slope_mag[i] is the trailing moving average of |x[i] - x[i-1]| * rate
     (index 0, which has no predecessor, is zero and excluded from averages;
     leading partial windows divide by their count); amplitude[i] is |x[i]|.
-    Both are shifted right by cfg.delay_steps with zero fill.
     """
     n = len(x)
     w = cfg.smoothing_steps
@@ -79,13 +72,7 @@ def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     np.subtract(c[w:], c[:-w], out=slope[w + 1:])
     del c
     slope[w + 1:] /= w
-    amp = np.abs(x.samples)
-    if cfg.delay_steps > 0:
-        d = min(cfg.delay_steps, n)
-        for f in (slope, amp):
-            f[d:] = f[:n - d]
-            f[:d] = 0.0
-    return FeatureSignal(slope, amp, x.rate_hz, cfg.delay_steps)
+    return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
 
 
 def drive_voltages(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:

@@ -27,7 +27,6 @@ from .harness import (
     sweep_slope,
     sweep_vin,
     synth_survey,
-    write_survey,
     write_sweep_csv,
 )
 
@@ -48,8 +47,6 @@ def parse_config_file(path: Path | str) -> dict:
         val = val.strip()
         if val.startswith(("'", '"')) and val.endswith(val[0]) and len(val) >= 2:
             opts[key] = val[1:-1]
-        elif val.lower() in ("true", "false"):
-            opts[key] = val.lower() == "true"
         else:
             try:
                 opts[key] = int(val)
@@ -142,14 +139,18 @@ def _with_field(obj, path: str, value):
 def build_experiment(opts: dict) -> ExperimentConfig:
     """The default ExperimentConfig with each option set on its flag's field.
 
-    Config-file values (text and numbers) are parsed by the flag's type;
-    values argparse already parsed are taken as they are.
+    Config-file values (text and numbers) are parsed by the flag's type, and
+    a value it rejects is an error that names the key; values argparse
+    already parsed are taken as they are.
     """
     cfg = ExperimentConfig()
     for key, val in opts.items():
         flag = FLAGS[key]
         if isinstance(val, (str, int, float)):
-            val = flag.type(val)
+            try:
+                val = flag.type(val)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{key} = {val!r}: {exc}") from None
         cfg = _with_field(cfg, flag.field, flag.to_field(val))
     return cfg
 
@@ -220,8 +221,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 def _cmd_synth(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = cfg.output_dir or Path("survey_data")
-    ds, _ = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed)
-    paths = write_survey(ds, out)
+    paths = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed, out)
     print(f"wrote {len(paths)} event files to {out}")
     return 0
 

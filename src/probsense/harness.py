@@ -18,7 +18,6 @@ from .acquisition import (
     EventEval,
     nmse_freq,
     nmse_time,
-    quantize_stream,
     reconstruct,
     sample_gated,
     sample_regular,
@@ -35,7 +34,6 @@ from .pbit import (
 )
 from .traces import (
     RateMismatchError,
-    SurveyDataset,
     Trace,
     load_trace,
     synth_event,
@@ -66,6 +64,10 @@ class SynthSurveySpec:
     onset_min_s: float = 0.3
     onset_max_s: float = 0.7
 
+    def __post_init__(self):
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+
     def noise_rms_for(self, signal_energy: float, n: int) -> float:
         """Noise RMS giving the configured energy SNR over an n-sample trace."""
         return float(np.sqrt(signal_energy / (10.0 ** (self.snr_db / 10.0) * n)))
@@ -86,9 +88,11 @@ class ExperimentConfig:
     band_hz: tuple[float, float] = (0.0, 200.0)
     base_seed: int = DEFAULT_BASE_SEED
     output_dir: Path | None = None
-    quantizer_bits: int | None = None  # None: ideal (unquantized) ADC
 
     def __post_init__(self):
+        rate = self.dataset_rate_hz
+        if rate is not None and not (rate > 0 and np.isfinite(rate)):
+            raise ValueError(f"dataset_rate_hz must be positive and finite, got {rate}")
         if self.n_events < 1:
             raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         if self.upsample_factor < 1:
@@ -147,12 +151,18 @@ def _synth_one(spec: SynthSurveySpec, onset_s: float, seed: int) -> Trace:
 
 
 def synth_survey(
-    spec: SynthSurveySpec, n_events: int, base_seed: int
-) -> tuple[SurveyDataset, tuple[float, ...]]:
-    """Generate the synthetic survey; returns the dataset and per-event onsets."""
-    onsets = _survey_onsets(spec, n_events, base_seed)
-    events = tuple(_synth_one(spec, onset, base_seed + i) for i, onset in enumerate(onsets))
-    return SurveyDataset(events, label="synthetic"), onsets
+    spec: SynthSurveySpec, n_events: int, base_seed: int, directory: Path | str
+) -> list[Path]:
+    """Write the synthetic survey to directory as event_NNN.csv, each event as
+    soon as it is made: the events `run_survey` synthesizes for the same seed."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for i, onset in enumerate(_survey_onsets(spec, n_events, base_seed)):
+        path = directory / f"event_{i:03d}.csv"
+        write_trace(_synth_one(spec, onset, base_seed + i), path)
+        paths.append(path)
+    return paths
 
 
 def _event_paths(directory: Path | str) -> list[Path]:
@@ -160,28 +170,6 @@ def _event_paths(directory: Path | str) -> list[Path]:
     paths = sorted(Path(directory).glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no event CSV files in {directory}")
-    return paths
-
-
-def load_survey(directory: Path | str, rate_hz: float | None = None) -> SurveyDataset:
-    """Load a survey from a directory of CSV event files (sorted by name).
-
-    rate_hz is the sample rate of value-only files (see `load_trace`).
-    """
-    paths = _event_paths(directory)
-    return SurveyDataset(
-        tuple(load_trace(p, rate_hz=rate_hz) for p in paths), label=Path(directory).name
-    )
-
-
-def write_survey(ds: SurveyDataset, directory: Path | str) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, ev in enumerate(ds.events):
-        p = directory / f"event_{i:03d}.csv"
-        write_trace(ev, p)
-        paths.append(p)
     return paths
 
 
@@ -206,10 +194,6 @@ def run_event(
     act = run_activation(x_high, act_cfg, cfg.upsample_factor)
     p_stream = sample_gated(x_high, act)
     r_stream = sample_regular(x_high, act)
-    if cfg.quantizer_bits is not None:
-        fs = float(np.max(np.abs(trace.samples))) or 1.0
-        p_stream = quantize_stream(p_stream, cfg.quantizer_bits, fs)
-        r_stream = quantize_stream(r_stream, cfg.quantizer_bits, fs)
     recon = reconstruct(p_stream, trace.rate_hz, len(trace), trace.t0_s)
     sav, active = savings(p_stream, r_stream)
 
@@ -349,13 +333,12 @@ def _config_echo(cfg: ExperimentConfig, rate_hz: float) -> dict:
         "band_hz": list(cfg.band_hz),
         "sync_rate_hz": rate_hz,
         "hold_steps": cfg.activation.hold_steps,
-        "quantizer_bits": cfg.quantizer_bits,
         "pneuron": {
             "beta": pn.beta, "v_ref_v": pn.v_ref_v, "source": pn.source, "tau_s": pn.tau_s,
         },
         "afe": {
-            "smoothing_steps": fe.smoothing_steps, "delay_steps": fe.delay_steps,
-            "slope_gain": fe.slope_gain, "amp_threshold_v": fe.amp_threshold_v,
+            "smoothing_steps": fe.smoothing_steps, "slope_gain": fe.slope_gain,
+            "amp_threshold_v": fe.amp_threshold_v,
         },
         "synth": None if cfg.dataset is not None else {
             "duration_s": cfg.synth.duration_s, "rate_hz": cfg.synth.rate_hz,

@@ -56,36 +56,8 @@ class Trace:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return (len(self) - 1) / self.rate_hz
-
-    @property
     def times_s(self) -> np.ndarray:
         return self.t0_s + np.arange(len(self)) / self.rate_hz
-
-
-@dataclass(frozen=True, eq=False)
-class SurveyDataset:
-    """An ordered collection of event traces sharing one sample rate."""
-
-    events: tuple[Trace, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        events = tuple(self.events)
-        if not events:
-            raise TraceError("survey has no events")
-        rates = {e.rate_hz for e in events}
-        if len(rates) != 1:
-            raise TraceError(f"events disagree on sample rate: {sorted(rates)}")
-        object.__setattr__(self, "events", events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def rate_hz(self) -> float:
-        return self.events[0].rate_hz
 
 
 def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
@@ -187,7 +159,7 @@ def synth_event(
         raise ValueError(f"wavelet_f0_hz must lie inside (0, Nyquist), got {wavelet_f0_hz}")
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if noise_rms < 0:
+    if not noise_rms >= 0:
         raise ValueError(f"noise_rms must be non-negative, got {noise_rms}")
     n = int(round(duration_s * rate_hz))
     if n < 2:

@@ -6,7 +6,6 @@ from probsense.acquisition import (
     SampleStream,
     nmse_freq,
     nmse_time,
-    quantize_stream,
     reconstruct,
     sample_gated,
     sample_regular,
@@ -210,23 +209,6 @@ class TestSavings:
         sav, active = savings(self._stream(np_), self._stream(nr, "r_adc"))
         assert sav + active == 100.0
         assert sav == pytest.approx(100.0 * (1 - np_ / nr), abs=1e-12)
-
-
-class TestQuantize:
-    def test_error_bounded_by_half_lsb(self):
-        rng = np.random.default_rng(4)
-        v = rng.uniform(-1, 1, 500)
-        s = SampleStream(np.arange(500), v, "p_adc", rate_hz=1.0)
-        q = quantize_stream(s, n_bits=8, full_scale_v=1.0)
-        lsb = 2.0 / 256
-        assert np.max(np.abs(q.values - v)) <= lsb / 2 + 1e-15
-
-    def test_24_bit_nearly_transparent(self):
-        rng = np.random.default_rng(5)
-        v = rng.uniform(-1, 1, 100)
-        s = SampleStream(np.arange(100), v, "p_adc", rate_hz=1.0)
-        q = quantize_stream(s, n_bits=24, full_scale_v=1.0)
-        assert np.max(np.abs(q.values - v)) < 1e-6
 
 
 class TestStreamValidation:

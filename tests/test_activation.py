@@ -3,14 +3,15 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+from probsense.acquisition import sample_gated, sample_regular
 from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
-    average_rate,
     detection_latency,
     run_activation,
 )
 from probsense.afe import AfeConfig, drive_voltages, extract_features
+from probsense.harness import RATE_TRACE_WINDOW_TICKS, _write_rate_csv
 from probsense.pbit import (
     PNeuronConfig,
     activation_probability,
@@ -172,17 +173,16 @@ class TestRunActivation:
     @given(
         case=_trigger_cases(),
         source=st.sampled_from(["digital_iid", "smtj_telegraph"]),
-        delay=st.one_of(st.just(0), st.integers(min_value=1, max_value=20)),
         window=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=300)
-    def test_matches_scan_oracle(self, case, source, delay, window, seed):
+    def test_matches_scan_oracle(self, case, source, window, seed):
         x, hold, spt = case
         cfg = ActivationConfig(
             hold_steps=hold,
             pneuron=PNeuronConfig(source=source, seed=seed),
-            afe=AfeConfig(smoothing_steps=window, delay_steps=delay, amp_threshold_v=0.5),
+            afe=AfeConfig(smoothing_steps=window, amp_threshold_v=0.5),
         )
         trace = Trace(x, RATE_HI, 0.25)
         got = run_activation(trace, cfg, spt)
@@ -202,28 +202,34 @@ class TestRunActivation:
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
-class TestAverageRate:
-    def test_all_gated(self):
-        x = Trace(np.full(50_000, 2.0), RATE_HI)
-        act = run_activation(x, _cfg(amp_thr=0.5), SPT)
-        assert np.all(average_rate(act, 100) == 1.0)
+def _rate_csv(x_high, cfg, path):
+    """The avg_rate column of the rate_event_NNN.csv that `run_survey` writes
+    for an event with this activation: the gated fraction of each window of
+    RATE_TRACE_WINDOW_TICKS sync ticks."""
+    act = run_activation(x_high, cfg, SPT)
+    _write_rate_csv(path, sample_gated(x_high, act), len(sample_regular(x_high, act)))
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
 
-    def test_no_gate(self):
+
+class TestAverageRate:
+    def test_all_gated(self, tmp_path):
+        x = Trace(np.full(50_000, 2.0), RATE_HI)
+        w = _rate_csv(x, _cfg(amp_thr=0.5), tmp_path / "rate_event_000.csv")
+        assert w.size == 10 and np.all(w == 1.0)
+
+    def test_no_gate(self, tmp_path):
         # p ~ 1e-22 at v_ref = 5 V: digital decisions never fire
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))
-        act = run_activation(_zero_trace(1000), cfg, SPT)
-        assert np.all(average_rate(act, 100) == 0.0)
+        w = _rate_csv(_zero_trace(1000), cfg, tmp_path / "rate_event_000.csv")
+        assert w.size == 10 and np.all(w == 0.0)
 
-    def test_baseline_window_statistics(self):
-        act = run_activation(_zero_trace(100_000), _cfg(x_min=0.05, seed=1), SPT)
-        w = average_rate(act, 1000)
+    def test_baseline_window_statistics(self, tmp_path):
+        w = _rate_csv(_zero_trace(100_000), _cfg(x_min=0.05, seed=1),
+                      tmp_path / "rate_event_000.csv")
+        assert w.size == 100_000 // RATE_TRACE_WINDOW_TICKS
+        w = w.reshape(-1, 1000 // RATE_TRACE_WINDOW_TICKS).mean(axis=1)  # 1000-tick windows
         assert w.mean() == pytest.approx(0.05, abs=0.01)
         assert w.std() < 0.01
-
-    def test_window_validation(self):
-        act = run_activation(_zero_trace(100), _cfg(), SPT)
-        with pytest.raises(ValueError):
-            average_rate(act, 0)
 
 
 class TestDetectionLatency:
@@ -233,14 +239,6 @@ class TestDetectionLatency:
         x[5000:] = 1.0
         act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5), SPT)
         assert detection_latency(act, 5000) == 0.0
-
-    def test_delay_steps_shift_latency(self):
-        x = np.zeros(10_000)
-        x[5000:] = 1.0
-        cfg = _cfg(amp_thr=0.5)
-        cfg = replace(cfg, afe=replace(cfg.afe, delay_steps=50))
-        act = run_activation(Trace(x, RATE_HI), cfg, SPT)
-        assert detection_latency(act, 5000) == pytest.approx(50 / RATE_HI)
 
     def test_flat_signal_no_activation(self):
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))

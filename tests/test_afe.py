@@ -40,16 +40,10 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
 
 
 def _extract_features_concat(x: Trace, cfg: AfeConfig) -> FeatureSignal:
-    """Reference oracle for `extract_features`: np.diff, then concatenated shifts."""
-    n = len(x)
+    """Reference oracle for `extract_features`: np.diff, then a concatenated zero."""
     abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
     slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
-    amp = np.abs(x.samples)
-    if cfg.delay_steps > 0:
-        d = min(cfg.delay_steps, n)
-        slope = np.concatenate([np.zeros(d), slope[: n - d]])
-        amp = np.concatenate([np.zeros(d), amp[: n - d]])
-    return FeatureSignal(slope, amp, x.rate_hz, cfg.delay_steps)
+    return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
 
 
 def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
@@ -94,19 +88,18 @@ class TestExtractFeatures:
     @given(
         signal_arrays,
         st.integers(min_value=1, max_value=300),
-        st.one_of(st.just(0), st.integers(min_value=1, max_value=400)),
         st.sampled_from([1.0, 100.0, 1e5]),
     )
-    def test_matches_concatenate_oracle(self, x, window, delay, rate):
-        # windows up to the whole trace (n = window + 1) and delays past its end
+    def test_matches_concatenate_oracle(self, x, window, rate):
+        # windows up to the whole trace (n = window + 1)
         window = min(window, x.size - 1)
-        cfg = AfeConfig(smoothing_steps=window, delay_steps=delay)
+        cfg = AfeConfig(smoothing_steps=window)
         got = extract_features(Trace(x, rate), cfg)
         ref = _extract_features_concat(Trace(x, rate), cfg)
         assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
         assert got.amplitude.tobytes() == ref.amplitude.tobytes()
         assert got.slope_mag.dtype == got.amplitude.dtype == np.float64
-        assert (got.rate_hz, got.delay_steps) == (ref.rate_hz, ref.delay_steps)
+        assert got.rate_hz == ref.rate_hz
 
     def test_constant_signal_zero_slope(self):
         f = extract_features(Trace(np.full(500, 3.3), 1000.0), AfeConfig(smoothing_steps=5))
@@ -159,20 +152,9 @@ class TestExtractFeatures:
         f2 = extract_features(Trace(3.7 * x, 100.0), cfg)
         assert np.allclose(f2.slope_mag, 3.7 * f1.slope_mag, rtol=1e-12)
 
-    def test_delay_shifts_without_changing_values(self):
-        rng = np.random.default_rng(2)
-        x = Trace(rng.normal(size=300), 100.0)
-        f0 = extract_features(x, AfeConfig(smoothing_steps=4, delay_steps=0))
-        f9 = extract_features(x, AfeConfig(smoothing_steps=4, delay_steps=9))
-        assert f9.delay_steps == 9
-        assert np.array_equal(f9.slope_mag[9:], f0.slope_mag[:-9])
-        assert np.array_equal(f9.amplitude[9:], f0.amplitude[:-9])
-        assert np.all(f9.slope_mag[:9] == 0.0)
-        assert np.all(f9.amplitude[:9] == 0.0)
-
     def test_feature_lengths_match_source(self):
         x = Trace(np.arange(100.0), 10.0)
-        f = extract_features(x, AfeConfig(smoothing_steps=3, delay_steps=5))
+        f = extract_features(x, AfeConfig(smoothing_steps=3))
         assert len(f) == len(x)
         assert np.all(f.slope_mag >= 0)
         assert np.all(f.amplitude >= 0)
@@ -211,9 +193,12 @@ class TestAfeConfig:
         "kwargs",
         [
             dict(smoothing_steps=0),
-            dict(delay_steps=-1),
             dict(slope_gain=0.0),
             dict(amp_threshold_v=0.0),
+            dict(slope_gain=float("nan")),
+            dict(slope_gain=float("inf")),
+            dict(amp_threshold_v=float("nan")),
+            dict(amp_threshold_v=float("inf")),
         ],
     )
     def test_validation(self, kwargs):

@@ -10,26 +10,27 @@ from hypothesis.extra.numpy import arrays
 from probsense.acquisition import SampleStream
 from probsense.activation import ActivationConfig
 from probsense.afe import AfeConfig
-from probsense.cli import build_experiment, main, parse_config_file
+from probsense.cli import FLAGS, build_experiment, main, parse_config_file
 from probsense.harness import (
     RATE_TRACE_WINDOW_TICKS,
     TRIANGLE_BLOCK,
     ExperimentConfig,
     GridError,
     SynthSurveySpec,
+    _survey_onsets,
+    _synth_one,
     _triangle_wave,
     _write_rate_csv,
-    load_survey,
     max_sweep_slope,
     run_event,
     run_survey,
     sweep_slope,
     sweep_vin,
     synth_survey,
-    write_survey,
     write_sweep_csv,
 )
 from probsense.pbit import PNeuronConfig
+from probsense.traces import Trace, load_trace, synth_event, write_trace
 
 # Every finite float64, with signed zero, subnormals and huge magnitudes forced in.
 csv_floats = st.one_of(
@@ -74,26 +75,37 @@ def _triangle_wave_mod(n, rate_hz, slope, peak):
     return peak * (4.0 * np.abs(u - 0.5) - 1.0)
 
 
-class TestSynthSurvey:
-    def test_counts_and_rate(self):
-        ds, onsets = synth_survey(SynthSurveySpec(), n_events=7, base_seed=1)
-        assert len(ds) == 7
-        assert len(onsets) == 7
-        assert ds.rate_hz == 2000.0
+def _survey_events(spec, n_events, base_seed):
+    """The events `run_survey` synthesizes, as `synth_survey` writes them."""
+    onsets = _survey_onsets(spec, n_events, base_seed)
+    return [_synth_one(spec, onset, base_seed + i) for i, onset in enumerate(onsets)]
 
-    def test_deterministic(self):
-        a, oa = synth_survey(SynthSurveySpec(), 3, base_seed=5)
-        b, ob = synth_survey(SynthSurveySpec(), 3, base_seed=5)
-        assert oa == ob
-        for ea, eb in zip(a.events, b.events):
+
+class TestSynthSurvey:
+    def test_counts_and_rate(self, tmp_path):
+        paths = synth_survey(SynthSurveySpec(), n_events=7, base_seed=1, directory=tmp_path)
+        assert [p.name for p in paths] == [f"event_{i:03d}.csv" for i in range(7)]
+        assert sorted(tmp_path.iterdir()) == paths
+        assert len(_survey_onsets(SynthSurveySpec(), 7, base_seed=1)) == 7
+        for p in paths:
+            assert load_trace(p).rate_hz == pytest.approx(2000.0, rel=1e-9)
+
+    def test_deterministic(self, tmp_path):
+        spec = SynthSurveySpec()
+        assert _survey_onsets(spec, 3, base_seed=5) == _survey_onsets(spec, 3, base_seed=5)
+        for ea, eb in zip(_survey_events(spec, 3, 5), _survey_events(spec, 3, 5)):
             assert np.array_equal(ea.samples, eb.samples)
+        a = synth_survey(spec, 3, base_seed=5, directory=tmp_path / "a")
+        b = synth_survey(spec, 3, base_seed=5, directory=tmp_path / "b")
+        for pa, pb, ev in zip(a, b, _survey_events(spec, 3, 5)):
+            assert pa.read_bytes() == pb.read_bytes()
+            # each file holds the event run_survey synthesizes, bit for bit
+            assert np.array_equal(load_trace(pa).samples, ev.samples)
 
     def test_energy_snr_calibration(self):
         spec = SynthSurveySpec(snr_db=26.0)
-        ds, onsets = synth_survey(spec, 1, base_seed=3)
-        noisy = ds.events[0]
-        from probsense.traces import synth_event
-
+        onsets = _survey_onsets(spec, 1, base_seed=3)
+        noisy = _synth_one(spec, onsets[0], 3)
         clean = synth_event(
             spec.duration_s, spec.rate_hz, spec.wavelet_f0_hz, onsets[0],
             spec.amplitude, 0.0, seed=0,
@@ -105,12 +117,9 @@ class TestSynthSurvey:
 
 class TestRunSurvey:
     def test_dataset_dir_round_trip(self, tmp_path):
-        ds, _ = synth_survey(SynthSurveySpec(), 3, base_seed=2)
-        write_survey(ds, tmp_path / "data")
-        loaded = load_survey(tmp_path / "data")
-        assert len(loaded) == 3
-        for a, b in zip(ds.events, loaded.events):
-            assert np.array_equal(a.samples, b.samples)
+        paths = synth_survey(SynthSurveySpec(), 3, base_seed=2, directory=tmp_path / "data")
+        for a, p in zip(_survey_events(SynthSurveySpec(), 3, 2), paths, strict=True):
+            assert np.array_equal(a.samples, load_trace(p).samples)
 
         mem = run_survey(ExperimentConfig(n_events=3, base_seed=2))
         disk = run_survey(ExperimentConfig(dataset=tmp_path / "data", n_events=3, base_seed=2))
@@ -119,9 +128,8 @@ class TestRunSurvey:
         assert disk.savings_pct == pytest.approx(mem.savings_pct, abs=1.5)
 
     def test_per_event_failure_contained(self, tmp_path):
-        ds, _ = synth_survey(SynthSurveySpec(), 3, base_seed=4)
         d = tmp_path / "data"
-        write_survey(ds, d)
+        synth_survey(SynthSurveySpec(), 3, base_seed=4, directory=d)
         # corrupt the middle event
         (d / "event_001.csv").write_text("time_s,value\n0.0,nan\n")
         rep = run_survey(ExperimentConfig(dataset=d, n_events=3))
@@ -185,22 +193,10 @@ class TestRunSurvey:
         assert rep.nmse_freq == 0.0
         assert rep.savings_pct == 0.0
 
-    def test_quantizer_knob(self):
-        # 2-bit steps (LSB = half the peak) visibly damage the wavelet;
-        # 24 bits is transparent at this noise floor
-        ideal = run_survey(ExperimentConfig(n_events=1))
-        coarse = run_survey(ExperimentConfig(n_events=1, quantizer_bits=2))
-        fine = run_survey(ExperimentConfig(n_events=1, quantizer_bits=24))
-        assert coarse.nmse_time > 5 * ideal.nmse_time
-        assert fine.nmse_time == pytest.approx(ideal.nmse_time, rel=1e-3)
-
     def test_value_only_dataset_with_sidecar_rate(self, tmp_path):
-        from probsense.traces import write_trace
-
-        ds, _ = synth_survey(SynthSurveySpec(), 2, base_seed=8)
         d = tmp_path / "data"
         d.mkdir()
-        for i, ev in enumerate(ds.events):
+        for i, ev in enumerate(_survey_events(SynthSurveySpec(), 2, 8)):
             write_trace(ev, d / f"event_{i:03d}.csv", include_time=False)
         rep = run_survey(
             ExperimentConfig(dataset=d, dataset_rate_hz=2000.0, n_events=2, base_seed=8)
@@ -213,21 +209,9 @@ class TestRunSurvey:
             assert (a.nmse_time, a.nmse_freq, a.n_samples_p, a.n_samples_r) == \
                 (b.nmse_time, b.nmse_freq, b.n_samples_p, b.n_samples_r)
 
-    def test_load_survey_value_only(self, tmp_path):
-        from probsense.traces import write_trace
-
-        ds, _ = synth_survey(SynthSurveySpec(), 2, base_seed=3)
-        for i, ev in enumerate(ds.events):
-            write_trace(ev, tmp_path / f"event_{i:03d}.csv", include_time=False)
-        loaded = load_survey(tmp_path, rate_hz=2000.0)
-        assert loaded.rate_hz == 2000.0
-        for a, b in zip(ds.events, loaded.events):
-            assert np.array_equal(a.samples, b.samples)
-
     def test_1khz_dataset_replays_at_its_own_rate(self, tmp_path):
         # the ADC grid is the trace's grid: no flag has to name the rate
-        ds, _ = synth_survey(SynthSurveySpec(rate_hz=1000.0), 3, base_seed=5)
-        write_survey(ds, tmp_path / "data")
+        synth_survey(SynthSurveySpec(rate_hz=1000.0), 3, base_seed=5, directory=tmp_path / "data")
         out = tmp_path / "out"
         rep = run_survey(ExperimentConfig(dataset=tmp_path / "data", n_events=3,
                                           output_dir=out))
@@ -259,8 +243,7 @@ class TestRunSurvey:
     def test_sidecar_rate_checked_against_event_0(self, tmp_path, monkeypatch):
         import probsense.harness as harness_mod
 
-        ds, _ = synth_survey(SynthSurveySpec(), 3, base_seed=8)
-        write_survey(ds, tmp_path / "data")
+        synth_survey(SynthSurveySpec(), 3, base_seed=8, directory=tmp_path / "data")
         loads = []
         load = harness_mod.load_trace
         monkeypatch.setattr(harness_mod, "load_trace",
@@ -281,13 +264,8 @@ class TestRunSurvey:
         assert calls == []
 
     def test_mixed_rate_dataset_contained(self, tmp_path):
-        from probsense.traces import Trace, write_trace
-
         d = tmp_path / "data"
-        d.mkdir()
-        ds, _ = synth_survey(SynthSurveySpec(), 2, base_seed=6)
-        write_trace(ds.events[0], d / "event_000.csv")
-        write_trace(ds.events[1], d / "event_001.csv")
+        synth_survey(SynthSurveySpec(), 2, base_seed=6, directory=d)
         other = Trace(np.zeros(500), 1000.0)
         write_trace(other, d / "event_002.csv")
         rep = run_survey(ExperimentConfig(dataset=d, n_events=3))
@@ -299,8 +277,8 @@ class TestOutputFiles:
     def test_event_csvs_match_line_loops(self, tmp_path):
         cfg = ExperimentConfig(n_events=2, output_dir=tmp_path / "out")
         run_survey(cfg)
-        ds, onsets = synth_survey(cfg.synth, 2, cfg.base_seed)
-        for i, trace in enumerate(ds.events):
+        onsets = _survey_onsets(cfg.synth, 2, cfg.base_seed)
+        for i, trace in enumerate(_survey_events(cfg.synth, 2, cfg.base_seed)):
             _, p_stream, r_stream, _ = run_event(
                 trace, cfg, i, onsets[i], cfg.synth.wavelet_f0_hz
             )
@@ -553,6 +531,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'sourc'" in err[0] and str(p) in err[0]
 
+    def test_bool_config_value_fails_before_any_event(self, tmp_path, monkeypatch, capsys):
+        # `true` stays text: int("true") fails, where int(True) would run one event
+        p = tmp_path / "cfg.txt"
+        p.write_text("n_events = true\n")
+        assert parse_config_file(p) == {"n_events": "true"}
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
+        assert main(["run", "--config", str(p)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: n_events = 'true':")
+
     def test_sweep_grid_key_in_config_rejected(self, tmp_path, capsys):
         p = tmp_path / "cfg.txt"
         p.write_text("points = 5\n")
@@ -563,11 +555,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'points'" in err[0] and str(p) in err[0]
 
-    @pytest.mark.parametrize("flags", [["--beta", "-1"], ["--tau-us", "0"]])
-    def test_bad_config_value_is_one_error_line(self, flags, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--beta=-1"], ["--tau-us=0"],
+        ["--amp-threshold=nan"], ["--amp-threshold=inf"],
+        ["--slope-gain=nan"], ["--slope-gain=inf"],
+        ["--snr-db=nan"], ["--snr-db=-inf"],
+        ["--dataset=D", "--rate-hz=-5"], ["--dataset=D", "--rate-hz=nan"],
+    ])
+    def test_bad_config_value_is_one_error_line(self, flags, monkeypatch, capsys):
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
         assert main(["run", "--n-events", "1", *flags]) == 2
+        assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        # the message names the config field the last flag sets
+        name = flags[-1].partition("=")[0].removeprefix("--").replace("-", "_")
+        assert FLAGS[name].field.rpartition(".")[2] in err[0]
 
     @pytest.mark.parametrize("flags, flag", [
         (["--band", "0:2000"], "--band"),

@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probsense.traces import (
-    SurveyDataset,
     Trace,
     TraceError,
     load_trace,
@@ -81,7 +80,6 @@ class TestTrace:
     def test_times(self):
         t = Trace(np.array([1.0, 2.0, 3.0]), 10.0, t0_s=1.0)
         assert np.allclose(t.times_s, [1.0, 1.1, 1.2])
-        assert t.duration_s == pytest.approx(0.2)
 
 
 class TestCsvRoundTrip:
@@ -223,6 +221,7 @@ class TestSynthEvent:
             dict(wavelet_f0_hz=1500.0),
             dict(amplitude=0.0),
             dict(noise_rms=-0.1),
+            dict(noise_rms=float("nan")),
         ],
     )
     def test_parameter_validation(self, kwargs):
@@ -306,17 +305,3 @@ class TestUpsample:
         u = upsample(Trace(x, 100.0), factor)
         assert len(u) == (x.size - 1) * factor + 1
         assert u.rate_hz == 100.0 * factor
-
-
-class TestSurveyDataset:
-    def test_rate_must_agree(self):
-        a = Trace(np.array([1.0, 2.0]), 100.0)
-        b = Trace(np.array([1.0, 2.0]), 200.0)
-        with pytest.raises(TraceError, match="disagree"):
-            SurveyDataset((a, b))
-
-    def test_basic(self):
-        a = Trace(np.array([1.0, 2.0]), 100.0)
-        ds = SurveyDataset((a, a), label="x")
-        assert len(ds) == 2
-        assert ds.rate_hz == 100.0
