@@ -82,8 +82,8 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
     Sync ticks fall on every steps_per_tick-th step from step 0. Callers pass
     the upsampling factor that made x_high, so the ticks are the samples of
     the ADC-rate trace: the regular ADC's clock is the trace's grid. The digital
-    source draws one fresh Bernoulli decision per sync tick, so the logistic is
-    evaluated only at the ticks; the telegraph source evolves on every
+    source draws one fresh Bernoulli decision per sync tick, so its drive and
+    logistic are evaluated only at the ticks; the telegraph source evolves on every
     high-rate step and is read at ticks. The override latch is built from the
     merged trigger intervals (see `_override_latch`), not a per-step scan.
     Deterministic per cfg.pneuron.seed.
@@ -94,16 +94,18 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
     n = len(x_high)
     feats = extract_features(x_high, cfg.afe)
     trigger_steps = np.flatnonzero(feats.amplitude >= cfg.afe.amp_threshold_v)
-    v_in = drive_voltages(feats, cfg.afe)
-    del feats
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
+        v_ticks = drive_voltages(feats, cfg.afe, ticks)
+        del feats
         lfsr = lfsr_from_seed(cfg.pneuron.seed)
-        decisions, _ = iid_decisions(activation_probability(v_in[ticks], cfg.pneuron), lfsr)
+        decisions, _ = iid_decisions(activation_probability(v_ticks, cfg.pneuron), lfsr)
         pneuron_out = np.zeros(n, dtype=np.uint8)
         pneuron_out[ticks] = decisions
     else:
+        v_in = drive_voltages(feats, cfg.afe)
+        del feats
         p = activation_probability(v_in, cfg.pneuron)
         del v_in
         rng = np.random.default_rng(cfg.pneuron.seed)

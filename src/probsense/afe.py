@@ -75,6 +75,9 @@ def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
 
 
-def drive_voltages(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:
-    """Voltage fed to the p-neuron at every step: slope_gain * slope_mag."""
-    return cfg.slope_gain * f.slope_mag
+def drive_voltages(
+    f: FeatureSignal, cfg: AfeConfig, steps: np.ndarray | None = None
+) -> np.ndarray:
+    """Voltage fed to the p-neuron, slope_gain * slope_mag, at every step or
+    only at the given step indices (the same values as indexing the full array)."""
+    return cfg.slope_gain * (f.slope_mag if steps is None else f.slope_mag[steps])

@@ -139,16 +139,17 @@ def _with_field(obj, path: str, value):
 def build_experiment(opts: dict) -> ExperimentConfig:
     """The default ExperimentConfig with each option set on its flag's field.
 
-    Config-file values (text and numbers) are parsed by the flag's type, and
-    a value it rejects is an error that names the key; values argparse
-    already parsed are taken as they are.
+    A config-file value (text or a number) is parsed from its text by the
+    flag's type, as the command line parses it, so `n_events = 2.9` is
+    rejected rather than truncated; a value the type rejects is an error that
+    names the key. Values argparse already parsed come out unchanged.
     """
     cfg = ExperimentConfig()
     for key, val in opts.items():
         flag = FLAGS[key]
         if isinstance(val, (str, int, float)):
             try:
-                val = flag.type(val)
+                val = flag.type(str(val))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{key} = {val!r}: {exc}") from None
         cfg = _with_field(cfg, flag.field, flag.to_field(val))
@@ -221,7 +222,10 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 def _cmd_synth(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = cfg.output_dir or Path("survey_data")
-    paths = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed, out)
+    try:
+        paths = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed, out)
+    except FileExistsError as exc:
+        raise _FlagError("--out", str(exc)) from None
     print(f"wrote {len(paths)} event files to {out}")
     return 0
 

@@ -39,6 +39,7 @@ from .traces import (
     synth_event,
     upsample,
     write_csv,
+    write_ticks,
     write_trace,
 )
 
@@ -154,8 +155,19 @@ def synth_survey(
     spec: SynthSurveySpec, n_events: int, base_seed: int, directory: Path | str
 ) -> list[Path]:
     """Write the synthetic survey to directory as event_NNN.csv, each event as
-    soon as it is made: the events `run_survey` synthesizes for the same seed."""
+    soon as it is made: the events `run_survey` synthesizes for the same seed.
+
+    A directory that already holds CSV files raises FileExistsError before
+    anything is written: a replay reads every CSV there, so older events
+    would join the new survey. No file is deleted.
+    """
     directory = Path(directory)
+    existing = sorted(p.name for p in directory.glob("*.csv"))
+    if existing:
+        raise FileExistsError(f"{directory} already holds {len(existing)} CSV file(s) "
+                              f"({existing[0]}, ...), "
+                              f"which a replay would read with the new events; "
+                              f"write to a new or empty directory")
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, onset in enumerate(_survey_onsets(spec, n_events, base_seed)):
@@ -291,8 +303,8 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             ev, p_stream, r_stream, recon = run_event(trace, cfg, i, onsets[i], f0)
             results.append(ev)
             if out_dir is not None:
-                write_csv(out_dir / f"samples_event_{i:03d}.csv", "time_s,value",
-                          p_stream.times_s, p_stream.values)
+                write_ticks(out_dir / f"samples_event_{i:03d}.csv", p_stream.ticks,
+                            p_stream.values, p_stream.rate_hz, p_stream.t0_s)
                 write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
                 _write_rate_csv(out_dir / f"rate_event_{i:03d}.csv", p_stream, len(r_stream))
         except Exception as exc:  # noqa: BLE001 - contained per event by contract
@@ -497,7 +509,9 @@ def sweep_slope(
     afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
-        x = Trace(_triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V), rate_high)
+        wave = _triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V)
+        wave.flags.writeable = False  # held nowhere else: Trace keeps it without a copy
+        x = Trace(wave, rate_high)
         act_cfg = replace(
             cfg.activation,
             afe=afe_cfg,

@@ -30,7 +30,11 @@ class Trace:
     """A uniformly sampled real-valued signal (volts by convention).
 
     samples are coerced to a read-only float64 array; all values must be
-    finite and the trace non-empty.
+    finite and the trace non-empty. A read-only float64 array that owns its
+    memory (another Trace's samples, or an output the package has just built
+    and marked read-only) is kept without a copy; any other input, such as a
+    writable array or a read-only view of a writable base, is copied, so
+    later writes to it do not reach the trace.
     """
 
     samples: np.ndarray
@@ -46,8 +50,9 @@ class Trace:
             raise TraceError(f"non-finite value at row {k}")
         if not (self.rate_hz > 0 and np.isfinite(self.rate_hz)):
             raise TraceError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "rate_hz", float(self.rate_hz))
         object.__setattr__(self, "t0_s", float(self.t0_s))
@@ -113,23 +118,78 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
     return Trace(values, rate_hz, t0_s)
 
 
+# Time grids whose text `_grid_text` keeps, least recently used first. A
+# survey writes on one or two grids at a time: the trace's and its ADC
+# stream's, whose rate (r * factor) / factor can differ from r in the last bit.
+GRID_TEXT_ENTRIES = 4
+# Longest grid whose text is kept: about 5 MB of str objects.
+GRID_TEXT_MAX_ROWS = 1 << 16
+_grid_text_cache: dict[tuple[float, float], list[str]] = {}
+
+
+def _grid_text(t0_s: float, rate_hz: float, n: int) -> list[str]:
+    """repr of each time t0_s + k / rate_hz for k < n, formatted once per grid.
+
+    The list may be longer than n. A time's text does not depend on n, so a
+    longer request extends the kept list instead of formatting it anew.
+    """
+    key = (t0_s, rate_hz)
+    text = _grid_text_cache.pop(key, [])
+    if len(text) < n:
+        text += map(repr, (t0_s + np.arange(len(text), n) / rate_hz).tolist())
+    if len(text) <= GRID_TEXT_MAX_ROWS:
+        _grid_text_cache[key] = text
+        while len(_grid_text_cache) > GRID_TEXT_ENTRIES:
+            del _grid_text_cache[next(iter(_grid_text_cache))]
+    return text
+
+
+def _float_text(values):
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def _write_rows(path, header: str, *columns) -> None:
+    """Write equal-length columns of text as CSV rows under `header`."""
+    text = "\n".join([header, *map(",".join, zip(*columns, strict=True))]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header: str, *columns) -> None:
     """Write equal-length columns as CSV rows under `header`.
 
     Values are written as float64 with repr, so they survive a round trip.
     """
-    cols = (map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns)
-    text = "\n".join([header, *map(",".join, zip(*cols, strict=True))]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_rows(path, header, *map(_float_text, columns))
+
+
+def write_ticks(path, ticks, values, rate_hz: float, t0_s: float = 0.0) -> None:
+    """Write values taken at integer ticks k >= 0 of the grid t0_s + k / rate_hz
+    as CSV ``time_s,value``.
+
+    The bytes are those of ``write_csv(path, "time_s,value", t0_s + ticks /
+    rate_hz, values)``, but each time's text is looked up by tick in the
+    grid's text, which is formatted once.
+    """
+    ticks = np.asarray(ticks).tolist()
+    if ticks and min(ticks) < 0:
+        raise ValueError(f"ticks must be >= 0, got {min(ticks)}")
+    grid = _grid_text(t0_s, rate_hz, max(ticks, default=-1) + 1)
+    _write_rows(path, "time_s,value", map(grid.__getitem__, ticks), _float_text(values))
 
 
 def write_trace(trace: Trace, path, include_time: bool = True) -> None:
-    """Write a trace as CSV with header ``time_s,value`` or ``value``."""
+    """Write a trace as CSV with header ``time_s,value`` or ``value``.
+
+    The time column's text is formatted once per grid (t0_s, rate_hz) and
+    reused by later traces and `write_ticks` streams on the same grid.
+    """
     if include_time:
-        write_csv(path, "time_s,value", trace.times_s, trace.samples)
+        n = len(trace)
+        times = _grid_text(trace.t0_s, trace.rate_hz, n)[:n]
+        _write_rows(path, "time_s,value", times, _float_text(trace.samples))
     else:
-        write_csv(path, "value", trace.samples)
+        _write_rows(path, "value", _float_text(trace.samples))
 
 
 def ricker(t, f0_hz: float):
@@ -201,4 +261,5 @@ def upsample(trace: Trace, factor: int) -> Trace:
     np.copyto(seg, lo, where=seg <= lo)
     np.copyto(seg, hi, where=seg >= hi)
     out[-1] = x[-1]
+    out.flags.writeable = False  # held nowhere else: Trace keeps it without a copy
     return Trace(out, trace.rate_hz * factor, trace.t0_s)

@@ -187,6 +187,15 @@ class TestDriveVoltage:
         v = drive_voltages(f, cfg)
         assert v[7] == drive_voltage(f, cfg, 7)
 
+    @given(signal_arrays, st.integers(min_value=1, max_value=8),
+           st.floats(min_value=1e-6, max_value=1e3))
+    def test_at_steps_matches_indexed_full_drive(self, x, spt, gain):
+        # the digital source's drive at its sync ticks
+        cfg = AfeConfig(smoothing_steps=3, slope_gain=gain)
+        f = extract_features(Trace(x, 1000.0), cfg)
+        ticks = np.arange(0, len(f), spt, dtype=np.int64)
+        assert drive_voltages(f, cfg, ticks).tobytes() == drive_voltages(f, cfg)[ticks].tobytes()
+
 
 class TestAfeConfig:
     @pytest.mark.parametrize(

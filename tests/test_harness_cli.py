@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ class TestSynthSurvey:
             assert pa.read_bytes() == pb.read_bytes()
             # each file holds the event run_survey synthesizes, bit for bit
             assert np.array_equal(load_trace(pa).samples, ev.samples)
+
+    def test_refuses_a_directory_with_csv_files(self, tmp_path):
+        synth_survey(SynthSurveySpec(), 3, base_seed=1, directory=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(FileExistsError, match="3 CSV file"):
+            synth_survey(SynthSurveySpec(), 2, base_seed=7, directory=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_accepts_a_directory_without_csv_files(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("survey notes\n")
+        assert len(synth_survey(SynthSurveySpec(), 2, base_seed=1, directory=tmp_path)) == 2
 
     def test_energy_snr_calibration(self):
         spec = SynthSurveySpec(snr_db=26.0)
@@ -290,6 +302,39 @@ class TestOutputFiles:
             assert (out / f"rate_event_{i:03d}.csv").read_bytes() == \
                 (tmp_path / "rate.csv").read_bytes()
 
+    @pytest.mark.parametrize("rate_hz, factor, include_time", [
+        (2000.0, 50, True),
+        # (r * 42) / 42 != r: the samples' times are on the stream's own rate
+        (27524.72501488567, 42, False),
+    ])
+    def test_replay_csvs_match_line_loops(self, tmp_path, rate_hz, factor, include_time):
+        data = tmp_path / "data"
+        data.mkdir()
+        t0s = (0.0, 3.7) if include_time else (0.0, 0.0)
+        for i, t0 in enumerate(t0s):
+            x = synth_event(1.0, rate_hz, 50.0, 0.3 + 0.2 * i, 1.0, 0.01, seed=i)
+            write_trace(Trace(x.samples, rate_hz, t0), data / f"event_{i:03d}.csv", include_time)
+        cfg = ExperimentConfig(dataset=data, dataset_rate_hz=None if include_time else rate_hz,
+                               upsample_factor=factor, band_hz=(0.0, 200.0))
+        # Twice in one process: the second replay reuses the formatted grids.
+        for out in (tmp_path / "a", tmp_path / "b"):
+            rep = run_survey(replace(cfg, output_dir=out))
+            assert rep.n_failed == 0
+        for i in range(len(t0s)):
+            trace = load_trace(data / f"event_{i:03d}.csv", cfg.dataset_rate_hz)
+            assert trace.t0_s == t0s[i]
+            _, p_stream, _, recon = run_event(trace, cfg, i)
+            assert p_stream.rate_hz != trace.rate_hz or include_time
+            _write_stream_loop(tmp_path / "samples.csv", p_stream)
+            _write_stream_loop(tmp_path / "recon.csv", SimpleNamespace(
+                times_s=recon.t0_s + np.arange(len(recon)) / recon.rate_hz,
+                values=recon.samples))
+            for out in (tmp_path / "a", tmp_path / "b"):
+                assert (out / f"samples_event_{i:03d}.csv").read_bytes() == \
+                    (tmp_path / "samples.csv").read_bytes()
+                assert (out / f"recon_event_{i:03d}.csv").read_bytes() == \
+                    (tmp_path / "recon.csv").read_bytes()
+
     # Each example overwrites the same two files, so a shared tmp_path is fine.
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -446,6 +491,29 @@ class TestConfigFile:
         opts = parse_config_file(p)
         assert opts == {"n_events": 5, "vref": 0.25, "source": "digital", "band": "0:150"}
 
+    def test_numbers_parse_as_on_the_command_line(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("n_events = 5\nvref = 0.25\nslope_gain = 1e-3\nsnr_db = 20\n")
+        cfg = build_experiment(parse_config_file(p))
+        assert cfg.n_events == 5
+        assert cfg.activation.pneuron.v_ref_v == 0.25
+        assert cfg.activation.afe.slope_gain == 1e-3
+        assert cfg.synth.snr_db == 20.0
+
+    @pytest.mark.parametrize("line", ["n_events = 2.9", "upsample = 50.9", "seed = 2.7"])
+    def test_fractional_value_for_integer_flag_fails(self, line, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text(line + "\n")
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
+        assert main(["run", "--config", str(p)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        key = line.partition(" ")[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+
     def test_bad_line(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text("just words\n")
@@ -481,6 +549,18 @@ class TestCli:
         assert (out / "report.json").exists()
         text = capsys.readouterr().out
         assert "savings" in text
+
+    def test_synth_into_a_survey_directory_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--n-events", "3", "--out", str(data)]) == 0
+        before = {p.name: p.read_bytes() for p in data.iterdir()}
+        capsys.readouterr()
+        assert main(["synth", "--n-events", "2", "--seed", "7", "--out", str(data)]) == 2
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out: ")
+        assert cap.out == ""
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
     def test_run_exit_code_on_partial_failure(self, tmp_path, capsys):
         data = tmp_path / "data"

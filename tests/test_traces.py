@@ -11,6 +11,7 @@ from probsense.traces import (
     synth_event,
     upsample,
     write_csv,
+    write_ticks,
     write_trace,
 )
 
@@ -38,6 +39,27 @@ def _write_trace_loop(trace, path, include_time=True):
             fh.write("value\n")
             for v in trace.samples.tolist():
                 fh.write(f"{v!r}\n")
+
+
+def _write_ticks_loop(path, ticks, values, rate_hz, t0_s):
+    """Reference for `write_ticks`: each time formatted from its own tick."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("time_s,value\n")
+        for k, v in zip(ticks, values.tolist()):
+            fh.write(f"{t0_s + k / rate_hz!r},{v!r}\n")
+
+
+# A rate whose ADC stream rate after upsampling by 42, (r * 42) / 42, is not r
+# (as for about 9 % of random rates): a stream's times must come from its own
+# rate, not from the rate of the trace it was sampled from.
+ODD_RATE = 27524.72501488567
+ODD_FACTOR = 42
+
+grid_rates = st.one_of(
+    st.sampled_from([ODD_RATE, ODD_RATE * ODD_FACTOR / ODD_FACTOR, 2000.0]),
+    st.floats(min_value=1e-3, max_value=1e9),
+)
+grid_t0s = st.one_of(st.sampled_from([0.0, 3.7, -1.5]), st.floats(min_value=-1e6, max_value=1e6))
 
 
 def _upsample_repeat(trace, factor):
@@ -80,6 +102,31 @@ class TestTrace:
     def test_times(self):
         t = Trace(np.array([1.0, 2.0, 3.0]), 10.0, t0_s=1.0)
         assert np.allclose(t.times_s, [1.0, 1.1, 1.2])
+
+    def test_copies_a_writable_array(self):
+        x = np.array([1.0, 2.0, 3.0])
+        t = Trace(x, 10.0)
+        x[0] = 9.0
+        assert t.samples[0] == 1.0 and not np.shares_memory(t.samples, x)
+        assert x.flags.writeable  # the caller's array is left as it was
+
+    def test_copies_a_read_only_view_of_a_writable_base(self):
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[1:]
+        view.flags.writeable = False
+        t = Trace(view, 10.0)
+        base[1] = 9.0
+        assert t.samples[0] == 2.0 and not np.shares_memory(t.samples, base)
+
+    def test_keeps_a_read_only_array_that_owns_its_memory(self):
+        t = Trace(np.array([1.0, 2.0]), 10.0)
+        assert Trace(t.samples, 20.0).samples is t.samples
+
+    def test_kept_array_is_still_checked(self):
+        x = np.array([1.0, np.inf])
+        x.flags.writeable = False
+        with pytest.raises(TraceError, match="non-finite value at row 1"):
+            Trace(x, 10.0)
 
 
 class TestCsvRoundTrip:
@@ -171,6 +218,55 @@ class TestCsvRoundTrip:
         write_trace(t, tmp_path / "new.csv", include_time)
         _write_trace_loop(t, tmp_path / "ref.csv", include_time)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    # Several grids in turn in one process, on repeated and fresh (t0, rate)
+    # keys, with n from 1 to 3000 rows.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=25)
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3000), grid_rates, grid_t0s),
+                    min_size=1, max_size=4))
+    def test_grids_in_turn_match_line_loop(self, tmp_path, grids):
+        rng = np.random.default_rng(len(grids))
+        for n, rate, t0 in grids:
+            t = Trace(rng.normal(size=n), rate, t0_s=t0)
+            write_trace(t, tmp_path / "new.csv")
+            _write_trace_loop(t, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(min_value=1, max_value=3000), grid_rates, grid_t0s,
+           st.integers(min_value=1, max_value=64), st.data())
+    def test_write_ticks_matches_line_loop(self, tmp_path, n, rate, t0, factor, data):
+        # The trace's grid is formatted first; the stream's rate may differ from it.
+        trace = Trace(np.zeros(n), rate, t0_s=t0)
+        write_trace(trace, tmp_path / "trace.csv")
+        stream_rate = rate * factor / factor
+        ticks = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=200)))
+        values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
+        write_ticks(tmp_path / "new.csv", np.array(ticks, dtype=np.int64), values,
+                    stream_rate, t0)
+        _write_ticks_loop(tmp_path / "ref.csv", ticks, values, stream_rate, t0)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_write_ticks_uses_the_stream_rate(self, tmp_path):
+        n = 2000
+        stream_rate = ODD_RATE * ODD_FACTOR / ODD_FACTOR
+        assert stream_rate != ODD_RATE
+        write_trace(Trace(np.zeros(n), ODD_RATE, 3.7), tmp_path / "trace.csv")
+        ticks = np.arange(0, n, 7)
+        values = np.ones(ticks.size)
+        write_ticks(tmp_path / "new.csv", ticks, values, stream_rate, 3.7)
+        _write_ticks_loop(tmp_path / "ref.csv", ticks.tolist(), values, stream_rate, 3.7)
+        _write_ticks_loop(tmp_path / "trace_rate.csv", ticks.tolist(), values, ODD_RATE, 3.7)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new != (tmp_path / "trace_rate.csv").read_bytes()
+
+    def test_write_ticks_empty_and_negative(self, tmp_path):
+        write_ticks(tmp_path / "e.csv", np.array([], dtype=np.int64), np.array([]), 10.0)
+        assert (tmp_path / "e.csv").read_bytes() == b"time_s,value\n"
+        with pytest.raises(ValueError, match=">= 0"):
+            write_ticks(tmp_path / "n.csv", np.array([-1, 2]), np.zeros(2), 10.0)
+        assert not (tmp_path / "n.csv").exists()
 
     def test_write_csv_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
@@ -271,6 +367,19 @@ class TestUpsample:
         bound = (2 * np.pi * 50.0 / rate) ** 2 / 8
         assert dev < bound
         assert dev == pytest.approx(bound, rel=0.05)
+
+    def test_output_is_kept_without_a_copy(self):
+        trace = Trace(np.array([0.0, 1.0, -1.0]), 10.0)
+        u = upsample(trace, 4)
+        assert not u.samples.flags.writeable and u.samples.flags.owndata
+        assert not np.shares_memory(u.samples, trace.samples)
+
+    def test_overflowing_segment_still_rejected(self):
+        # The slope overflows to inf and the first interpolated point is nan:
+        # Trace's finiteness check still runs on the kept output.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TraceError, match="non-finite value at row 0"):
+                upsample(Trace(np.array([-1e308, 1e308]), 1.0), 4)
 
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
