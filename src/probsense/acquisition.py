@@ -80,8 +80,7 @@ def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> T
         )
     grid = np.arange(n, dtype=np.float64)
     out = np.interp(grid, s.ticks.astype(np.float64), s.values)
-    out.flags.writeable = False  # held nowhere else: Trace keeps it without a copy
-    return Trace(out, rate_hz, t0_s)
+    return Trace._adopt(out, rate_hz, t0_s)
 
 
 def nmse_time(orig: Trace, recon: Trace) -> float:

@@ -303,9 +303,10 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             ev, p_stream, r_stream, recon = run_event(trace, cfg, i, onsets[i], f0)
             results.append(ev)
             if out_dir is not None:
+                # recon first: its grid's text is kept for the samples' times.
+                write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
                 write_ticks(out_dir / f"samples_event_{i:03d}.csv", p_stream.ticks,
                             p_stream.values, p_stream.rate_hz, p_stream.t0_s)
-                write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
                 _write_rate_csv(out_dir / f"rate_event_{i:03d}.csv", p_stream, len(r_stream))
         except Exception as exc:  # noqa: BLE001 - contained per event by contract
             results.append(EventEval(index=i, error=f"{type(exc).__name__}: {exc}"))
@@ -510,8 +511,7 @@ def sweep_slope(
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
         wave = _triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V)
-        wave.flags.writeable = False  # held nowhere else: Trace keeps it without a copy
-        x = Trace(wave, rate_high)
+        x = Trace._adopt(wave, rate_high)
         act_cfg = replace(
             cfg.activation,
             afe=afe_cfg,

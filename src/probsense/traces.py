@@ -29,12 +29,11 @@ class RateMismatchError(TraceError):
 class Trace:
     """A uniformly sampled real-valued signal (volts by convention).
 
-    samples are coerced to a read-only float64 array; all values must be
-    finite and the trace non-empty. A read-only float64 array that owns its
-    memory (another Trace's samples, or an output the package has just built
-    and marked read-only) is kept without a copy; any other input, such as a
-    writable array or a read-only view of a writable base, is copied, so
-    later writes to it do not reach the trace.
+    samples are copied into a read-only float64 array, so later writes to the
+    caller's array do not reach the trace; all values must be finite and the
+    trace non-empty. Only arrays the package has just built and holds nowhere
+    else (`upsample`'s and `reconstruct`'s outputs, the slope sweep's wave)
+    are kept without a copy, through `Trace._adopt`, after the same checks.
     """
 
     samples: np.ndarray
@@ -42,20 +41,28 @@ class Trace:
     t0_s: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        self._set(np.array(self.samples, dtype=np.float64), self.rate_hz, self.t0_s)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, rate_hz: float, t0_s: float = 0.0) -> Trace:
+        """A Trace over the float64 array `arr` itself, which the caller has
+        just built and holds nowhere else."""
+        trace = object.__new__(cls)
+        trace._set(arr, rate_hz, t0_s)
+        return trace
+
+    def _set(self, arr: np.ndarray, rate_hz: float, t0_s: float) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise TraceError("trace must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             k = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise TraceError(f"non-finite value at row {k}")
-        if not (self.rate_hz > 0 and np.isfinite(self.rate_hz)):
-            raise TraceError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
-            arr.flags.writeable = False
+        if not (rate_hz > 0 and np.isfinite(rate_hz)):
+            raise TraceError(f"rate_hz must be positive and finite, got {rate_hz}")
+        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
-        object.__setattr__(self, "t0_s", float(self.t0_s))
+        object.__setattr__(self, "rate_hz", float(rate_hz))
+        object.__setattr__(self, "t0_s", float(t0_s))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -118,29 +125,23 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
     return Trace(values, rate_hz, t0_s)
 
 
-# Time grids whose text `_grid_text` keeps, least recently used first. A
-# survey writes on one or two grids at a time: the trace's and its ADC
-# stream's, whose rate (r * factor) / factor can differ from r in the last bit.
-GRID_TEXT_ENTRIES = 4
-# Longest grid whose text is kept: about 5 MB of str objects.
+# The text of the time grid `write_trace` last wrote, keyed on (t0_s, rate_hz),
+# for grids of at most GRID_TEXT_MAX_ROWS rows (about 5 MB of str objects).
+# It pays when events share their start time and rate, as a synthetic survey's
+# do: later events and their `write_ticks` streams reuse it. Events that start
+# at different times miss and format their own grid, as they would without it.
 GRID_TEXT_MAX_ROWS = 1 << 16
-_grid_text_cache: dict[tuple[float, float], list[str]] = {}
+_grid_text_kept: dict[tuple[float, float], list[str]] = {}
 
 
 def _grid_text(t0_s: float, rate_hz: float, n: int) -> list[str]:
-    """repr of each time t0_s + k / rate_hz for k < n, formatted once per grid.
-
-    The list may be longer than n. A time's text does not depend on n, so a
-    longer request extends the kept list instead of formatting it anew.
-    """
-    key = (t0_s, rate_hz)
-    text = _grid_text_cache.pop(key, [])
-    if len(text) < n:
-        text += map(repr, (t0_s + np.arange(len(text), n) / rate_hz).tolist())
-    if len(text) <= GRID_TEXT_MAX_ROWS:
-        _grid_text_cache[key] = text
-        while len(_grid_text_cache) > GRID_TEXT_ENTRIES:
-            del _grid_text_cache[next(iter(_grid_text_cache))]
+    """repr of each time t0_s + k / rate_hz for k < n; the list may be longer."""
+    text = _grid_text_kept.get((t0_s, rate_hz))
+    if text is None or len(text) < n:
+        text = list(_float_text(t0_s + np.arange(n) / rate_hz))
+        _grid_text_kept.clear()
+        if n <= GRID_TEXT_MAX_ROWS:
+            _grid_text_kept[t0_s, rate_hz] = text
     return text
 
 
@@ -168,21 +169,25 @@ def write_ticks(path, ticks, values, rate_hz: float, t0_s: float = 0.0) -> None:
     as CSV ``time_s,value``.
 
     The bytes are those of ``write_csv(path, "time_s,value", t0_s + ticks /
-    rate_hz, values)``, but each time's text is looked up by tick in the
-    grid's text, which is formatted once.
+    rate_hz, values)``. When `write_trace` last wrote this grid and it covers
+    every tick, each time's text is looked up by tick instead of formatted.
     """
-    ticks = np.asarray(ticks).tolist()
-    if ticks and min(ticks) < 0:
-        raise ValueError(f"ticks must be >= 0, got {min(ticks)}")
-    grid = _grid_text(t0_s, rate_hz, max(ticks, default=-1) + 1)
-    _write_rows(path, "time_s,value", map(grid.__getitem__, ticks), _float_text(values))
+    ticks = np.asarray(ticks)
+    if ticks.size and ticks.min() < 0:
+        raise ValueError(f"ticks must be >= 0, got {ticks.min()}")
+    grid = _grid_text_kept.get((t0_s, rate_hz), ())
+    if ticks.size and ticks.max() < len(grid):
+        times = map(grid.__getitem__, ticks.tolist())
+    else:
+        times = _float_text(t0_s + ticks / rate_hz)
+    _write_rows(path, "time_s,value", times, _float_text(values))
 
 
 def write_trace(trace: Trace, path, include_time: bool = True) -> None:
     """Write a trace as CSV with header ``time_s,value`` or ``value``.
 
     The time column's text is formatted once per grid (t0_s, rate_hz) and
-    reused by later traces and `write_ticks` streams on the same grid.
+    reused while later traces and `write_ticks` streams stay on that grid.
     """
     if include_time:
         n = len(trace)
@@ -261,5 +266,4 @@ def upsample(trace: Trace, factor: int) -> Trace:
     np.copyto(seg, lo, where=seg <= lo)
     np.copyto(seg, hi, where=seg >= hi)
     out[-1] = x[-1]
-    out.flags.writeable = False  # held nowhere else: Trace keeps it without a copy
-    return Trace(out, trace.rate_hz * factor, trace.t0_s)
+    return Trace._adopt(out, trace.rate_hz * factor, trace.t0_s)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -118,15 +120,28 @@ class TestTrace:
         base[1] = 9.0
         assert t.samples[0] == 2.0 and not np.shares_memory(t.samples, base)
 
-    def test_keeps_a_read_only_array_that_owns_its_memory(self):
-        t = Trace(np.array([1.0, 2.0]), 10.0)
-        assert Trace(t.samples, 20.0).samples is t.samples
-
-    def test_kept_array_is_still_checked(self):
-        x = np.array([1.0, np.inf])
+    def test_copies_a_read_only_array_that_owns_its_memory(self):
+        # Its owner may make it writable again.
+        x = np.array([1.0, 2.0])
         x.flags.writeable = False
+        t = Trace(x, 10.0)
+        x.flags.writeable = True
+        x[0] = 9.0
+        assert t.samples[0] == 1.0 and not np.shares_memory(t.samples, x)
+
+    def test_adopt_keeps_the_array_read_only(self):
+        x = np.array([1.0, 2.0])
+        t = Trace._adopt(x, 10.0, 0.5)
+        assert t.samples is x and not x.flags.writeable
+        assert (t.rate_hz, t.t0_s) == (10.0, 0.5)
+
+    def test_adopted_array_is_still_checked(self):
         with pytest.raises(TraceError, match="non-finite value at row 1"):
-            Trace(x, 10.0)
+            Trace._adopt(np.array([1.0, np.inf]), 10.0)
+        with pytest.raises(TraceError, match="non-empty"):
+            Trace._adopt(np.zeros((2, 2)), 10.0)
+        with pytest.raises(TraceError, match="rate_hz"):
+            Trace._adopt(np.zeros(2), -1.0)
 
 
 class TestCsvRoundTrip:
@@ -240,7 +255,8 @@ class TestCsvRoundTrip:
         trace = Trace(np.zeros(n), rate, t0_s=t0)
         write_trace(trace, tmp_path / "trace.csv")
         stream_rate = rate * factor / factor
-        ticks = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=200)))
+        # Ticks past the trace's grid are formatted from the stream's own grid.
+        ticks = sorted(data.draw(st.sets(st.integers(0, 2 * n), max_size=200)))
         values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
         write_ticks(tmp_path / "new.csv", np.array(ticks, dtype=np.int64), values,
                     stream_rate, t0)
@@ -260,6 +276,22 @@ class TestCsvRoundTrip:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert new != (tmp_path / "trace_rate.csv").read_bytes()
+
+    def test_write_ticks_sparse_large_ticks(self, tmp_path):
+        # Only the given ticks are formatted: memory does not grow with the largest.
+        write_trace(Trace(np.zeros(100), ODD_RATE, 3.7), tmp_path / "trace.csv")
+        stream_rate = ODD_RATE * ODD_FACTOR / ODD_FACTOR
+        ticks = np.array([5, 10**6, 10**9])
+        values = np.array([1.0, -2.0, 3.0])
+        tracemalloc.start()
+        try:
+            write_ticks(tmp_path / "new.csv", ticks, values, stream_rate, 3.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        _write_ticks_loop(tmp_path / "ref.csv", ticks.tolist(), values, stream_rate, 3.7)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_write_ticks_empty_and_negative(self, tmp_path):
         write_ticks(tmp_path / "e.csv", np.array([], dtype=np.int64), np.array([]), 10.0)
