@@ -16,6 +16,7 @@ import numpy as np
 from .afe import AfeConfig, drive_voltages, extract_features
 from .pbit import (
     PNeuronConfig,
+    _activation_inplace,
     activation_probability,
     iid_decisions,
     lfsr_from_seed,
@@ -65,8 +66,10 @@ def _override_latch(trigger_steps: np.ndarray, hold: int, n: int) -> np.ndarray:
 
     trigger_steps is sorted. Overlapping or adjacent intervals are merged, so
     each run is one +1 at its start and one -1 past its end, and the mask is
-    their running sum.
+    their running sum. A hold of n or more latches to the end of the trace,
+    so it is clamped to n before any int64 arithmetic that it could overflow.
     """
+    hold = min(hold, n)
     edge = np.zeros(n, dtype=np.int8)
     if trigger_steps.size:
         gap = np.diff(trigger_steps) > hold + 1
@@ -84,8 +87,11 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
     the ADC-rate trace: the regular ADC's clock is the trace's grid. The digital
     source draws one fresh Bernoulli decision per sync tick, so its drive and
     logistic are evaluated only at the ticks; the telegraph source evolves on every
-    high-rate step and is read at ticks. The override latch is built from the
-    merged trigger intervals (see `_override_latch`), not a per-step scan.
+    high-rate step and is read at ticks; its drive and then its activation
+    probability are computed in place in the slope array `extract_features`
+    returns, so no other step-length float64 array is made for them. The
+    override latch is built from the merged trigger intervals (see
+    `_override_latch`), not a per-step scan.
     Deterministic per cfg.pneuron.seed.
     """
     spt = steps_per_tick
@@ -104,10 +110,10 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
         pneuron_out = np.zeros(n, dtype=np.uint8)
         pneuron_out[ticks] = decisions
     else:
-        v_in = drive_voltages(feats, cfg.afe)
+        p = feats.slope_mag  # becomes the drive, then p, in place
         del feats
-        p = activation_probability(v_in, cfg.pneuron)
-        del v_in
+        p *= cfg.afe.slope_gain
+        _activation_inplace(p, cfg.pneuron)
         rng = np.random.default_rng(cfg.pneuron.seed)
         pneuron_out = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
 

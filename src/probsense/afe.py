@@ -50,34 +50,46 @@ class FeatureSignal:
         return self.slope_mag.size
 
 
+# Window means computed per pass, from the end of the running sum backwards:
+# a block, its difference buffer and the sums it reads stay in cache.
+FEATURE_BLOCK = 1 << 14
+
+
 def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     """Compute slope-magnitude and amplitude features aligned with `x`.
 
     slope_mag[i] is the trailing moving average of |x[i] - x[i-1]| * rate
     (index 0, which has no predecessor, is zero and excluded from averages;
     leading partial windows divide by their count); amplitude[i] is |x[i]|.
+
+    The running sum c of |diff| * rate lives in slope_mag[1:] itself and is
+    overwritten with the window means (c[i] - c[i - w]) / w one block of
+    FEATURE_BLOCK elements at a time, from the end, so every c[i - w] is
+    read before it is overwritten; each block's differences go through one
+    block-sized buffer, and the leading partial windows are divided in place
+    last. Besides that buffer, the slope and the amplitude are the only
+    arrays it allocates, and callers may reuse the slope as their drive.
     """
     n = len(x)
     w = cfg.smoothing_steps
     if n < w + 1:
         raise ValueError(f"trace too short: need at least {w + 1} samples, got {n}")
-    # One running-sum buffer; the window means go straight into slope[1:].
-    c = np.subtract(x.samples[1:], x.samples[:-1])
+    slope = np.empty(n)
+    slope[0] = 0.0
+    c = slope[1:]
+    np.subtract(x.samples[1:], x.samples[:-1], out=c)
     c *= x.rate_hz
     np.abs(c, out=c)
     np.cumsum(c, out=c)
-    slope = np.empty(n)
-    slope[0] = 0.0
-    np.divide(c[:w], np.arange(1, w + 1), out=slope[1:w + 1])
-    np.subtract(c[w:], c[:-w], out=slope[w + 1:])
-    del c
-    slope[w + 1:] /= w
+    diff = np.empty(min(FEATURE_BLOCK, c.size))
+    for hi in range(c.size, w, -FEATURE_BLOCK):
+        lo = max(hi - FEATURE_BLOCK, w)
+        d = np.subtract(c[lo:hi], c[lo - w:hi - w], out=diff[:hi - lo])
+        np.divide(d, w, out=c[lo:hi])
+    c[:w] /= np.arange(1, w + 1)
     return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
 
 
-def drive_voltages(
-    f: FeatureSignal, cfg: AfeConfig, steps: np.ndarray | None = None
-) -> np.ndarray:
-    """Voltage fed to the p-neuron, slope_gain * slope_mag, at every step or
-    only at the given step indices (the same values as indexing the full array)."""
-    return cfg.slope_gain * (f.slope_mag if steps is None else f.slope_mag[steps])
+def drive_voltages(f: FeatureSignal, cfg: AfeConfig, steps: np.ndarray) -> np.ndarray:
+    """Voltage fed to the p-neuron, slope_gain * slope_mag, at the given step indices."""
+    return cfg.slope_gain * f.slope_mag[steps]

@@ -34,20 +34,32 @@ SOURCE_ALIASES = {"digital": "digital_iid", "smtj": "smtj_telegraph"}
 
 
 def parse_config_file(path: Path | str) -> dict:
-    """Parse a flat `key = value` config file (# comments, quoted strings)."""
+    """Parse a flat `key = value` config file (# comments, quoted strings).
+
+    A value that starts with a quote runs to the matching quote, so a `#`
+    inside it is kept; only a comment may follow the closing quote.
+    """
     opts: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+        key, _, val = raw.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if val.startswith(("'", '"')) and val.endswith(val[0]) and len(val) >= 2:
-            opts[key] = val[1:-1]
+        if val.startswith(("'", '"')):
+            end = val.find(val[0], 1)
+            if end < 0:
+                raise ValueError(f"{where}: unterminated {val[0]} quote in {raw!r}")
+            rest = val[end + 1:].strip()
+            if rest and not rest.startswith("#"):
+                raise ValueError(f"{where}: unexpected {rest!r} after the quoted value")
+            opts[key] = val[1:end]
         else:
+            val = val.split("#", 1)[0].strip()
             try:
                 opts[key] = int(val)
             except ValueError:

@@ -7,8 +7,8 @@ events are Ricker wavelets plus white noise.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +91,14 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
             has_time = False
         else:
             raise TraceError(f"unrecognized CSV header {header!r} in {path}")
-        body = fh.read()
-        if not body.strip():
+        # The first non-blank line is read here: a body without one is an
+        # error, not loadtxt's "no data" warning. loadtxt reads the rest of
+        # the open file, with no copy of the body.
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
             raise TraceError(f"empty trace file: {path}")
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, dtype=np.float64)
+            data = np.loadtxt(chain((first,), fh), delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise TraceError(f"unparseable CSV data in {path}: {exc}") from None
     if data.size == 0:

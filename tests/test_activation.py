@@ -7,10 +7,11 @@ from probsense.acquisition import sample_gated, sample_regular
 from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
+    _override_latch,
     detection_latency,
     run_activation,
 )
-from probsense.afe import AfeConfig, drive_voltages, extract_features
+from probsense.afe import AfeConfig, extract_features
 from probsense.harness import RATE_TRACE_WINDOW_TICKS, _write_rate_csv
 from probsense.pbit import (
     PNeuronConfig,
@@ -46,8 +47,7 @@ def _run_activation_scan(x_high, cfg, steps_per_tick):
     spt = steps_per_tick
     n = len(x_high)
     feats = extract_features(x_high, cfg.afe)
-    v_in = drive_voltages(feats, cfg.afe)
-    p = activation_probability(v_in, cfg.pneuron)
+    p = activation_probability(cfg.afe.slope_gain * feats.slope_mag, cfg.pneuron)
     ticks = np.arange(0, n, spt, dtype=np.int64)
     pneuron_out = np.zeros(n, dtype=np.uint8)
     if cfg.pneuron.source == "digital_iid":
@@ -168,6 +168,15 @@ class TestRunActivation:
         assert det[0] == 1000
         assert det[-1] == 1200
         assert det.size == 201
+
+    @pytest.mark.parametrize("hold", [4999, 5000, 5001, 2**62, 2**63 - 1, 10**20])
+    def test_hold_past_the_trace_latches_to_the_end(self, hold):
+        x = np.zeros(5000)
+        x[[1000, 4000]] = 1.0
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=hold), SPT)
+        assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 5000))
+        latch = _override_latch(np.array([7, 9], dtype=np.int64), hold, 20)
+        assert latch.tolist() == [0] * 7 + [1] * 13
 
 
     @given(

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probsense.afe import (
+    FEATURE_BLOCK,
     AfeConfig,
     FeatureSignal,
     drive_voltages,
@@ -44,6 +45,11 @@ def _extract_features_concat(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
     slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
     return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
+
+
+def drive_voltages_full(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:
+    """Reference oracle for `drive_voltages`: the p-neuron voltage at every step."""
+    return cfg.slope_gain * f.slope_mag
 
 
 def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
@@ -100,6 +106,22 @@ class TestExtractFeatures:
         assert got.amplitude.tobytes() == ref.amplitude.tobytes()
         assert got.slope_mag.dtype == got.amplitude.dtype == np.float64
         assert got.rate_hz == ref.rate_hz
+
+    @pytest.mark.parametrize("n", [FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1,
+                                   3 * FEATURE_BLOCK + 17])
+    def test_matches_concatenate_oracle_at_block_boundaries(self, n):
+        # the n - 1 - w full windows are overwritten from the end, a block at
+        # a time: windows shorter than a block, and w close to n so that 0, 1
+        # or about a block of full windows remain
+        x = np.random.default_rng(n).normal(size=n)
+        trailing = {0, 1, 2, 17, FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1}
+        windows = {1, 100, FEATURE_BLOCK - 1} | {n - 1 - k for k in trailing}
+        for w in sorted(w for w in windows if 1 <= w <= n - 1):
+            cfg = AfeConfig(smoothing_steps=w)
+            got = extract_features(Trace(x, 1e5), cfg)
+            ref = _extract_features_concat(Trace(x, 1e5), cfg)
+            assert got.slope_mag.tobytes() == ref.slope_mag.tobytes(), w
+            assert got.amplitude.tobytes() == ref.amplitude.tobytes(), w
 
     def test_constant_signal_zero_slope(self):
         f = extract_features(Trace(np.full(500, 3.3), 1000.0), AfeConfig(smoothing_steps=5))
@@ -184,8 +206,8 @@ class TestDriveVoltage:
     def test_vectorized_matches_scalar(self):
         cfg = AfeConfig(smoothing_steps=1, slope_gain=0.5)
         f = self._features(10.0)
-        v = drive_voltages(f, cfg)
-        assert v[7] == drive_voltage(f, cfg, 7)
+        steps = np.arange(len(f))
+        assert drive_voltages(f, cfg, steps)[7] == drive_voltage(f, cfg, 7)
 
     @given(signal_arrays, st.integers(min_value=1, max_value=8),
            st.floats(min_value=1e-6, max_value=1e3))
@@ -194,7 +216,8 @@ class TestDriveVoltage:
         cfg = AfeConfig(smoothing_steps=3, slope_gain=gain)
         f = extract_features(Trace(x, 1000.0), cfg)
         ticks = np.arange(0, len(f), spt, dtype=np.int64)
-        assert drive_voltages(f, cfg, ticks).tobytes() == drive_voltages(f, cfg)[ticks].tobytes()
+        full = drive_voltages_full(f, cfg)
+        assert drive_voltages(f, cfg, ticks).tobytes() == full[ticks].tobytes()
 
 
 class TestAfeConfig:

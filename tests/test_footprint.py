@@ -9,7 +9,12 @@ maximum.accumulate override latch) peaked at 8, 4, 4 and 7.4 arrays. Since
 `Trace` keeps the package's fresh outputs without a copy and the digital
 source computes its drive only at the ticks, `upsample` peaks at 1.2 arrays
 (2.0 before), the digital `run_activation` at 2.1 (3.0) and one digital
-`sweep_slope` point at 3.1 (4.0).
+`sweep_slope` point at 3.1 (4.0). Since the smtj source turns the slope
+array `extract_features` returns into its drive and p in place, and
+`telegraph_run` computes its uniforms and flip probabilities in blocks,
+`telegraph_run` peaks at 0.86 arrays (2.25 before; its flip flags and
+non-identity step indices, not the blocks), the smtj `run_activation` at
+2.1 (3.3) and one smtj `sweep_slope` point at 3.1 (4.3).
 """
 
 import tracemalloc
@@ -27,7 +32,7 @@ from probsense.harness import (
     _triangle_wave,
     sweep_slope,
 )
-from probsense.pbit import PNeuronConfig
+from probsense.pbit import PNeuronConfig, activation_probability, telegraph_run
 from probsense.traces import upsample
 
 FACTOR = 50
@@ -70,7 +75,14 @@ def test_triangle_wave():
     assert _peak_arrays(lambda: _triangle_wave(n, 1e5, 250.0, 0.25), n) < 1.5
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 4.0), ("digital_iid", 2.5)])
+def test_telegraph_run(drive):
+    afe, cfg = AfeConfig(), PNeuronConfig()
+    p = activation_probability(afe.slope_gain * extract_features(drive, afe).slope_mag, cfg)
+    dt = 1.0 / drive.rate_hz
+    assert _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size) < 1.0
+
+
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.75), ("digital_iid", 2.5)])
 def test_run_activation(drive, source, bound):
     cfg = ActivationConfig(hold_steps=DEFAULT_SURVEY_HOLD_STEPS,
                            pneuron=PNeuronConfig(source=source, seed=3))
@@ -79,7 +91,7 @@ def test_run_activation(drive, source, bound):
     assert _peak_arrays(lambda: run_activation(drive, cfg, FACTOR), len(drive)) < bound
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 4.75), ("digital_iid", 3.5)])
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 3.75), ("digital_iid", 3.5)])
 def test_sweep_slope_point(source, bound):
     """One 500 k-step point: the triangle wave, kept by `Trace`, and `run_activation`."""
     cfg = ExperimentConfig(activation=ActivationConfig(pneuron=PNeuronConfig(source=source)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -520,6 +521,34 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(p)
 
+    def test_hash_inside_quotes_is_kept(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text('out = "runs#2"  # where the run goes\n'
+                     "dataset = 'a # b'\n"
+                     "source = digital # the LFSR\n")
+        assert parse_config_file(p) == {"out": "runs#2", "dataset": "a # b",
+                                        "source": "digital"}
+
+    def test_quoted_out_with_hash_is_the_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text('out = "runs#2"\nn_events = 1\n')
+        assert main(["run", "--config", "cfg.txt"]) == 0
+        assert (tmp_path / "runs#2" / "report.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "runs#2"]
+
+    @pytest.mark.parametrize("line", ['out = "runs', "out = 'runs#2", 'out = "a" b'])
+    def test_bad_quote_is_one_error_line(self, line, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text(line + "\n")
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
+        assert main(["run", "--config", str(p)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {p}:1: ")
+
     def test_build_experiment_mapping(self):
         cfg = build_experiment(
             {"tau_us": 250.0, "vref": 0.2, "beta": 8.0, "source": "digital",
@@ -534,6 +563,30 @@ class TestConfigFile:
         assert cfg.upsample_factor == 25
         assert cfg.band_hz == (0.0, 100.0)
         assert cfg.base_seed == 99
+
+
+# SHA-256 of the default `run --out` survey's report.json and of all its
+# per-event CSVs (each file's name, a NUL and its bytes, in name order), per
+# source. A seeded output that moves is a behaviour change and must be named.
+GOLDEN_RUN = {
+    "smtj": ("b86b014d6ae6514ccd5050e3d8d2d61e98217ab10864c46cea770e324424647f",
+             "0a00f0ee9023318ac3598119978cf9adf06b7b5ca84e2b5edec05b08d90465c5"),
+    "digital": ("c9ebbb0ecdb2dbec6904eeb8fa506605b9b14cdbe1b4043296d87b41776e414e",
+                "215fb8382e8482ea502be824e38ac8d2439ce72dda71725e502eedb71d33f29a"),
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_RUN))
+def test_default_run_outputs_are_golden(source, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--source", source, "--out", str(out)]) == 0
+    csvs = hashlib.sha256()
+    paths = sorted(out.glob("*_event_*.csv"))
+    for path in paths:
+        csvs.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert len(paths) == 3 * ExperimentConfig().n_events
+    report = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert (report, csvs.hexdigest()) == GOLDEN_RUN[source]
 
 
 class TestCli:
@@ -569,6 +622,15 @@ class TestCli:
         code = main(["run", "--dataset", str(data), "--n-events", "2"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hold", [2**63 - 1, 10**20])
+    def test_huge_hold_latches_to_the_trace_end(self, hold, capsys):
+        # as a hold of the trace's length does; no int64 overflow in the latch
+        assert main(["run", "--n-events", "2", "--hold-steps", str(hold)]) == 0
+        out = capsys.readouterr().out
+        assert main(["run", "--n-events", "2", "--hold-steps", "200000"]) == 0
+        assert capsys.readouterr().out == out
+        assert "(0 failed)" in out
 
     def test_flag_overrides_config_file(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.txt"

@@ -18,6 +18,7 @@ from probsense.pbit import (
     LFSR_WORD_BITS,
     LFSR_TAP_MASK,
     P_CLAMP,
+    TELEGRAPH_BLOCK,
     LfsrState,
     PNeuronConfig,
     activation_probability,
@@ -514,6 +515,31 @@ class TestTelegraph:
         ref = _telegraph_run_three_arrays(p, dt_s, cfg, rng_b, initial_state)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("n", [TELEGRAPH_BLOCK - 1, TELEGRAPH_BLOCK, TELEGRAPH_BLOCK + 1,
+                                   3 * TELEGRAPH_BLOCK + 17])
+    @pytest.mark.parametrize("initial_state", [None, 1])
+    def test_run_matches_three_array_oracle_at_block_boundaries(self, n, initial_state):
+        # the drive sweeps both saturated ends, so every block has all four step maps
+        rng = np.random.default_rng(n)
+        p = np.clip(np.sin(np.arange(n) / 997.0) * 0.6 + 0.5, 0.0, 1.0)
+        p[rng.random(n) < 0.01] = 0.5
+        rng_a, rng_b = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+        out = telegraph_run(p, 5e-5, self.CFG, rng_a, initial_state)
+        ref = _telegraph_run_three_arrays(p, 5e-5, self.CFG, rng_b, initial_state)
+        assert out.tobytes() == ref.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    def test_uniforms_drawn_per_block_are_one_stream(self):
+        n = 3 * TELEGRAPH_BLOCK + 17
+        whole, blocked = np.random.default_rng(9), np.random.default_rng(9)
+        buf = np.empty(TELEGRAPH_BLOCK)
+        parts = []
+        for lo in range(0, n, TELEGRAPH_BLOCK):
+            m = min(TELEGRAPH_BLOCK, n - lo)
+            parts.append(blocked.random(m, out=buf[:m]).copy())
+        assert np.concatenate(parts).tobytes() == whole.random(n).tobytes()
+        assert blocked.random() == whole.random()
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([1e-9, 1e-6, 20e-6, 1e-3]),
            st.sampled_from([500e-6, 3.7e-4, 2.3e-3]))

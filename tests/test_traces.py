@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,27 @@ class TestCsvRoundTrip:
         path = tmp_path / "empty.csv"
         path.write_text("value\n")
         with pytest.raises(TraceError, match="empty"):
+            load_trace(path, rate_hz=100.0)
+
+    @pytest.mark.parametrize("body", ["\n", "\n \r\n\t\n"])
+    def test_blank_body_is_empty_without_a_warning(self, body, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(("value\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="empty"):
+                load_trace(path, rate_hz=100.0)
+
+    def test_blank_lines_and_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefftime_s,value\r\n\r\n0.0,1.0\r\n\n0.5,2.0\n".encode())
+        t = load_trace(path)
+        assert t.samples.tolist() == [1.0, 2.0] and t.rate_hz == 2.0
+
+    def test_unparseable_body_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("value\n1.0\nabc\n")
+        with pytest.raises(TraceError, match="unparseable CSV data in .*bad.csv"):
             load_trace(path, rate_hz=100.0)
 
     def test_nan_row_rejected(self, tmp_path):
