@@ -337,8 +337,9 @@ def telegraph_tick_states(
     q_odd = q01 if s0 else q10
     chunks = []
     acc = 0
-    # expected dwells needed, padded; loop tops up in the rare shortfall case
-    est = max(64, int(1.2 * total * (q_even + q_odd) / 2) + 64)
+    # A pair of dwells spans 1/q_even + 1/q_odd steps on average: the pairs
+    # expected to cover the run, padded; the loop tops up in the rare shortfall
+    est = max(64, int(1.2 * total / (1.0 / q_even + 1.0 / q_odd)) + 64)
     while acc < total:
         m = min(est, 1 << 20)
         pair = np.empty(2 * m, dtype=np.int64)

@@ -596,8 +596,10 @@ def test_default_run_outputs_are_golden(source, tmp_path, capsys):
 GOLDEN_OUTPUTS = {
     "sweep-vin --source digital":
         "0c4ca01b357c02e105b1440d47d61270d5211245d34141d668542e71446b1ed8",
+    # telegraph_tick_states sizes its dwell draw by the mean pair length
+    # (was dff3389f...d1bbf16, when it drew about 15 times more pairs)
     "sweep-vin --source smtj":
-        "dff3389f2d7b25ba9dc87bad55206087b761129d4dc5837f0987aa069d1bbf16",
+        "96bf109a24578d21378085820311c7cbf59bda47e8de8de60c3be1dcb0c743ff",
     "sweep-slope --source digital":
         "e703966ec96aa3a560b996d7646c97cf5c85b4cd54cd2c8814e6a3326606976c",
     "sweep-slope --source smtj":
