@@ -1,9 +1,9 @@
 """Gated acquisition, linear-interpolation reconstruction, NMSE and savings.
 
-The P-ADC samples the high-rate signal at gated sync ticks; the R-ADC at
-every sync tick. Both streams carry integer ticks of the regular ADC grid.
-Reconstruction interpolates linearly back onto that grid, holding the
-nearest sample value beyond the first/last point.
+The P-ADC samples the signal at gated sync ticks of the activation's
+high-rate grid; the R-ADC at every sync tick. Both streams carry integer
+ticks of the regular ADC grid. Reconstruction interpolates linearly back
+onto that grid, holding the nearest sample value beyond the first/last point.
 """
 
 from __future__ import annotations
@@ -44,26 +44,35 @@ class SampleStream:
         return self.t0_s + self.ticks / self.rate_hz
 
 
-def _sample(x_high: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> SampleStream:
-    if len(x_high) != len(a) or x_high.rate_hz != a.rate_hz:
+def _sample(x: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> SampleStream:
+    """The values of `x` at high-rate steps of `a`, which was run on `x`.
+
+    `upsample` keeps sample k of `x` at step k * factor, so the value at a
+    step is x[step // factor] when every sync tick falls on such a step.
+    """
+    f = a.factor
+    if (len(x) - 1) * f + 1 != len(a) or x.rate_hz * f != a.rate_hz:
         raise ValueError("activation trace was not derived from this grid")
+    if a.steps_per_tick % f:
+        raise ValueError(f"sync ticks every {a.steps_per_tick} steps fall between the "
+                         f"trace's samples, {f} steps apart")
     return SampleStream(
         ticks=steps // a.steps_per_tick,
-        values=x_high.samples[steps],
+        values=x.samples[steps // f],
         source=source,
         rate_hz=a.rate_hz / a.steps_per_tick,
-        t0_s=x_high.t0_s,
+        t0_s=x.t0_s,
     )
 
 
-def sample_gated(x_high: Trace, a: ActivationTrace) -> SampleStream:
+def sample_gated(x: Trace, a: ActivationTrace) -> SampleStream:
     """P-ADC: capture the signal at every gated sync tick."""
-    return _sample(x_high, a, a.sync_ticks[a.gate[a.sync_ticks] > 0], "p_adc")
+    return _sample(x, a, a.sync_ticks[a.gate[a.sync_ticks] > 0], "p_adc")
 
 
-def sample_regular(x_high: Trace, a: ActivationTrace) -> SampleStream:
+def sample_regular(x: Trace, a: ActivationTrace) -> SampleStream:
     """R-ADC: capture the signal at every sync tick."""
-    return _sample(x_high, a, a.sync_ticks, "r_adc")
+    return _sample(x, a, a.sync_ticks, "r_adc")
 
 
 def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> Trace:

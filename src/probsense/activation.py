@@ -1,8 +1,8 @@
 """Activation unit: p-neuron output ANDed with the ADC clock, plus override.
 
-Per high-rate step the AFE features drive the p-neuron; its output is masked
-by the regular ADC's clock (every steps_per_tick-th step of the high-rate
-grid) so samples only ever fall on the regular ADC grid.
+Per high-rate step the AFE's slope feature drives the p-neuron; its output
+is masked by the regular ADC's clock (every steps_per_tick-th step of the
+high-rate grid) so samples only ever fall on the regular ADC grid.
 A deterministic amplitude override, latched for a configurable hold window,
 forces acquisition whenever the signal is unambiguously large.
 """
@@ -22,7 +22,7 @@ from .pbit import (
     lfsr_from_seed,
     telegraph_run,
 )
-from .traces import Trace
+from .traces import Trace, upsample
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,10 @@ class ActivationTrace:
     det_override[i]) AND (i in sync_ticks). With the digital source
     pneuron_out is nonzero only at sync ticks, the only steps it decides, and
     its logistic is evaluated only there; the telegraph's pneuron_out is its
-    state after every step. det_override[i] is 1 when a trigger (amplitude >=
-    amp_threshold_v) fell on a step t with t <= i <= t + hold, built from the
-    merged intervals [t, t + hold] of the triggers.
+    state after every step. det_override[i] is 1 when a trigger (a step whose
+    interpolated signal magnitude is >= amp_threshold_v) fell on a step t
+    with t <= i <= t + hold, built from the merged intervals [t, t + hold]
+    of the triggers.
     """
 
     gate: np.ndarray
@@ -56,6 +57,7 @@ class ActivationTrace:
     rate_hz: float
     t0_s: float
     steps_per_tick: int
+    factor: int = 1  # high-rate steps per sample of the trace it was run on
 
     def __len__(self) -> int:
         return self.gate.size
@@ -64,42 +66,75 @@ class ActivationTrace:
 def _override_latch(trigger_steps: np.ndarray, hold: int, n: int) -> np.ndarray:
     """uint8 mask over n steps, 1 on each interval [t, t + hold] of a trigger t.
 
-    trigger_steps is sorted. Overlapping or adjacent intervals are merged, so
-    each run is one +1 at its start and one -1 past its end, and the mask is
-    their running sum. A hold of n or more latches to the end of the trace,
-    so it is clamped to n before any int64 arithmetic that it could overflow.
+    trigger_steps is sorted. Overlapping or adjacent intervals are merged,
+    and the mask is the alternating runs of 0 and 1 between their edges. A
+    hold of n or more latches to the end of the trace, so it is clamped to n
+    before any int64 arithmetic that it could overflow.
     """
     hold = min(hold, n)
-    edge = np.zeros(n, dtype=np.int8)
-    if trigger_steps.size:
-        gap = np.diff(trigger_steps) > hold + 1
-        edge[trigger_steps[np.concatenate(([True], gap))]] = 1
-        ends = trigger_steps[np.concatenate((gap, [True]))] + hold + 1
-        edge[ends[ends < n]] = -1
-    return np.cumsum(edge, dtype=np.int8, out=edge).view(np.uint8)
+    if not trigger_steps.size:
+        return np.zeros(n, dtype=np.uint8)
+    gap = np.diff(trigger_steps) > hold + 1
+    edges = np.empty(2 * (int(np.count_nonzero(gap)) + 1), dtype=np.int64)
+    edges[0::2] = trigger_steps[np.concatenate(([True], gap))]
+    edges[1::2] = trigger_steps[np.concatenate((gap, [True]))]
+    edges[1::2] += hold + 1
+    np.minimum(edges, n, out=edges)
+    runs = np.diff(edges, prepend=0, append=n)
+    return np.repeat((np.arange(runs.size) & 1).astype(np.uint8), runs)
 
 
-def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) -> ActivationTrace:
-    """Sweep the activation unit over a high-rate trace.
+def _trigger_steps(x: Trace, thr: float, factor: int) -> np.ndarray:
+    """The steps of `upsample(x, factor)` whose magnitude is at least thr.
 
-    Sync ticks fall on every steps_per_tick-th step from step 0. Callers pass
-    the upsampling factor that made x_high, so the ticks are the samples of
-    the ADC-rate trace: the regular ADC's clock is the trace's grid. The digital
-    source draws one fresh Bernoulli decision per sync tick, so its drive and
-    logistic are evaluated only at the ticks; the telegraph source evolves on every
-    high-rate step and is read at ticks; its drive and then its activation
-    probability are computed in place in the slope array `extract_features`
-    returns, so no other step-length float64 array is made for them. The
-    override latch is built from the merged trigger intervals (see
-    `_override_latch`), not a per-step scan.
+    `upsample` clips each segment to the hull of its two samples, so only a
+    segment with an endpoint of magnitude >= thr can reach thr: the steps
+    are those of the upsampled sub-trace from one sample before the first
+    such sample to one after the last. A trace that stays inside (-thr, thr)
+    has none, and nothing is upsampled. For finite values and thr > 0,
+    v >= thr or v <= -thr is |v| >= thr, without a float array for |v|.
+    """
+    s = x.samples
+    if s.max() < thr and s.min() > -thr:
+        return np.zeros(0, dtype=np.int64)
+    hits = np.flatnonzero((s >= thr) | (s <= -thr))
+    lo, hi = max(int(hits[0]) - 1, 0), min(int(hits[-1]) + 2, s.size)
+    sub = upsample(Trace(s[lo:hi], x.rate_hz, x.t0_s), factor).samples
+    steps = np.flatnonzero((sub >= thr) | (sub <= -thr))
+    steps += lo * factor
+    return steps
+
+
+def run_activation(
+    x: Trace, cfg: ActivationConfig, steps_per_tick: int, factor: int = 1
+) -> ActivationTrace:
+    """Sweep the activation unit over the high-rate steps of a trace.
+
+    The high-rate grid is `x` linearly interpolated onto a grid `factor`
+    times finer, `upsample(x, factor)`, which is never built: the AFE takes
+    its slope in closed form from `x` (see `extract_features`), and the
+    override's triggers come from the few segments that can reach the
+    threshold (see `_trigger_steps`). Sync ticks fall on every
+    steps_per_tick-th step from step 0. The survey passes its ADC-rate trace
+    with both numbers set to the upsampling factor, so the ticks are the
+    trace's own samples: the regular ADC's clock is the trace's grid. The
+    digital source draws one fresh Bernoulli decision per sync tick, so its
+    drive and logistic are evaluated only at the ticks; the telegraph source
+    evolves on every high-rate step and is read at ticks; its drive and then
+    its activation probability are computed in place in the slope array
+    `extract_features` returns, so no other step-length float64 array is
+    made for them. The override latch is built from the merged trigger
+    intervals (see `_override_latch`), not a per-step scan.
     Deterministic per cfg.pneuron.seed.
     """
     spt = steps_per_tick
     if spt < 1:
         raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
-    n = len(x_high)
-    feats = extract_features(x_high, cfg.afe)
-    trigger_steps = np.flatnonzero(feats.amplitude >= cfg.afe.amp_threshold_v)
+    # the triggers first: their upsampled sub-trace is freed before the slope is made
+    trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
+    feats = extract_features(x, cfg.afe, factor)
+    n = len(feats)
+    rate_hz = feats.rate_hz
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
@@ -115,7 +150,7 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
         p *= cfg.afe.slope_gain
         _activation_inplace(p, cfg.pneuron)
         rng = np.random.default_rng(cfg.pneuron.seed)
-        pneuron_out = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
+        pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng)
 
     hold = spt if cfg.hold_steps is None else cfg.hold_steps
     det_override = _override_latch(trigger_steps, hold, n)
@@ -127,9 +162,10 @@ def run_activation(x_high: Trace, cfg: ActivationConfig, steps_per_tick: int) ->
         sync_ticks=ticks,
         pneuron_out=pneuron_out,
         det_override=det_override,
-        rate_hz=x_high.rate_hz,
-        t0_s=x_high.t0_s,
+        rate_hz=rate_hz,
+        t0_s=x.t0_s,
         steps_per_tick=spt,
+        factor=int(factor),
     )
 
 

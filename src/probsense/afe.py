@@ -1,9 +1,10 @@
-"""Analog feature extraction: slope-magnitude and amplitude features.
+"""Analog feature extraction: the slope-magnitude feature.
 
 The slope path mirrors the analog circuit structure: the first difference is
 split into half-wave-rectified branches whose sum, the absolute slope, is
 computed directly as |diff|; a short trailing moving average then stands in
-for the analog bandwidth limit. The amplitude path is a plain rectifier.
+for the analog bandwidth limit. The amplitude override compares the signal
+itself with its threshold (see `activation`), so no amplitude feature is kept.
 """
 
 from __future__ import annotations
@@ -36,15 +37,10 @@ class AfeConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureSignal:
-    """Per-step slope magnitude (V/s) and amplitude (V) on the source grid."""
+    """Per-step slope magnitude (V/s) on the grid the features were computed on."""
 
     slope_mag: np.ndarray
-    amplitude: np.ndarray
     rate_hz: float
-
-    def __post_init__(self):
-        if self.slope_mag.shape != self.amplitude.shape:
-            raise ValueError("slope_mag and amplitude must have identical length")
 
     def __len__(self) -> int:
         return self.slope_mag.size
@@ -55,39 +51,63 @@ class FeatureSignal:
 FEATURE_BLOCK = 1 << 14
 
 
-def extract_features(x: Trace, cfg: AfeConfig) -> FeatureSignal:
-    """Compute slope-magnitude and amplitude features aligned with `x`.
+def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> FeatureSignal:
+    """Slope-magnitude feature of `x` linearly interpolated onto a grid
+    `factor` times finer, as `upsample(x, factor)` makes it, at every one of
+    its (len(x) - 1) * factor + 1 steps.
 
-    slope_mag[i] is the trailing moving average of |x[i] - x[i-1]| * rate
-    (index 0, which has no predecessor, is zero and excluded from averages;
-    leading partial windows divide by their count); amplitude[i] is |x[i]|.
+    slope_mag[i] is the trailing moving average of the per-step |dx| * rate
+    on that grid (step 0, which has no predecessor, is zero and excluded
+    from averages; leading partial windows divide by their count). The
+    interpolant is linear within each segment j of `x`, so each of its
+    steps contributes g_j = |x[j+1] - x[j]| * x.rate_hz and the running sum
+    c of the contributions is known in closed form: at the segment's end it
+    is cumsum(factor * g)[j], and r steps into the segment it is the
+    previous end plus r * g_j. That is the upsampled trace's own running sum
+    up to rounding; at factor 1 it is the same operations, bit for bit.
 
-    The running sum c of |diff| * rate lives in slope_mag[1:] itself and is
-    overwritten with the window means (c[i] - c[i - w]) / w one block of
-    FEATURE_BLOCK elements at a time, from the end, so every c[i - w] is
-    read before it is overwritten; each block's differences go through one
-    block-sized buffer, and the leading partial windows are divided in place
-    last. Besides that buffer, the slope and the amplitude are the only
-    arrays it allocates, and callers may reuse the slope as their drive.
+    c lives in slope_mag[1:] itself and is overwritten with the window means
+    (c[i] - c[i - w]) / w one block of FEATURE_BLOCK elements at a time,
+    from the end, so every c[i - w] is read before it is overwritten; each
+    block's differences go through one block-sized buffer, and the leading
+    partial windows are divided in place last. Besides that buffer and two
+    arrays of len(x) - 1 at factor > 1, the slope is the only array it
+    allocates, and callers may reuse it as their drive.
     """
-    n = len(x)
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"factor must be a positive integer, got {factor}")
+    factor = int(factor)
+    n_seg = len(x) - 1
+    n = n_seg * factor + 1
     w = cfg.smoothing_steps
     if n < w + 1:
-        raise ValueError(f"trace too short: need at least {w + 1} samples, got {n}")
+        raise ValueError(f"trace too short: need at least {w + 1} steps, got {n}")
     slope = np.empty(n)
     slope[0] = 0.0
     c = slope[1:]
-    np.subtract(x.samples[1:], x.samples[:-1], out=c)
-    c *= x.rate_hz
-    np.abs(c, out=c)
-    np.cumsum(c, out=c)
+    if factor == 1:
+        np.subtract(x.samples[1:], x.samples[:-1], out=c)
+        c *= x.rate_hz
+        np.abs(c, out=c)
+        np.cumsum(c, out=c)
+    else:
+        g = np.diff(x.samples)
+        np.abs(g, out=g)
+        g *= x.rate_hz
+        # step r of segment j (row j, column r - 1): the previous segment's
+        # end + r * g_j, then the ends themselves over the last column
+        cols = c.reshape(n_seg, factor)
+        ends = np.cumsum(g * factor)
+        np.multiply(g[:, None], np.arange(1, factor + 1, dtype=np.float64), out=cols)
+        cols[1:] += ends[:-1, None]
+        cols[:, -1] = ends
     diff = np.empty(min(FEATURE_BLOCK, c.size))
     for hi in range(c.size, w, -FEATURE_BLOCK):
         lo = max(hi - FEATURE_BLOCK, w)
         d = np.subtract(c[lo:hi], c[lo - w:hi - w], out=diff[:hi - lo])
         np.divide(d, w, out=c[lo:hi])
     c[:w] /= np.arange(1, w + 1)
-    return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
+    return FeatureSignal(slope, x.rate_hz * factor)
 
 
 def drive_voltages(f: FeatureSignal, cfg: AfeConfig, steps: np.ndarray) -> np.ndarray:

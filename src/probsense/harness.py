@@ -37,7 +37,6 @@ from .traces import (
     Trace,
     load_trace,
     synth_event,
-    upsample,
     write_csv,
     write_ticks,
     write_trace,
@@ -192,20 +191,21 @@ def run_event(
     onset_s: float | None = None,
     wavelet_f0_hz: float | None = None,
 ):
-    """Run one event through upsample -> activation -> P-ADC -> reconstruction.
+    """Run one event through activation -> P-ADC -> reconstruction.
 
-    The trace's own grid is the ADC grid: the activation's sync ticks are
-    every upsample_factor-th high-rate step. Returns (EventEval, p_stream,
-    r_stream, recon).
+    The activation runs on the trace upsampled by upsample_factor without
+    building it, and the trace's own grid is the ADC grid: the sync ticks
+    are every upsample_factor-th high-rate step, the trace's samples.
+    Returns (EventEval, p_stream, r_stream, recon).
     """
-    x_high = upsample(trace, cfg.upsample_factor)
+    factor = cfg.upsample_factor
     act_cfg = replace(
         cfg.activation,
         pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + NEURON_SEED_OFFSET + index),
     )
-    act = run_activation(x_high, act_cfg, cfg.upsample_factor)
-    p_stream = sample_gated(x_high, act)
-    r_stream = sample_regular(x_high, act)
+    act = run_activation(trace, act_cfg, factor, factor=factor)
+    p_stream = sample_gated(trace, act)
+    r_stream = sample_regular(trace, act)
     recon = reconstruct(p_stream, trace.rate_hz, len(trace), trace.t0_s)
     sav, active = savings(p_stream, r_stream)
 
@@ -221,7 +221,7 @@ def run_event(
             window_sav = float(100.0 * (1.0 - in_win_p / in_win_r))
         # latency measured from where the wavelet emerges (half-period early)
         t_emerge = onset_s - 0.5 / wavelet_f0_hz
-        onset_step = max(0, int(round((t_emerge - trace.t0_s) * x_high.rate_hz)))
+        onset_step = max(0, int(round((t_emerge - trace.t0_s) * act.rate_hz)))
         try:
             latency = detection_latency(act, onset_step)
         except ValueError:

@@ -79,6 +79,31 @@ class TestSampling:
         with pytest.raises(ValueError, match="grid"):
             sample_gated(other, act)
 
+    @pytest.mark.parametrize("factor, spt", [(50, 50), (30, 30), (64, 64), (7, 21), (1, 3)])
+    def test_values_at_ticks_match_upsampled_trace(self, factor, spt):
+        # the survey samples its ADC trace at steps // factor: the values
+        # upsample keeps at every k * factor, bit for bit
+        x = synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=6)
+        act = run_activation(x, _baseline_cfg(0.3, seed=1), spt, factor=factor)
+        x_high = upsample(x, factor)
+        for stream, steps in ((sample_regular(x, act), act.sync_ticks),
+                              (sample_gated(x, act), act.sync_ticks[act.gate[act.sync_ticks] > 0])):
+            assert stream.values.tobytes() == x_high.samples[steps].tobytes()
+            assert stream.ticks.tobytes() == (steps // spt).tobytes()
+            assert stream.rate_hz == x_high.rate_hz / spt
+
+    def test_ticks_between_samples_rejected(self):
+        x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
+        act = run_activation(x, ActivationConfig(), 25, factor=50)
+        with pytest.raises(ValueError, match="between the trace's samples"):
+            sample_regular(x, act)
+
+    def test_factor_mismatch_rejected(self):
+        x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
+        act = run_activation(x, ActivationConfig(), 50, factor=50)
+        with pytest.raises(ValueError, match="grid"):
+            sample_gated(upsample(x, 50), act)
+
 
 class TestReconstruct:
     def test_all_points_exact(self):

@@ -8,6 +8,7 @@ from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
     _override_latch,
+    _trigger_steps,
     detection_latency,
     run_activation,
 )
@@ -42,8 +43,9 @@ def _zero_trace(n_ticks):
 
 
 def _run_activation_scan(x_high, cfg, steps_per_tick):
-    """Reference oracle for `run_activation`: the logistic at every step and
-    the override latch as a running maximum of trigger indices."""
+    """Reference oracle for `run_activation` at factor 1: the logistic at
+    every step, the triggers from |x_high| and the override latch as a
+    running maximum of trigger indices."""
     spt = steps_per_tick
     n = len(x_high)
     feats = extract_features(x_high, cfg.afe)
@@ -57,7 +59,7 @@ def _run_activation_scan(x_high, cfg, steps_per_tick):
         rng = np.random.default_rng(cfg.pneuron.seed)
         pneuron_out[:] = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
     hold = spt if cfg.hold_steps is None else cfg.hold_steps
-    trigger = feats.amplitude >= cfg.afe.amp_threshold_v
+    trigger = np.abs(x_high.samples) >= cfg.afe.amp_threshold_v
     steps = np.arange(n, dtype=np.int64)
     last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
     det_override = (steps - last_trigger <= hold).astype(np.uint8)
@@ -209,6 +211,98 @@ class TestRunActivation:
         assert ref.det_override.any() and not ref.det_override.all()
         for name in ("gate", "pneuron_out", "det_override"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
+    @pytest.mark.parametrize("factor", [50, 30, 64])
+    def test_adc_trace_matches_upsampled_scan_oracle(self, source, factor):
+        # the survey's event path: the ADC trace with its factor, against the
+        # scan oracle on the upsampled trace, bit for bit
+        trace = synth_event(1.0, 2000.0, 50.0, 0.4, 1.0, 0.02, seed=11)
+        cfg = replace(_cfg(source=source, seed=8, amp_thr=0.05), hold_steps=1000)
+        got = run_activation(trace, cfg, factor, factor=factor)
+        ref = _run_activation_scan(upsample(trace, factor), cfg, factor)
+        assert ref.det_override.any() and not ref.det_override.all()
+        for name in ("gate", "sync_ticks", "pneuron_out", "det_override"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got.rate_hz, got.t0_s, got.steps_per_tick, got.factor) == \
+            (ref.rate_hz, ref.t0_s, factor, factor)
+
+    @given(case=_trigger_cases(), factor=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=200)
+    def test_adc_trace_override_matches_upsampled_scan_oracle(self, case, factor):
+        x, hold, spt = case
+        cfg = ActivationConfig(hold_steps=hold, pneuron=PNeuronConfig(source="digital_iid"),
+                               afe=AfeConfig(smoothing_steps=1, amp_threshold_v=0.5))
+        got = run_activation(Trace(x, RATE_HI), cfg, spt, factor=factor)
+        ref = _run_activation_scan(upsample(Trace(x, RATE_HI), factor), cfg, spt)
+        assert got.det_override.tobytes() == ref.det_override.tobytes()
+
+
+# Sample values at and around the threshold, signed zeros, and values that
+# can never trigger, for the trigger oracle.
+THR = 0.5
+_trigger_values = st.one_of(
+    st.sampled_from([THR, -THR, np.nextafter(THR, 0.0), -np.nextafter(THR, 0.0), 0.0, -0.0,
+                     2 * THR, -2 * THR]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+class TestTriggerSteps:
+    @given(st.lists(_trigger_values, min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300)
+    def test_matches_upsampled_trace(self, values, factor):
+        x = Trace(np.array(values), 2000.0)
+        ref = np.flatnonzero(np.abs(upsample(x, factor).samples) >= THR)
+        got = _trigger_steps(x, THR, factor)
+        assert got.dtype == np.int64 and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("factor", [1, 7, 50])
+    @pytest.mark.parametrize("where", [[0], [1], [-2], [-1], [0, -1], [3, 9]])
+    def test_triggers_in_the_first_and_last_segments(self, factor, where):
+        # samples exactly at +thr and -thr, on either end of the trace
+        s = np.full(12, -0.0)
+        s[where] = [THR, -THR][:len(where)] if len(where) == 2 else [THR]
+        x = Trace(s, 2000.0)
+        ref = np.flatnonzero(np.abs(upsample(x, factor).samples) >= THR)
+        assert ref.size
+        assert _trigger_steps(x, THR, factor).tobytes() == ref.tobytes()
+
+    def test_quiet_trace_upsamples_nothing(self, monkeypatch):
+        import probsense.activation as activation_mod
+
+        monkeypatch.setattr(activation_mod, "upsample", None)
+        x = Trace(np.array([np.nextafter(THR, 0.0), -np.nextafter(THR, 0.0), -0.0]), 2000.0)
+        assert _trigger_steps(x, THR, 50).size == 0
+
+
+def _override_latch_cumsum(trigger_steps, hold, n):
+    """Reference oracle for `_override_latch`: +1 at each merged interval's
+    start, -1 past its end, and their running sum."""
+    hold = min(hold, n)
+    edge = np.zeros(n, dtype=np.int8)
+    if trigger_steps.size:
+        gap = np.diff(trigger_steps) > hold + 1
+        edge[trigger_steps[np.concatenate(([True], gap))]] = 1
+        ends = trigger_steps[np.concatenate((gap, [True]))] + hold + 1
+        edge[ends[ends < n]] = -1
+    return np.cumsum(edge, dtype=np.int8, out=edge).view(np.uint8)
+
+
+@pytest.mark.parametrize("hold", [0, 1, 50, 1000, 10**6, 2**63 - 1])
+@pytest.mark.parametrize("kind", ["none", "sparse", "dense", "ends"])
+def test_override_latch_matches_cumsum_oracle(hold, kind):
+    n = 100_000
+    rng = np.random.default_rng(hold % 1000)
+    trig = {"none": np.zeros(0, dtype=np.int64),
+            "sparse": np.sort(rng.choice(n, 20, replace=False)),
+            "dense": np.flatnonzero(rng.random(n) < 0.3),
+            "ends": np.array([0, 1, n - 2, n - 1])}[kind].astype(np.int64)
+    got = _override_latch(trig, hold, n)
+    ref = _override_latch_cumsum(trig, hold, n)
+    assert got.dtype == np.uint8 and got.tobytes() == ref.tobytes()
 
 
 def _rate_csv(x_high, cfg, path):

@@ -10,7 +10,7 @@ from probsense.afe import (
     drive_voltages,
     extract_features,
 )
-from probsense.traces import Trace
+from probsense.traces import Trace, upsample
 
 signal_arrays = arrays(
     np.float64,
@@ -44,7 +44,7 @@ def _extract_features_concat(x: Trace, cfg: AfeConfig) -> FeatureSignal:
     """Reference oracle for `extract_features`: np.diff, then a concatenated zero."""
     abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
     slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
-    return FeatureSignal(slope, np.abs(x.samples), x.rate_hz)
+    return FeatureSignal(slope, x.rate_hz)
 
 
 def drive_voltages_full(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:
@@ -103,8 +103,7 @@ class TestExtractFeatures:
         got = extract_features(Trace(x, rate), cfg)
         ref = _extract_features_concat(Trace(x, rate), cfg)
         assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
-        assert got.amplitude.tobytes() == ref.amplitude.tobytes()
-        assert got.slope_mag.dtype == got.amplitude.dtype == np.float64
+        assert got.slope_mag.dtype == np.float64
         assert got.rate_hz == ref.rate_hz
 
     @pytest.mark.parametrize("n", [FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1,
@@ -121,12 +120,10 @@ class TestExtractFeatures:
             got = extract_features(Trace(x, 1e5), cfg)
             ref = _extract_features_concat(Trace(x, 1e5), cfg)
             assert got.slope_mag.tobytes() == ref.slope_mag.tobytes(), w
-            assert got.amplitude.tobytes() == ref.amplitude.tobytes(), w
 
     def test_constant_signal_zero_slope(self):
         f = extract_features(Trace(np.full(500, 3.3), 1000.0), AfeConfig(smoothing_steps=5))
         assert np.all(f.slope_mag == 0.0)
-        assert np.allclose(f.amplitude, 3.3)
 
     def test_ramp_slope(self):
         rate = 1000.0
@@ -154,7 +151,6 @@ class TestExtractFeatures:
         f_pos = extract_features(Trace(x, 100.0), cfg)
         f_neg = extract_features(Trace(-x, 100.0), cfg)
         assert np.array_equal(f_pos.slope_mag, f_neg.slope_mag)
-        assert np.array_equal(f_pos.amplitude, f_neg.amplitude)
 
     @given(signal_arrays, st.integers(min_value=-8, max_value=8))
     def test_scaling_by_powers_of_two_exact(self, x, k):
@@ -164,7 +160,6 @@ class TestExtractFeatures:
         f1 = extract_features(Trace(x, 100.0), cfg)
         f2 = extract_features(Trace(c * x, 100.0), cfg)
         assert np.array_equal(f2.slope_mag, c * f1.slope_mag)
-        assert np.array_equal(f2.amplitude, c * f1.amplitude)
 
     def test_scaling_general(self):
         rng = np.random.default_rng(1)
@@ -179,7 +174,62 @@ class TestExtractFeatures:
         f = extract_features(x, AfeConfig(smoothing_steps=3))
         assert len(f) == len(x)
         assert np.all(f.slope_mag >= 0)
-        assert np.all(f.amplitude >= 0)
+
+
+def _upsampled_features(x: Trace, cfg: AfeConfig, factor: int) -> FeatureSignal:
+    """Reference oracle for `extract_features` at a factor: the features of
+    the upsampled trace itself."""
+    return extract_features(upsample(x, factor), cfg)
+
+
+def _assert_close_to_upsampled(x: Trace, cfg: AfeConfig, factor: int) -> None:
+    got = extract_features(x, cfg, factor)
+    ref = _upsampled_features(x, cfg, factor)
+    assert got.slope_mag.shape == ref.slope_mag.shape == ((len(x) - 1) * factor + 1,)
+    assert got.rate_hz == ref.rate_hz == x.rate_hz * factor
+    if factor == 1:
+        assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
+        return
+    # Each window mean is a difference of two running sums, so its rounding
+    # error is of order eps times the whole sum, not only of the mean itself.
+    total = factor * float(np.sum(np.abs(np.diff(x.samples)))) * x.rate_hz
+    atol = 1e-12 * total / cfg.smoothing_steps
+    assert np.allclose(got.slope_mag, ref.slope_mag, rtol=1e-8, atol=atol)
+    assert got.slope_mag[0] == 0.0
+
+
+class TestClosedForm:
+    @given(signal_arrays, st.integers(min_value=1, max_value=64),
+           st.integers(min_value=1, max_value=300), st.sampled_from([1.0, 2000.0, 27524.7]))
+    def test_matches_upsampled_trace(self, x, factor, window, rate):
+        window = min(window, (x.size - 1) * factor)
+        _assert_close_to_upsampled(Trace(x, rate), AfeConfig(smoothing_steps=window), factor)
+
+    @pytest.mark.parametrize("factor", [1, 30, 50, 64])
+    def test_survey_event_matches_upsampled_trace(self, factor):
+        # windows that are, and are not, multiples of the factor
+        x = Trace(np.random.default_rng(factor).normal(size=2000), 2000.0)
+        for w in (1, 50, 100, 999):
+            _assert_close_to_upsampled(x, AfeConfig(smoothing_steps=w), factor)
+
+    def test_ramp_slope_at_factor(self):
+        # a ramp on the ADC grid: every high-rate step has the same slope
+        f = extract_features(Trace(7.0 * np.arange(40) / 100.0, 100.0),
+                             AfeConfig(smoothing_steps=5), 9)
+        assert f.rate_hz == 900.0 and len(f) == 39 * 9 + 1
+        assert f.slope_mag[0] == 0.0
+        assert np.allclose(f.slope_mag[1:], 7.0, rtol=1e-12)
+
+    def test_too_short_counts_steps(self):
+        x = Trace(np.arange(3.0), 10.0)
+        assert len(extract_features(x, AfeConfig(smoothing_steps=100), 50)) == 101
+        with pytest.raises(ValueError, match="too short"):
+            extract_features(x, AfeConfig(smoothing_steps=101), 50)
+
+    @pytest.mark.parametrize("factor", [0, -1, 2.5])
+    def test_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            extract_features(Trace(np.arange(10.0), 10.0), AfeConfig(smoothing_steps=1), factor)
 
 
 class TestDriveVoltage:

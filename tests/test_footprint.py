@@ -14,7 +14,12 @@ array `extract_features` returns into its drive and p in place, and
 `telegraph_run` computes its uniforms and flip probabilities in blocks,
 `telegraph_run` peaks at 0.86 arrays (2.25 before; its flip flags and
 non-identity step indices, not the blocks), the smtj `run_activation` at
-2.1 (3.3) and one smtj `sweep_slope` point at 3.1 (4.3).
+2.1 (3.3) and one smtj `sweep_slope` point at 3.1 (4.3). Since the slope
+is computed in closed form from the ADC-rate trace and no amplitude array
+is kept, `extract_features` peaks at 1.0 arrays on a drive (2.0 before) and
+1.1 on the event itself, and `run_activation` runs on the event: smtj 1.9,
+digital 1.1 (2.1 each on the upsampled drive before); one `sweep_slope`
+point peaks at 2.7 (smtj) and 2.1 (digital), from 3.1.
 """
 
 import tracemalloc
@@ -66,8 +71,10 @@ def test_upsample(event):
     assert _peak_arrays(lambda: upsample(event, FACTOR), n) < 1.5  # the output, kept by Trace
 
 
-def test_extract_features(drive):
-    assert _peak_arrays(lambda: extract_features(drive, AfeConfig()), len(drive)) < 2.5
+def test_extract_features(event, drive):
+    assert _peak_arrays(lambda: extract_features(drive, AfeConfig()), len(drive)) < 1.5
+    n = len(drive)
+    assert _peak_arrays(lambda: extract_features(event, AfeConfig(), FACTOR), n) < 1.5
 
 
 def test_triangle_wave():
@@ -82,16 +89,18 @@ def test_telegraph_run(drive):
     assert _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size) < 1.0
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.75), ("digital_iid", 2.5)])
-def test_run_activation(drive, source, bound):
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.4), ("digital_iid", 1.6)])
+def test_run_activation(event, source, bound):
+    """The survey's event path: the event itself, on its upsampled grid."""
     cfg = ActivationConfig(hold_steps=DEFAULT_SURVEY_HOLD_STEPS,
                            pneuron=PNeuronConfig(source=source, seed=3))
-    act = run_activation(drive, cfg, FACTOR)
+    act = run_activation(event, cfg, FACTOR, factor=FACTOR)
     assert act.det_override.any()  # the latch is exercised
-    assert _peak_arrays(lambda: run_activation(drive, cfg, FACTOR), len(drive)) < bound
+    n = len(act)
+    assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, factor=FACTOR), n) < bound
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 3.75), ("digital_iid", 3.5)])
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 3.2), ("digital_iid", 2.6)])
 def test_sweep_slope_point(source, bound):
     """One 500 k-step point: the triangle wave, kept by `Trace`, and `run_activation`."""
     cfg = ExperimentConfig(activation=ActivationConfig(pneuron=PNeuronConfig(source=source)))
