@@ -260,11 +260,13 @@ class TestTriggerSteps:
         assert got.dtype == np.int64 and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("factor", [1, 7, 50])
-    @pytest.mark.parametrize("where", [[0], [1], [-2], [-1], [0, -1], [3, 9]])
-    def test_triggers_in_the_first_and_last_segments(self, factor, where):
+    @pytest.mark.parametrize("hits", [{0: THR}, {1: -THR}, {-2: THR}, {-1: -THR},
+                                      {0: -THR, -1: THR}, {3: THR, 9: -THR}])
+    def test_triggers_in_the_first_and_last_segments(self, factor, hits):
         # samples exactly at +thr and -thr, on either end of the trace
         s = np.full(12, -0.0)
-        s[where] = [THR, -THR][:len(where)] if len(where) == 2 else [THR]
+        for i, v in hits.items():
+            s[i] = v
         x = Trace(s, 2000.0)
         ref = np.flatnonzero(np.abs(upsample(x, factor).samples) >= THR)
         assert ref.size

@@ -176,15 +176,11 @@ class TestExtractFeatures:
         assert np.all(f.slope_mag >= 0)
 
 
-def _upsampled_features(x: Trace, cfg: AfeConfig, factor: int) -> FeatureSignal:
-    """Reference oracle for `extract_features` at a factor: the features of
-    the upsampled trace itself."""
-    return extract_features(upsample(x, factor), cfg)
-
-
 def _assert_close_to_upsampled(x: Trace, cfg: AfeConfig, factor: int) -> None:
+    """`extract_features` at a factor against its reference oracle, the
+    features of the upsampled trace itself."""
     got = extract_features(x, cfg, factor)
-    ref = _upsampled_features(x, cfg, factor)
+    ref = extract_features(upsample(x, factor), cfg)
     assert got.slope_mag.shape == ref.slope_mag.shape == ((len(x) - 1) * factor + 1,)
     assert got.rate_hz == ref.rate_hz == x.rate_hz * factor
     if factor == 1:
