@@ -125,6 +125,9 @@ def run_activation(
     `extract_features` returns, so no other step-length float64 array is
     made for them. The override latch is built from the merged trigger
     intervals (see `_override_latch`), not a per-step scan.
+    The function drops its reference to `x` once the triggers and features
+    are taken, keeping only `x.t0_s`: a trace the caller holds nowhere else
+    is freed before the p-neuron runs.
     Deterministic per cfg.pneuron.seed.
     """
     spt = steps_per_tick
@@ -133,6 +136,8 @@ def run_activation(
     # the triggers first: their upsampled sub-trace is freed before the slope is made
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
     feats = extract_features(x, cfg.afe, factor)
+    t0_s = x.t0_s
+    del x
     n = len(feats)
     rate_hz = feats.rate_hz
     ticks = np.arange(0, n, spt, dtype=np.int64)
@@ -163,7 +168,7 @@ def run_activation(
         pneuron_out=pneuron_out,
         det_override=det_override,
         rate_hz=rate_hz,
-        t0_s=x.t0_s,
+        t0_s=t0_s,
         steps_per_tick=spt,
         factor=int(factor),
     )

@@ -510,14 +510,16 @@ def sweep_slope(
     afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
-        wave = _triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V)
-        x = Trace._adopt(wave, rate_high)
         act_cfg = replace(
             cfg.activation,
             afe=afe_cfg,
             pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + i),
         )
-        act = run_activation(x, act_cfg, cfg.upsample_factor)
+        # the wave is passed, not named, so `run_activation` frees it before
+        # the telegraph runs
+        act = run_activation(
+            Trace._adopt(_triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V), rate_high),
+            act_cfg, cfg.upsample_factor)
         measured = float(np.mean(act.gate[act.sync_ticks]))
         model = activation_probability(afe_cfg.slope_gain * float(s), cfg.activation.pneuron)
         rows[i] = (s, measured, model)

@@ -202,11 +202,20 @@ def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     return u, LfsrState(int(_CYCLE.registers[end]))
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the float64 array p lies in [0, 1].
+
+    min and max propagate NaN, so a NaN fails the check too; like
+    `_activation_inplace`, it reads p twice and allocates nothing.
+    """
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValueError("probabilities must lie in [0, 1] (NaN is rejected)")
+
+
 def iid_decisions(p, s: LfsrState) -> tuple[np.ndarray, LfsrState]:
     """One Bernoulli(p) decision per entry of p, each from one LFSR word."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
+    _check_probabilities(p)
     u, s = lfsr_word_uniforms(s, p.size)
     return (u < p).astype(np.uint8), s
 
@@ -226,6 +235,20 @@ def _flip_probs(p: float, tau_s: float, dt_s: float) -> tuple[float, float]:
     q01 = dt_s / ((1.0 - pc) * (2.0 * tau_s))
     q10 = dt_s / (pc * (2.0 * tau_s))
     return min(q01, 1.0), min(q10, 1.0)
+
+
+def _drop_repeated_constants(flip0: np.ndarray, flip1: np.ndarray) -> None:
+    """In place: clear the flag of each constant step whose predecessor is
+    the same constant step, making it an identity step.
+
+    A const 1 step has flip0 > flip1 and a const 0 step flip1 > flip0. The
+    flip0 pass clears only steps whose flip1 is 0, so the flip1 pass sees
+    the const 0 steps of the original flags. Temporaries are as long as the
+    block, not the drive.
+    """
+    for own, other in ((flip0, flip1), (flip1, flip0)):
+        const = np.greater(own, other)
+        own[1:] ^= const[1:] & const[:-1]
 
 
 def telegraph_run(
@@ -258,6 +281,22 @@ def telegraph_run(
     write straight into flip0 and flip1; the generator's float64 stream does
     not depend on how it is split into calls, so this is the same stream as
     one rng.random(n).
+
+    A saturated drive (p >= 0.99 or p <= 0.01 at dt = tau / 50) makes q01 or
+    q10 at least 1: every step is then a non-identity step, and the lists of
+    those steps are as long as the drive. A constant step that directly
+    follows a constant step with the same flags enters the state its
+    predecessor set and leaves it there: it never flips, and its h equals its
+    predecessor's (no NOT step lies between them), so turning it into an
+    identity step before the non-identity steps are listed changes no flip.
+    Every step so dropped keeps the trajectory, so any set of them can be
+    dropped. Blocks where flip0 or flip1 is set on more than half the steps
+    are pruned this way (see `_drop_repeated_constants`), and their list
+    shrinks to about twice their NOT steps; the two counts allocate nothing,
+    and a block below that share allocates nothing more for it.
+
+    p_steps must lie in [0, 1]; a NaN or an entry outside raises ValueError
+    before the generator is used.
     """
     if dt_s <= 0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
@@ -266,6 +305,7 @@ def telegraph_run(
             f"dt too coarse: {dt_s:.3g} s cannot resolve tau_s = {cfg.tau_s:.3g} s"
         )
     p_steps = np.asarray(p_steps, dtype=np.float64)
+    _check_probabilities(p_steps)
     n = p_steps.size
     if initial_state is None:
         if n == 0:
@@ -291,6 +331,9 @@ def telegraph_run(
         np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=q)
         q *= two_tau
         np.less(u, np.divide(dt_s, q, out=q), out=flip1[lo:hi])
+        half = (hi - lo) // 2
+        if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
+            _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
     del u_buf, q_buf
     active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
     value = flip0[active]  # a constant step's value

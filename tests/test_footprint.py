@@ -19,7 +19,14 @@ is computed in closed form from the ADC-rate trace and no amplitude array
 is kept, `extract_features` peaks at 1.0 arrays on a drive (2.0 before) and
 1.1 on the event itself, and `run_activation` runs on the event: smtj 1.9,
 digital 1.1 (2.1 each on the upsampled drive before); one `sweep_slope`
-point peaks at 2.7 (smtj) and 2.1 (digital), from 3.1.
+point peaks at 2.7 (smtj) and 2.1 (digital), from 3.1. Since
+`telegraph_run` drops the repeated constant steps of saturated blocks and
+`run_activation` lets go of the sweep's wave before the telegraph runs,
+`telegraph_run` peaks at 0.53 arrays on a constant drive saturated ON
+(p = 0.995) or OFF (p = 0.005), 2.8 before, when its step lists grew with
+the drive, and at 0.86 on the survey drive, as before; one `sweep_slope`
+point peaks at 2.03 at 0, 250 and 500 V/s with either source (smtj 2.9,
+2.7 and 4.8 before, digital 2.1).
 """
 
 import tracemalloc
@@ -83,10 +90,13 @@ def test_triangle_wave():
 
 
 def test_telegraph_run(drive):
+    """The survey drive, and constant drives of its length saturated ON and OFF."""
     afe, cfg = AfeConfig(), PNeuronConfig()
-    p = activation_probability(afe.slope_gain * extract_features(drive, afe).slope_mag, cfg)
+    survey = activation_probability(afe.slope_gain * extract_features(drive, afe).slope_mag, cfg)
     dt = 1.0 / drive.rate_hz
-    assert _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size) < 1.0
+    for p in (survey, np.full(survey.size, 0.995), np.full(survey.size, 0.005)):
+        peak = _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size)
+        assert peak < 1.0, f"p[0] = {p[0]}: {peak:.2f} arrays"
 
 
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.4), ("digital_iid", 1.6)])
@@ -100,9 +110,14 @@ def test_run_activation(event, source, bound):
     assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, factor=FACTOR), n) < bound
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 3.2), ("digital_iid", 2.6)])
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.5), ("digital_iid", 2.6)])
 def test_sweep_slope_point(source, bound):
-    """One 500 k-step point: the triangle wave, kept by `Trace`, and `run_activation`."""
+    """One 500 k-step point: the triangle wave, kept by `Trace`, and `run_activation`.
+
+    At 0 V/s p is the minimum rate; at 500 V/s the smtj p-neuron saturates.
+    """
     cfg = ExperimentConfig(activation=ActivationConfig(pneuron=PNeuronConfig(source=source)))
     ticks = 10_000
-    assert _peak_arrays(lambda: sweep_slope(cfg, [250.0], ticks), ticks * FACTOR) < bound
+    for slope in (0.0, 250.0, 500.0):
+        peak = _peak_arrays(lambda: sweep_slope(cfg, [slope], ticks), ticks * FACTOR)
+        assert peak < bound, f"{slope} V/s: {peak:.2f} arrays"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import probsense
+from probsense import pbit
 from probsense.pbit import (
     DT_RESOLUTION_FACTOR,
     LFSR_PERIOD,
@@ -390,6 +391,11 @@ class TestIidDecisions:
         with pytest.raises(ValueError):
             pbit_decide_iid(1.5, lfsr_from_seed(0))
 
+    @pytest.mark.parametrize("p", [[np.nan, 0.5], [0.5, np.nan], [0.5, -0.1], [1.5], [np.inf]])
+    def test_vectorized_rejects_nan_and_out_of_range(self, p):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            iid_decisions(np.array(p), lfsr_from_seed(0))
+
     def test_vectorized_matches_scalar_loop(self):
         p = np.random.default_rng(1).random(500)
         bits, end = iid_decisions(p, lfsr_from_seed(9))
@@ -546,6 +552,91 @@ class TestTelegraph:
     def test_scalar_flip_probs_match_arrays(self, p, dt_s, tau_s):
         q01, q10 = _flip_probs_arrays(p, tau_s, dt_s, cap=True)
         assert _flip_probs(p, tau_s, dt_s) == (float(q01), float(q10))
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan, np.nan, 2.0, -1.0], [np.nan], [0.5, np.nan],
+                                   [0.5, 1.0 + 1e-12], [-1e-300, 0.5]])
+    @pytest.mark.parametrize("initial_state", [None, 0])
+    def test_run_rejects_nan_and_out_of_range(self, p, initial_state):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            telegraph_run(np.array(p), 5e-6, self.CFG, rng, initial_state)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+
+    @staticmethod
+    def _saturated_drive(kind):
+        """A drive that saturates whole blocks, so `telegraph_run` prunes them.
+
+        "const c": constant p = c; "alternate": ON- and OFF-saturated in
+        alternate blocks; "mixed": runs of both within each block, so a
+        constant step often follows the other constant; "stretch a b":
+        p = 0.995 on steps [B + a, 2 B + b) of a p = 0.5 drive, with
+        B = TELEGRAPH_BLOCK.
+        """
+        b = TELEGRAPH_BLOCK
+        if kind.startswith("const"):
+            return np.full(2 * b + 5, float(kind.split()[1]))
+        if kind == "alternate":
+            return np.where(np.arange(4 * b + 3) // b % 2, 0.005, 0.995)
+        if kind == "mixed":
+            return np.where(np.random.default_rng(1).random(2 * b + 5) < 0.7, 0.995, 0.005)
+        _, lo, hi = kind.split()
+        p = np.full(3 * b, 0.5)
+        p[b + int(lo):2 * b + int(hi)] = 0.995
+        return p
+
+    @staticmethod
+    def _count_pruned_blocks(monkeypatch) -> list:
+        """Record the length of every block `telegraph_run` prunes."""
+        calls = []
+        prune = pbit._drop_repeated_constants
+
+        def counted(flip0, flip1):
+            calls.append(flip0.size)
+            prune(flip0, flip1)
+
+        monkeypatch.setattr(pbit, "_drop_repeated_constants", counted)
+        return calls
+
+    @pytest.mark.parametrize("drive", ["const 0.995", "const 0.005", "const 1.0", "const 0.0",
+                                       "alternate", "mixed", "stretch -1 -1", "stretch -1 1",
+                                       "stretch 1 -1", "stretch 1 1"])
+    @pytest.mark.parametrize("initial_state", [None, 0, 1])
+    def test_pruned_run_matches_three_array_oracle(self, drive, initial_state, monkeypatch):
+        pruned = self._count_pruned_blocks(monkeypatch)
+        p = self._saturated_drive(drive)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        out = telegraph_run(p, 10e-6, self.CFG, rng_a, initial_state)
+        ref = _telegraph_run_three_arrays(p, 10e-6, self.CFG, rng_b, initial_state)
+        assert pruned  # the pruned branch ran
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("over", [0, 1])
+    @pytest.mark.parametrize("initial_state", [None, 0, 1])
+    def test_pruning_gate_at_threshold(self, over, initial_state, monkeypatch):
+        """One block whose flip0 is set on exactly half its steps, or one more.
+
+        At dt = 2 ns, p = 1 sets flip0 alone (q01 ~ 2, q10 ~ 2e-6) and p = 0
+        flip1 alone, so the first k steps set flip0 and the rest flip1 (at
+        seed 3; the probe below checks that no p = 0 step sets flip0).
+        """
+        pruned = self._count_pruned_blocks(monkeypatch)
+        n, dt = TELEGRAPH_BLOCK, 2e-9
+        k = n // 2 + over
+        p = np.zeros(n)
+        p[:k] = 1.0
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        q01, q10 = _flip_probs_arrays(p, self.CFG.tau_s, dt, cap=False)
+        probe = np.random.default_rng(3)
+        if initial_state is None:
+            probe.random()
+        u = probe.random(n)
+        assert np.count_nonzero(u < q01) == k and np.count_nonzero(u < q10) == n - k
+        out = telegraph_run(p, dt, self.CFG, rng_a, initial_state)
+        ref = _telegraph_run_three_arrays(p, dt, self.CFG, rng_b, initial_state)
+        assert pruned == [n] * over
+        assert out.tobytes() == ref.tobytes()
+        assert rng_a.random() == rng_b.random()
 
     def test_run_empty_drive(self):
         with pytest.raises(ValueError, match="p_steps"):
