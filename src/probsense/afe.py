@@ -35,28 +35,18 @@ class AfeConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureSignal:
-    """Per-step slope magnitude (V/s) on the grid the features were computed on."""
-
-    slope_mag: np.ndarray
-    rate_hz: float
-
-    def __len__(self) -> int:
-        return self.slope_mag.size
-
-
 # Window means computed per pass, from the end of the running sum backwards:
 # a block, its difference buffer and the sums it reads stay in cache.
 FEATURE_BLOCK = 1 << 14
 
 
-def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> FeatureSignal:
-    """Slope-magnitude feature of `x` linearly interpolated onto a grid
+def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> np.ndarray:
+    """Slope magnitude (V/s) of `x` linearly interpolated onto a grid
     `factor` times finer, as `upsample(x, factor)` makes it, at every one of
-    its (len(x) - 1) * factor + 1 steps.
+    its (len(x) - 1) * factor + 1 steps; that grid's rate is
+    x.rate_hz * factor.
 
-    slope_mag[i] is the trailing moving average of the per-step |dx| * rate
+    slope[i] is the trailing moving average of the per-step |dx| * rate
     on that grid (step 0, which has no predecessor, is zero and excluded
     from averages; leading partial windows divide by their count). The
     interpolant is linear within each segment j of `x`, so each of its
@@ -66,7 +56,7 @@ def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> FeatureSignal
     previous end plus r * g_j. That is the upsampled trace's own running sum
     up to rounding; at factor 1 it is the same operations, bit for bit.
 
-    c lives in slope_mag[1:] itself and is overwritten with the window means
+    c lives in slope[1:] itself and is overwritten with the window means
     (c[i] - c[i - w]) / w one block of FEATURE_BLOCK elements at a time,
     from the end, so every c[i - w] is read before it is overwritten; each
     block's differences go through one block-sized buffer, and the leading
@@ -107,9 +97,9 @@ def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> FeatureSignal
         d = np.subtract(c[lo:hi], c[lo - w:hi - w], out=diff[:hi - lo])
         np.divide(d, w, out=c[lo:hi])
     c[:w] /= np.arange(1, w + 1)
-    return FeatureSignal(slope, x.rate_hz * factor)
+    return slope
 
 
-def drive_voltages(f: FeatureSignal, cfg: AfeConfig, steps: np.ndarray) -> np.ndarray:
-    """Voltage fed to the p-neuron, slope_gain * slope_mag, at the given step indices."""
-    return cfg.slope_gain * f.slope_mag[steps]
+def drive_voltages(slope: np.ndarray, cfg: AfeConfig, steps: np.ndarray) -> np.ndarray:
+    """Voltage fed to the p-neuron, slope_gain * slope, at the given step indices."""
+    return cfg.slope_gain * slope[steps]

@@ -26,10 +26,9 @@ from .acquisition import (
 from .activation import ActivationConfig, detection_latency, run_activation
 from .pbit import (
     DT_RESOLUTION_FACTOR,
-    P_CLAMP,
     activation_probability,
+    iid_decisions,
     lfsr_from_seed,
-    lfsr_word_uniforms,
     telegraph_tick_states,
 )
 from .traces import (
@@ -46,10 +45,6 @@ from .traces import (
 NEURON_SEED_OFFSET = 499979
 
 DEFAULT_BASE_SEED = 12345
-
-# Survey-tuned override hold: 10 ms on the default 100 kHz grid, long enough
-# to ride out the decaying tail of an event after its last threshold crossing.
-DEFAULT_SURVEY_HOLD_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -73,17 +68,13 @@ class SynthSurveySpec:
         return float(np.sqrt(signal_energy / (10.0 ** (self.snr_db / 10.0) * n)))
 
 
-def _default_survey_activation() -> ActivationConfig:
-    return ActivationConfig(hold_steps=DEFAULT_SURVEY_HOLD_STEPS)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: Path | None = None  # directory of event CSVs; None -> synthetic survey
     dataset_rate_hz: float | None = None  # sidecar rate for value-only CSVs
     synth: SynthSurveySpec = field(default_factory=SynthSurveySpec)
     n_events: int = 50
-    activation: ActivationConfig = field(default_factory=_default_survey_activation)
+    activation: ActivationConfig = field(default_factory=ActivationConfig)
     upsample_factor: int = 50
     band_hz: tuple[float, float] = (0.0, 200.0)
     base_seed: int = DEFAULT_BASE_SEED
@@ -93,6 +84,9 @@ class ExperimentConfig:
         rate = self.dataset_rate_hz
         if rate is not None and not (rate > 0 and np.isfinite(rate)):
             raise ValueError(f"dataset_rate_hz must be positive and finite, got {rate}")
+        if rate is not None and self.dataset is None:
+            raise ValueError(f"dataset_rate_hz = {rate:g} Hz applies only to a dataset "
+                             f"replay; the synthetic survey runs at synth.rate_hz")
         if self.n_events < 1:
             raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         if self.upsample_factor < 1:
@@ -199,11 +193,8 @@ def run_event(
     Returns (EventEval, p_stream, r_stream, recon).
     """
     factor = cfg.upsample_factor
-    act_cfg = replace(
-        cfg.activation,
-        pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + NEURON_SEED_OFFSET + index),
-    )
-    act = run_activation(trace, act_cfg, factor, factor=factor)
+    seed = cfg.base_seed + NEURON_SEED_OFFSET + index
+    act = run_activation(trace, cfg.activation, factor, seed, factor=factor)
     p_stream = sample_gated(trace, act)
     r_stream = sample_regular(trace, act)
     recon = reconstruct(p_stream, trace.rate_hz, len(trace), trace.t0_s)
@@ -415,16 +406,14 @@ def sweep_vin(
         p_model = activation_probability(float(v), pn)
         seed = cfg.base_seed + i
         if pn.source == "digital_iid":
-            u, _ = lfsr_word_uniforms(lfsr_from_seed(seed), ticks_per_point)
-            measured = float(np.mean(u < p_model))
+            gated, _ = iid_decisions(np.full(ticks_per_point, p_model), lfsr_from_seed(seed))
         else:
             spt = cfg.upsample_factor
             dt = 1.0 / (cfg.synth.rate_hz * spt)
-            p_run = min(max(p_model, P_CLAMP), 1.0 - P_CLAMP)
-            states = telegraph_tick_states(
-                p_run, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
+            gated = telegraph_tick_states(
+                p_model, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
             )
-            measured = float(states.mean())
+        measured = float(gated.mean())
         rows[i] = (v, measured, p_model)
     return rows
 
@@ -507,21 +496,16 @@ def sweep_slope(
                          f">= {MIN_RAMP_STEPS} high-rate steps")
     rate_high = cfg.synth.rate_hz * cfg.upsample_factor
     n = ticks_per_point * cfg.upsample_factor
-    afe_cfg = replace(cfg.activation.afe, amp_threshold_v=1e9)
+    act_cfg = replace(cfg.activation, afe=replace(cfg.activation.afe, amp_threshold_v=1e9))
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
-        act_cfg = replace(
-            cfg.activation,
-            afe=afe_cfg,
-            pneuron=replace(cfg.activation.pneuron, seed=cfg.base_seed + i),
-        )
         # the wave is passed, not named, so `run_activation` frees it before
         # the telegraph runs
         act = run_activation(
             Trace._adopt(_triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V), rate_high),
-            act_cfg, cfg.upsample_factor)
+            act_cfg, cfg.upsample_factor, cfg.base_seed + i)
         measured = float(np.mean(act.gate[act.sync_ticks]))
-        model = activation_probability(afe_cfg.slope_gain * float(s), cfg.activation.pneuron)
+        model = activation_probability(act_cfg.afe.slope_gain * float(s), act_cfg.pneuron)
         rows[i] = (s, measured, model)
     return rows
 

@@ -59,7 +59,6 @@ class PNeuronConfig:
     v_ref_v: float = DEFAULT_V_REF
     source: str = "smtj_telegraph"
     tau_s: float = DEFAULT_TAU_S
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.beta > 0 and np.isfinite(self.beta)):
@@ -131,11 +130,6 @@ def lfsr_from_seed(seed: int) -> LfsrState:
     return LfsrState(seed % LFSR_PERIOD + 1)
 
 
-def lfsr_next(s: LfsrState) -> tuple[int, LfsrState]:
-    """Emit one output bit (register LSB) and shift with taps 16,15,13,4."""
-    return s.register & 1, LfsrState(_lfsr_step(s.register))
-
-
 def _lfsr_step(r: int) -> int:
     """One shift of a plain-int register: feedback is the parity of the taps."""
     return (r >> 1) | ((int.bit_count(r & LFSR_TAP_MASK) & 1) << 15)
@@ -185,10 +179,10 @@ _CYCLE = _LfsrCycle()
 def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     """Draw n uniforms in (0, 1), one 16-bit word (LSB-first) per draw.
 
-    Equivalent to packing 16 successive `lfsr_next` bits per word: word k is
-    the register 16 k steps into the stream, read from the cycle table. The
-    all-zero word never occurs, so the uniforms are strictly positive and
-    strictly below 1.
+    Equivalent to packing 16 successive output bits per word, each the
+    register's LSB followed by one `_lfsr_step`: word k is the register 16 k
+    steps into the stream, read from the cycle table. The all-zero word
+    never occurs, so the uniforms are strictly positive and strictly below 1.
     """
     if _CYCLE.registers is None:
         _CYCLE.build()
@@ -370,9 +364,16 @@ def telegraph_tick_states(
     Dwell-sampled: run lengths are drawn geometrically instead of stepping,
     which is distribution-identical to `telegraph_run` at constant p and
     O(number of dwells). Used for long constant-drive characterization runs.
+
+    p must lie in [0, 1] (NaN raises ValueError) and is clamped to
+    [P_CLAMP, 1 - P_CLAMP], as `telegraph_run` clamps its drive, so p = 0
+    gives the same states as p = P_CLAMP. A flip probability saturates at
+    1, a dwell of one step, so the ON fraction saturates too: near 0.01 and
+    0.99 at dt = tau / 50, whatever p is beyond them.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
     q01, q10 = _flip_probs(p, cfg.tau_s, dt_s)
     s0 = 1 if rng.random() < p else 0
     total = n_ticks * steps_per_tick + 1

@@ -24,11 +24,9 @@ def _saturated_cfg():
     )
 
 
-def _baseline_cfg(x_min=0.05, seed=0):
+def _baseline_cfg(x_min=0.05):
     return ActivationConfig(
-        pneuron=PNeuronConfig(
-            v_ref_v=v_ref_for_min_rate(x_min, 10.0), source="digital_iid", seed=seed
-        ),
+        pneuron=PNeuronConfig(v_ref_v=v_ref_for_min_rate(x_min, 10.0), source="digital_iid"),
         afe=AfeConfig(amp_threshold_v=1e9),
     )
 
@@ -43,7 +41,7 @@ def _never_cfg():
 class TestSampling:
     def test_saturated_equals_regular(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg(), 50)
+        act = run_activation(x, _saturated_cfg(), 50, seed=0)
         p = sample_gated(x, act)
         r = sample_regular(x, act)
         assert np.array_equal(p.times_s, r.times_s)
@@ -51,20 +49,20 @@ class TestSampling:
 
     def test_no_gate_empty_stream(self):
         x = Trace(np.zeros(50_000), 100_000.0)
-        act = run_activation(x, _never_cfg(), 50)
+        act = run_activation(x, _never_cfg(), 50, seed=0)
         assert len(sample_gated(x, act)) == 0
 
     def test_baseline_sample_count_binomial(self):
         # X = 0.05 over 1e4 ticks: expect 500 +- 3 sigma (binomial)
         x = Trace(np.zeros(10_000 * 50), 100_000.0)
-        act = run_activation(x, _baseline_cfg(0.05, seed=2), 50)
+        act = run_activation(x, _baseline_cfg(0.05), 50, seed=2)
         n = len(sample_gated(x, act))
         sigma = np.sqrt(10_000 * 0.05 * 0.95)
         assert abs(n - 500) <= 3 * sigma
 
     def test_timestamps_on_sync_grid(self):
         x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=5), 50)
-        act = run_activation(x, ActivationConfig(), 50)
+        act = run_activation(x, ActivationConfig(), 50, seed=0)
         s = sample_gated(x, act)
         assert s.ticks.dtype == np.int64
         assert np.array_equal(np.sort(s.ticks), s.ticks)
@@ -74,7 +72,7 @@ class TestSampling:
 
     def test_grid_mismatch_rejected(self):
         x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0), 50)
-        act = run_activation(x, ActivationConfig(), 50)
+        act = run_activation(x, ActivationConfig(), 50, seed=0)
         other = Trace(np.zeros(100), 100_000.0)
         with pytest.raises(ValueError, match="grid"):
             sample_gated(other, act)
@@ -84,7 +82,7 @@ class TestSampling:
         # the survey samples its ADC trace at steps // factor: the values
         # upsample keeps at every k * factor, bit for bit
         x = synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=6)
-        act = run_activation(x, _baseline_cfg(0.3, seed=1), spt, factor=factor)
+        act = run_activation(x, _baseline_cfg(0.3), spt, seed=1, factor=factor)
         x_high = upsample(x, factor)
         for stream, steps in ((sample_regular(x, act), act.sync_ticks),
                               (sample_gated(x, act), act.sync_ticks[act.gate[act.sync_ticks] > 0])):
@@ -94,13 +92,13 @@ class TestSampling:
 
     def test_ticks_between_samples_rejected(self):
         x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
-        act = run_activation(x, ActivationConfig(), 25, factor=50)
+        act = run_activation(x, ActivationConfig(), 25, seed=0, factor=50)
         with pytest.raises(ValueError, match="between the trace's samples"):
             sample_regular(x, act)
 
     def test_factor_mismatch_rejected(self):
         x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
-        act = run_activation(x, ActivationConfig(), 50, factor=50)
+        act = run_activation(x, ActivationConfig(), 50, seed=0, factor=50)
         with pytest.raises(ValueError, match="grid"):
             sample_gated(upsample(x, 50), act)
 
@@ -108,18 +106,18 @@ class TestSampling:
 class TestReconstruct:
     def test_all_points_exact(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg(), 50)
+        act = run_activation(x, _saturated_cfg(), 50, seed=0)
         rec = reconstruct(sample_gated(x, act), 2000.0, 1000)
         orig = x.samples[::50]
         assert np.array_equal(rec.samples, orig)
 
     def test_midpoint(self):
-        s = SampleStream(np.array([0, 2]), np.array([0.0, 1.0]), "p_adc", rate_hz=2.0)
+        s = SampleStream(np.array([0, 2]), np.array([0.0, 1.0]), rate_hz=2.0)
         rec = reconstruct(s, 2.0, 3)
         assert np.array_equal(rec.samples, [0.0, 0.5, 1.0])
 
     def test_constant_extrapolation(self):
-        s = SampleStream(np.array([2, 4]), np.array([5.0, 7.0]), "p_adc", rate_hz=2.0)
+        s = SampleStream(np.array([2, 4]), np.array([5.0, 7.0]), rate_hz=2.0)
         rec = reconstruct(s, 2.0, 6)
         assert np.array_equal(rec.samples, [5.0, 5.0, 5.0, 6.0, 7.0, 7.0])
 
@@ -130,12 +128,12 @@ class TestReconstruct:
         t = np.arange(n) / 2000.0
         sine = np.sin(2 * np.pi * 50.0 * t)
         keep = np.sort(rng.choice(n, size=60, replace=False))
-        s = SampleStream(keep, sine[keep], "p_adc", rate_hz=2000.0)
+        s = SampleStream(keep, sine[keep], rate_hz=2000.0)
         rec = reconstruct(s, 2000.0, n)
         assert np.array_equal(rec.samples[keep], sine[keep])
 
     def test_too_few_points(self):
-        s = SampleStream(np.array([0]), np.array([1.0]), "p_adc", rate_hz=10.0)
+        s = SampleStream(np.array([0]), np.array([1.0]), rate_hz=10.0)
         with pytest.raises(ValueError, match="at least 2"):
             reconstruct(s, 10.0, 5)
 
@@ -212,26 +210,26 @@ class TestNmseFreq:
 
 
 class TestSavings:
-    def _stream(self, n, source="p_adc"):
-        return SampleStream(np.arange(n), np.zeros(n), source, rate_hz=1.0)
+    def _stream(self, n):
+        return SampleStream(np.arange(n), np.zeros(n), rate_hz=1.0)
 
     def test_equal_streams_zero_savings(self):
-        p, r = self._stream(100), self._stream(100, "r_adc")
+        p, r = self._stream(100), self._stream(100)
         assert savings(p, r) == (0.0, 100.0)
 
     def test_empty_p_full_savings(self):
-        p = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), "p_adc", rate_hz=1.0)
-        assert savings(p, self._stream(100, "r_adc")) == (100.0, 0.0)
+        p = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), rate_hz=1.0)
+        assert savings(p, self._stream(100)) == (100.0, 0.0)
 
     def test_empty_reference_rejected(self):
-        r = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), "r_adc", rate_hz=1.0)
+        r = SampleStream(np.zeros(0, dtype=np.int64), np.zeros(0), rate_hz=1.0)
         with pytest.raises(ValueError, match="empty"):
             savings(self._stream(10), r)
 
     @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=1000))
     def test_complement_sums_to_100_exactly(self, np_, nr):
         np_ = min(np_, nr)
-        sav, active = savings(self._stream(np_), self._stream(nr, "r_adc"))
+        sav, active = savings(self._stream(np_), self._stream(nr))
         assert sav + active == 100.0
         assert sav == pytest.approx(100.0 * (1 - np_ / nr), abs=1e-12)
 
@@ -239,17 +237,13 @@ class TestSavings:
 class TestStreamValidation:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            SampleStream(np.array([0, 0]), np.zeros(2), "p_adc", rate_hz=1.0)
-
-    def test_bad_source(self):
-        with pytest.raises(ValueError, match="source"):
-            SampleStream(np.array([0]), np.zeros(1), "x_adc", rate_hz=1.0)
+            SampleStream(np.array([0, 0]), np.zeros(2), rate_hz=1.0)
 
     def test_times_from_ticks(self):
-        s = SampleStream(np.array([0, 3]), np.zeros(2), "p_adc", rate_hz=2.0, t0_s=1.25)
+        s = SampleStream(np.array([0, 3]), np.zeros(2), rate_hz=2.0, t0_s=1.25)
         assert s.times_s.tolist() == [1.25, 2.75]
 
     def test_float_ticks_rejected(self):
         # seconds passed where ticks belong
         with pytest.raises(ValueError, match="integers"):
-            SampleStream(np.array([0.0, 0.5]), np.zeros(2), "p_adc", rate_hz=2.0)
+            SampleStream(np.array([0.0, 0.5]), np.zeros(2), rate_hz=2.0)

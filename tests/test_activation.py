@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from probsense.acquisition import sample_gated, sample_regular
@@ -28,12 +27,10 @@ RATE_HI = 100_000.0
 SPT = 50  # high-rate steps per tick: a 2 kHz ADC grid upsampled to RATE_HI
 
 
-def _cfg(x_min=0.05, source="digital_iid", seed=0, amp_thr=0.05, hold=None, tau=500e-6):
+def _cfg(x_min=0.05, source="digital_iid", amp_thr=0.05, hold=SPT, tau=500e-6):
     return ActivationConfig(
         hold_steps=hold,
-        pneuron=PNeuronConfig(
-            v_ref_v=v_ref_for_min_rate(x_min, 10.0), source=source, seed=seed, tau_s=tau
-        ),
+        pneuron=PNeuronConfig(v_ref_v=v_ref_for_min_rate(x_min, 10.0), source=source, tau_s=tau),
         afe=AfeConfig(amp_threshold_v=amp_thr),
     )
 
@@ -42,31 +39,30 @@ def _zero_trace(n_ticks):
     return Trace(np.zeros(n_ticks * 50), RATE_HI)
 
 
-def _run_activation_scan(x_high, cfg, steps_per_tick):
+def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
     """Reference oracle for `run_activation` at factor 1: the logistic at
     every step, the triggers from |x_high| and the override latch as a
     running maximum of trigger indices."""
     spt = steps_per_tick
     n = len(x_high)
-    feats = extract_features(x_high, cfg.afe)
-    p = activation_probability(cfg.afe.slope_gain * feats.slope_mag, cfg.pneuron)
+    slope = extract_features(x_high, cfg.afe)
+    p = activation_probability(cfg.afe.slope_gain * slope, cfg.pneuron)
     ticks = np.arange(0, n, spt, dtype=np.int64)
     pneuron_out = np.zeros(n, dtype=np.uint8)
     if cfg.pneuron.source == "digital_iid":
-        decisions, _ = iid_decisions(p[ticks], lfsr_from_seed(cfg.pneuron.seed))
+        decisions, _ = iid_decisions(p[ticks], lfsr_from_seed(seed))
         pneuron_out[ticks] = decisions
     else:
-        rng = np.random.default_rng(cfg.pneuron.seed)
+        rng = np.random.default_rng(seed)
         pneuron_out[:] = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
-    hold = spt if cfg.hold_steps is None else cfg.hold_steps
+    hold = cfg.hold_steps
     trigger = np.abs(x_high.samples) >= cfg.afe.amp_threshold_v
     steps = np.arange(n, dtype=np.int64)
     last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
     det_override = (steps - last_trigger <= hold).astype(np.uint8)
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]
-    return ActivationTrace(gate, ticks, pneuron_out, det_override, x_high.rate_hz,
-                           x_high.t0_s, spt)
+    return ActivationTrace(gate, ticks, pneuron_out, det_override, x_high.rate_hz, spt)
 
 
 @st.composite
@@ -74,8 +70,7 @@ def _trigger_cases(draw):
     """(x, hold_steps, steps_per_tick): triggers are the steps with |x| >= 0.5."""
     n = draw(st.integers(min_value=6, max_value=400))
     spt = draw(st.integers(min_value=1, max_value=8))
-    hold = draw(st.one_of(st.none(), st.just(0), st.integers(min_value=0, max_value=40)))
-    h = spt if hold is None else hold
+    hold = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=40)))
     kind = draw(st.sampled_from(["random", "none", "all", "spaced"]))
     if kind == "random":
         trig = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
@@ -85,7 +80,7 @@ def _trigger_cases(draw):
         trig = set(range(n))
     else:
         # triggers exactly hold, hold + 1 (adjacent intervals) or hold + 2 apart
-        step = max(1, h + draw(st.sampled_from([0, 1, 2])))
+        step = max(1, hold + draw(st.sampled_from([0, 1, 2])))
         trig = set(range(draw(st.integers(min_value=0, max_value=step)), n, step))
     if kind != "none":
         trig |= draw(st.sets(st.sampled_from([0, n - 1])))
@@ -100,7 +95,7 @@ class TestRunActivation:
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_zero_signal_baseline_rate(self, source):
         # no features -> gating fraction equals the minimum rate X
-        act = run_activation(_zero_trace(10_000), _cfg(x_min=0.05, source=source), SPT)
+        act = run_activation(_zero_trace(10_000), _cfg(x_min=0.05, source=source), SPT, seed=0)
         frac = act.gate[act.sync_ticks].mean()
         assert frac == pytest.approx(0.05, abs=0.01)
 
@@ -108,7 +103,7 @@ class TestRunActivation:
     def test_override_dominates_any_seed(self, seed):
         # amplitude above threshold everywhere -> every sync tick gated
         x = Trace(np.full(50_000, 2.0), RATE_HI)
-        act = run_activation(x, _cfg(amp_thr=0.5, seed=seed), SPT)
+        act = run_activation(x, _cfg(amp_thr=0.5), SPT, seed)
         assert np.all(act.gate[act.sync_ticks] == 1)
 
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
@@ -118,7 +113,7 @@ class TestRunActivation:
             pneuron=PNeuronConfig(v_ref_v=-5.0, source=source),
             afe=AfeConfig(amp_threshold_v=1e9),
         )
-        act = run_activation(_zero_trace(2000), cfg, SPT)
+        act = run_activation(_zero_trace(2000), cfg, SPT, seed=0)
         if source == "digital_iid":
             assert np.all(act.gate[act.sync_ticks] == 1)
         else:
@@ -131,13 +126,13 @@ class TestRunActivation:
 
     def test_gating_subset_of_sync_ticks(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=3), 50)
-        act = run_activation(x, _cfg(), SPT)
+        act = run_activation(x, _cfg(), SPT, seed=0)
         gated_steps = np.flatnonzero(act.gate)
         assert np.all(np.isin(gated_steps, act.sync_ticks))
 
     def test_gate_composition_invariant(self):
         x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=4), 50)
-        act = run_activation(x, _cfg(source="smtj_telegraph"), SPT)
+        act = run_activation(x, _cfg(source="smtj_telegraph"), SPT, seed=0)
         expect = np.zeros(len(act), dtype=np.uint8)
         t = act.sync_ticks
         expect[t] = act.pneuron_out[t] | act.det_override[t]
@@ -146,16 +141,16 @@ class TestRunActivation:
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_deterministic(self, source):
         x = upsample(synth_event(0.2, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=9), 50)
-        a = run_activation(x, _cfg(source=source, seed=5), SPT)
-        b = run_activation(x, _cfg(source=source, seed=5), SPT)
+        a = run_activation(x, _cfg(source=source), SPT, seed=5)
+        b = run_activation(x, _cfg(source=source), SPT, seed=5)
         assert np.array_equal(a.gate, b.gate)
         assert np.array_equal(a.pneuron_out, b.pneuron_out)
         assert np.array_equal(a.det_override, b.det_override)
 
     def test_monotone_drive_monotone_rate(self):
         # two constant drive levels via X: higher p must gate more (3 sigma)
-        lo = run_activation(_zero_trace(10_000), _cfg(x_min=0.1, seed=3), SPT)
-        hi = run_activation(_zero_trace(10_000), _cfg(x_min=0.3, seed=3), SPT)
+        lo = run_activation(_zero_trace(10_000), _cfg(x_min=0.1), SPT, seed=3)
+        hi = run_activation(_zero_trace(10_000), _cfg(x_min=0.3), SPT, seed=3)
         f_lo = lo.gate[lo.sync_ticks].mean()
         f_hi = hi.gate[hi.sync_ticks].mean()
         sigma = np.sqrt(0.3 * 0.7 / 10_000)
@@ -165,7 +160,7 @@ class TestRunActivation:
         # single above-threshold spike held for hold_steps
         x = np.zeros(5000)
         x[1000] = 1.0
-        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), SPT)
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), SPT, seed=0)
         det = np.flatnonzero(act.det_override)
         assert det[0] == 1000
         assert det[-1] == 1200
@@ -175,7 +170,7 @@ class TestRunActivation:
     def test_hold_past_the_trace_latches_to_the_end(self, hold):
         x = np.zeros(5000)
         x[[1000, 4000]] = 1.0
-        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=hold), SPT)
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=hold), SPT, seed=0)
         assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 5000))
         latch = _override_latch(np.array([7, 9], dtype=np.int64), hold, 20)
         assert latch.tolist() == [0] * 7 + [1] * 13
@@ -192,22 +187,22 @@ class TestRunActivation:
         x, hold, spt = case
         cfg = ActivationConfig(
             hold_steps=hold,
-            pneuron=PNeuronConfig(source=source, seed=seed),
+            pneuron=PNeuronConfig(source=source),
             afe=AfeConfig(smoothing_steps=window, amp_threshold_v=0.5),
         )
         trace = Trace(x, RATE_HI, 0.25)
-        got = run_activation(trace, cfg, spt)
-        ref = _run_activation_scan(trace, cfg, spt)
+        got = run_activation(trace, cfg, spt, seed)
+        ref = _run_activation_scan(trace, cfg, spt, seed)
         for name in ("gate", "sync_ticks", "pneuron_out", "det_override"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (got.rate_hz, got.t0_s, got.steps_per_tick) == (ref.rate_hz, ref.t0_s, spt)
+        assert (got.rate_hz, got.steps_per_tick) == (ref.rate_hz, spt)
 
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_survey_event_matches_scan_oracle(self, source):
         x = upsample(synth_event(1.0, 2000.0, 50.0, 0.4, 1.0, 0.02, seed=11), 50)
-        cfg = replace(_cfg(source=source, seed=8, amp_thr=0.05), hold_steps=1000)
-        got, ref = run_activation(x, cfg, SPT), _run_activation_scan(x, cfg, SPT)
+        cfg = _cfg(source=source, amp_thr=0.05, hold=1000)
+        got, ref = run_activation(x, cfg, SPT, 8), _run_activation_scan(x, cfg, SPT, 8)
         assert ref.det_override.any() and not ref.det_override.all()
         for name in ("gate", "pneuron_out", "det_override"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -218,15 +213,14 @@ class TestRunActivation:
         # the survey's event path: the ADC trace with its factor, against the
         # scan oracle on the upsampled trace, bit for bit
         trace = synth_event(1.0, 2000.0, 50.0, 0.4, 1.0, 0.02, seed=11)
-        cfg = replace(_cfg(source=source, seed=8, amp_thr=0.05), hold_steps=1000)
-        got = run_activation(trace, cfg, factor, factor=factor)
-        ref = _run_activation_scan(upsample(trace, factor), cfg, factor)
+        cfg = _cfg(source=source, amp_thr=0.05, hold=1000)
+        got = run_activation(trace, cfg, factor, seed=8, factor=factor)
+        ref = _run_activation_scan(upsample(trace, factor), cfg, factor, 8)
         assert ref.det_override.any() and not ref.det_override.all()
         for name in ("gate", "sync_ticks", "pneuron_out", "det_override"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (got.rate_hz, got.t0_s, got.steps_per_tick, got.factor) == \
-            (ref.rate_hz, ref.t0_s, factor, factor)
+        assert (got.rate_hz, got.steps_per_tick, got.factor) == (ref.rate_hz, factor, factor)
 
     @given(case=_trigger_cases(), factor=st.integers(min_value=1, max_value=9))
     @settings(max_examples=200)
@@ -234,8 +228,8 @@ class TestRunActivation:
         x, hold, spt = case
         cfg = ActivationConfig(hold_steps=hold, pneuron=PNeuronConfig(source="digital_iid"),
                                afe=AfeConfig(smoothing_steps=1, amp_threshold_v=0.5))
-        got = run_activation(Trace(x, RATE_HI), cfg, spt, factor=factor)
-        ref = _run_activation_scan(upsample(Trace(x, RATE_HI), factor), cfg, spt)
+        got = run_activation(Trace(x, RATE_HI), cfg, spt, seed=0, factor=factor)
+        ref = _run_activation_scan(upsample(Trace(x, RATE_HI), factor), cfg, spt, 0)
         assert got.det_override.tobytes() == ref.det_override.tobytes()
 
 
@@ -307,11 +301,11 @@ def test_override_latch_matches_cumsum_oracle(hold, kind):
     assert got.dtype == np.uint8 and got.tobytes() == ref.tobytes()
 
 
-def _rate_csv(x_high, cfg, path):
+def _rate_csv(x_high, cfg, path, seed=0):
     """The avg_rate column of the rate_event_NNN.csv that `run_survey` writes
     for an event with this activation: the gated fraction of each window of
     RATE_TRACE_WINDOW_TICKS sync ticks."""
-    act = run_activation(x_high, cfg, SPT)
+    act = run_activation(x_high, cfg, SPT, seed)
     _write_rate_csv(path, sample_gated(x_high, act), len(sample_regular(x_high, act)))
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
 
@@ -329,8 +323,8 @@ class TestAverageRate:
         assert w.size == 10 and np.all(w == 0.0)
 
     def test_baseline_window_statistics(self, tmp_path):
-        w = _rate_csv(_zero_trace(100_000), _cfg(x_min=0.05, seed=1),
-                      tmp_path / "rate_event_000.csv")
+        w = _rate_csv(_zero_trace(100_000), _cfg(x_min=0.05),
+                      tmp_path / "rate_event_000.csv", seed=1)
         assert w.size == 100_000 // RATE_TRACE_WINDOW_TICKS
         w = w.reshape(-1, 1000 // RATE_TRACE_WINDOW_TICKS).mean(axis=1)  # 1000-tick windows
         assert w.mean() == pytest.approx(0.05, abs=0.01)
@@ -342,17 +336,17 @@ class TestDetectionLatency:
         # signal crosses the threshold exactly at a sync tick
         x = np.zeros(10_000)
         x[5000:] = 1.0
-        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5), SPT)
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5), SPT, seed=0)
         assert detection_latency(act, 5000) == 0.0
 
     def test_flat_signal_no_activation(self):
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))
-        act = run_activation(_zero_trace(500), cfg, SPT)
+        act = run_activation(_zero_trace(500), cfg, SPT, seed=0)
         with pytest.raises(ValueError, match="no activation"):
             detection_latency(act, 100)
 
     def test_onset_out_of_range(self):
-        act = run_activation(_zero_trace(100), _cfg(), SPT)
+        act = run_activation(_zero_trace(100), _cfg(), SPT, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             detection_latency(act, 10**7)
 
@@ -366,7 +360,7 @@ class TestDetectionLatency:
         trace = Trace(x, RATE_HI)
         ok = 0
         for seed in range(100):
-            act = run_activation(trace, _cfg(x_min=0.05, seed=seed, amp_thr=1e9), SPT)
+            act = run_activation(trace, _cfg(x_min=0.05, amp_thr=1e9), SPT, seed)
             try:
                 ok += detection_latency(act, onset) <= 2 / 2000.0
             except ValueError:
@@ -376,10 +370,10 @@ class TestDetectionLatency:
 
 class TestConfigValidation:
     def test_ticks_every_steps_per_tick(self):
-        act = run_activation(_zero_trace(100), _cfg(), 10)
+        act = run_activation(_zero_trace(100), _cfg(), 10, seed=0)
         assert np.array_equal(act.sync_ticks, np.arange(0, 5000, 10))
         with pytest.raises(ValueError, match="steps_per_tick"):
-            run_activation(_zero_trace(100), _cfg(), 0)
+            run_activation(_zero_trace(100), _cfg(), 0, seed=0)
 
     def test_bad_hold(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from probsense.afe import (
     FEATURE_BLOCK,
     AfeConfig,
-    FeatureSignal,
     drive_voltages,
     extract_features,
 )
@@ -40,23 +39,22 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _extract_features_concat(x: Trace, cfg: AfeConfig) -> FeatureSignal:
+def _extract_features_concat(x: Trace, cfg: AfeConfig) -> np.ndarray:
     """Reference oracle for `extract_features`: np.diff, then a concatenated zero."""
     abs_slope = np.abs(np.diff(x.samples) * x.rate_hz)
-    slope = np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
-    return FeatureSignal(slope, x.rate_hz)
+    return np.concatenate([[0.0], _trailing_mean(abs_slope, cfg.smoothing_steps)])
 
 
-def drive_voltages_full(f: FeatureSignal, cfg: AfeConfig) -> np.ndarray:
+def drive_voltages_full(slope: np.ndarray, cfg: AfeConfig) -> np.ndarray:
     """Reference oracle for `drive_voltages`: the p-neuron voltage at every step."""
-    return cfg.slope_gain * f.slope_mag
+    return cfg.slope_gain * slope
 
 
-def drive_voltage(f: FeatureSignal, cfg: AfeConfig, i: int) -> float:
+def drive_voltage(slope: np.ndarray, cfg: AfeConfig, i: int) -> float:
     """Reference oracle for `drive_voltages`: the p-neuron voltage at step i."""
-    if not 0 <= i < len(f):
-        raise IndexError(f"step index {i} out of range [0, {len(f)})")
-    return cfg.slope_gain * float(f.slope_mag[i])
+    if not 0 <= i < len(slope):
+        raise IndexError(f"step index {i} out of range [0, {len(slope)})")
+    return cfg.slope_gain * float(slope[i])
 
 
 class TestRectify:
@@ -86,7 +84,7 @@ class TestRectify:
         trace = Trace(x, 100.0)
         pos, neg = half_wave_rectify(Trace(np.diff(x) * trace.rate_hz, trace.rate_hz))
         expected = np.concatenate([[0.0], _trailing_mean(pos.samples + neg.samples, window)])
-        got = extract_features(trace, AfeConfig(smoothing_steps=window)).slope_mag
+        got = extract_features(trace, AfeConfig(smoothing_steps=window))
         assert got.tobytes() == expected.tobytes()
 
 
@@ -102,9 +100,8 @@ class TestExtractFeatures:
         cfg = AfeConfig(smoothing_steps=window)
         got = extract_features(Trace(x, rate), cfg)
         ref = _extract_features_concat(Trace(x, rate), cfg)
-        assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
-        assert got.slope_mag.dtype == np.float64
-        assert got.rate_hz == ref.rate_hz
+        assert got.tobytes() == ref.tobytes()
+        assert got.dtype == np.float64
 
     @pytest.mark.parametrize("n", [FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1,
                                    3 * FEATURE_BLOCK + 17])
@@ -119,19 +116,19 @@ class TestExtractFeatures:
             cfg = AfeConfig(smoothing_steps=w)
             got = extract_features(Trace(x, 1e5), cfg)
             ref = _extract_features_concat(Trace(x, 1e5), cfg)
-            assert got.slope_mag.tobytes() == ref.slope_mag.tobytes(), w
+            assert got.tobytes() == ref.tobytes(), w
 
     def test_constant_signal_zero_slope(self):
         f = extract_features(Trace(np.full(500, 3.3), 1000.0), AfeConfig(smoothing_steps=5))
-        assert np.all(f.slope_mag == 0.0)
+        assert np.all(f == 0.0)
 
     def test_ramp_slope(self):
         rate = 1000.0
         s = 42.0
         x = Trace(s * np.arange(200) / rate, rate)
         f = extract_features(x, AfeConfig(smoothing_steps=1))
-        assert f.slope_mag[0] == 0.0
-        assert np.allclose(f.slope_mag[1:], s, rtol=1e-9)
+        assert f[0] == 0.0
+        assert np.allclose(f[1:], s, rtol=1e-9)
 
     def test_sine_peak_slope_matches_analytic(self):
         # 50 Hz unit sine on a 100 kHz grid: max |dx/dt| = 2*pi*50
@@ -139,7 +136,7 @@ class TestExtractFeatures:
         t = np.arange(int(0.05 * rate)) / rate
         x = Trace(np.sin(2 * np.pi * 50.0 * t), rate)
         f = extract_features(x, AfeConfig())
-        assert np.max(f.slope_mag) == pytest.approx(2 * np.pi * 50.0, rel=0.02)
+        assert np.max(f) == pytest.approx(2 * np.pi * 50.0, rel=0.02)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
@@ -150,7 +147,7 @@ class TestExtractFeatures:
         cfg = AfeConfig(smoothing_steps=3)
         f_pos = extract_features(Trace(x, 100.0), cfg)
         f_neg = extract_features(Trace(-x, 100.0), cfg)
-        assert np.array_equal(f_pos.slope_mag, f_neg.slope_mag)
+        assert np.array_equal(f_pos, f_neg)
 
     @given(signal_arrays, st.integers(min_value=-8, max_value=8))
     def test_scaling_by_powers_of_two_exact(self, x, k):
@@ -159,7 +156,7 @@ class TestExtractFeatures:
         cfg = AfeConfig(smoothing_steps=4)
         f1 = extract_features(Trace(x, 100.0), cfg)
         f2 = extract_features(Trace(c * x, 100.0), cfg)
-        assert np.array_equal(f2.slope_mag, c * f1.slope_mag)
+        assert np.array_equal(f2, c * f1)
 
     def test_scaling_general(self):
         rng = np.random.default_rng(1)
@@ -167,13 +164,13 @@ class TestExtractFeatures:
         cfg = AfeConfig(smoothing_steps=7)
         f1 = extract_features(Trace(x, 100.0), cfg)
         f2 = extract_features(Trace(3.7 * x, 100.0), cfg)
-        assert np.allclose(f2.slope_mag, 3.7 * f1.slope_mag, rtol=1e-12)
+        assert np.allclose(f2, 3.7 * f1, rtol=1e-12)
 
     def test_feature_lengths_match_source(self):
         x = Trace(np.arange(100.0), 10.0)
         f = extract_features(x, AfeConfig(smoothing_steps=3))
         assert len(f) == len(x)
-        assert np.all(f.slope_mag >= 0)
+        assert np.all(f >= 0)
 
 
 def _assert_close_to_upsampled(x: Trace, cfg: AfeConfig, factor: int) -> None:
@@ -181,17 +178,16 @@ def _assert_close_to_upsampled(x: Trace, cfg: AfeConfig, factor: int) -> None:
     features of the upsampled trace itself."""
     got = extract_features(x, cfg, factor)
     ref = extract_features(upsample(x, factor), cfg)
-    assert got.slope_mag.shape == ref.slope_mag.shape == ((len(x) - 1) * factor + 1,)
-    assert got.rate_hz == ref.rate_hz == x.rate_hz * factor
+    assert got.shape == ref.shape == ((len(x) - 1) * factor + 1,)
     if factor == 1:
-        assert got.slope_mag.tobytes() == ref.slope_mag.tobytes()
+        assert got.tobytes() == ref.tobytes()
         return
     # Each window mean is a difference of two running sums, so its rounding
     # error is of order eps times the whole sum, not only of the mean itself.
     total = factor * float(np.sum(np.abs(np.diff(x.samples)))) * x.rate_hz
     atol = 1e-12 * total / cfg.smoothing_steps
-    assert np.allclose(got.slope_mag, ref.slope_mag, rtol=1e-8, atol=atol)
-    assert got.slope_mag[0] == 0.0
+    assert np.allclose(got, ref, rtol=1e-8, atol=atol)
+    assert got[0] == 0.0
 
 
 class TestClosedForm:
@@ -212,9 +208,9 @@ class TestClosedForm:
         # a ramp on the ADC grid: every high-rate step has the same slope
         f = extract_features(Trace(7.0 * np.arange(40) / 100.0, 100.0),
                              AfeConfig(smoothing_steps=5), 9)
-        assert f.rate_hz == 900.0 and len(f) == 39 * 9 + 1
-        assert f.slope_mag[0] == 0.0
-        assert np.allclose(f.slope_mag[1:], 7.0, rtol=1e-12)
+        assert len(f) == 39 * 9 + 1
+        assert f[0] == 0.0
+        assert np.allclose(f[1:], 7.0, rtol=1e-12)
 
     def test_too_short_counts_steps(self):
         x = Trace(np.arange(3.0), 10.0)

@@ -34,10 +34,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from probsense.activation import ActivationConfig, run_activation
+from probsense.activation import DEFAULT_HOLD_STEPS, ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
 from probsense.harness import (
-    DEFAULT_SURVEY_HOLD_STEPS,
     ExperimentConfig,
     SynthSurveySpec,
     _synth_one,
@@ -92,7 +91,7 @@ def test_triangle_wave():
 def test_telegraph_run(drive):
     """The survey drive, and constant drives of its length saturated ON and OFF."""
     afe, cfg = AfeConfig(), PNeuronConfig()
-    survey = activation_probability(afe.slope_gain * extract_features(drive, afe).slope_mag, cfg)
+    survey = activation_probability(afe.slope_gain * extract_features(drive, afe), cfg)
     dt = 1.0 / drive.rate_hz
     for p in (survey, np.full(survey.size, 0.995), np.full(survey.size, 0.005)):
         peak = _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size)
@@ -102,12 +101,12 @@ def test_telegraph_run(drive):
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.4), ("digital_iid", 1.6)])
 def test_run_activation(event, source, bound):
     """The survey's event path: the event itself, on its upsampled grid."""
-    cfg = ActivationConfig(hold_steps=DEFAULT_SURVEY_HOLD_STEPS,
-                           pneuron=PNeuronConfig(source=source, seed=3))
-    act = run_activation(event, cfg, FACTOR, factor=FACTOR)
+    cfg = ActivationConfig(hold_steps=DEFAULT_HOLD_STEPS, pneuron=PNeuronConfig(source=source))
+    act = run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR)
     assert act.det_override.any()  # the latch is exercised
     n = len(act)
-    assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, factor=FACTOR), n) < bound
+    assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR),
+                        n) < bound
 
 
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.5), ("digital_iid", 2.6)])

@@ -347,7 +347,7 @@ class TestOutputFiles:
     def test_rate_csv_matches_line_loop(self, tmp_path, n_ticks, rate, t0, data):
         ticks = sorted(data.draw(st.sets(st.integers(0, max(n_ticks - 1, 0)), max_size=n_ticks)))
         values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
-        stream = SampleStream(np.array(ticks, dtype=np.int64), values, "p_adc", rate, t0)
+        stream = SampleStream(np.array(ticks, dtype=np.int64), values, rate, t0)
         _write_rate_csv(tmp_path / "new.csv", stream, n_ticks)
         _write_rate_loop(tmp_path / "ref.csv", stream, n_ticks)
         new = (tmp_path / "new.csv").read_bytes()
@@ -472,8 +472,7 @@ class TestSweeps:
         assert got[0][2, 2] == pytest.approx(0.98, abs=0.002)
         monkeypatch.setattr(harness_mod, "_triangle_wave", _triangle_wave_mod)
         monkeypatch.setattr(activation_mod, "telegraph_run", _telegraph_run_three_arrays)
-        for mod in (harness_mod, pbit_mod):
-            monkeypatch.setattr(mod, "lfsr_word_uniforms", _lfsr_word_uniforms_gather)
+        monkeypatch.setattr(pbit_mod, "lfsr_word_uniforms", _lfsr_word_uniforms_gather)
         for a, b in zip(got, rows()):
             assert a.tobytes() == b.tobytes()
 
@@ -737,6 +736,7 @@ class TestCli:
         ["--slope-gain=nan"], ["--slope-gain=inf"],
         ["--snr-db=nan"], ["--snr-db=-inf"],
         ["--dataset=D", "--rate-hz=-5"], ["--dataset=D", "--rate-hz=nan"],
+        ["--rate-hz=5000"],  # a dataset's rate, with no dataset to replay
     ])
     def test_bad_config_value_is_one_error_line(self, flags, monkeypatch, capsys):
         import probsense.cli as cli_mod

@@ -26,7 +26,6 @@ from probsense.pbit import (
     estimate_retention,
     iid_decisions,
     lfsr_from_seed,
-    lfsr_next,
     lfsr_word_uniforms,
     telegraph_run,
     telegraph_tick_states,
@@ -34,13 +33,19 @@ from probsense.pbit import (
     _CYCLE,
     _LfsrCycle,
     _flip_probs,
+    _lfsr_step,
 )
 
 
-# Reference oracles: the scalar twins of `activation_probability`,
-# `iid_decisions` and `telegraph_run`, the loop that built the LFSR tables, the
-# 16-bit gather that built each LFSR word and the three-array flip setup of
-# `telegraph_run`.
+# Reference oracles: the scalar twins of the LFSR word stream,
+# `activation_probability`, `iid_decisions` and `telegraph_run`, the loop that
+# built the LFSR tables, the 16-bit gather that built each LFSR word and the
+# three-array flip setup of `telegraph_run`.
+def lfsr_next(s: LfsrState) -> tuple[int, LfsrState]:
+    """Emit one output bit (register LSB) and shift with taps 16,15,13,4."""
+    return s.register & 1, LfsrState(_lfsr_step(s.register))
+
+
 def _logistic_oracle(z: float) -> float:
     """sigma(z) through libm's exp; 0.0 where exp(-z) overflows."""
     try:
@@ -430,7 +435,7 @@ class TestIidDecisions:
 
 
 class TestTelegraph:
-    CFG = PNeuronConfig(tau_s=500e-6, seed=0)
+    CFG = PNeuronConfig(tau_s=500e-6)
 
     def test_step_dt_too_coarse_rejected(self):
         ts = TelegraphState(0, 0.0, np.random.default_rng(0))
@@ -664,6 +669,22 @@ class TestTelegraph:
             rng=np.random.default_rng(7),
         )
         assert states.mean() == pytest.approx(0.8, abs=0.01)
+
+    @pytest.mark.parametrize("p, clamped", [(0.0, P_CLAMP), (1.0, 1.0 - P_CLAMP)])
+    def test_tick_states_clamp_p_as_run_does(self, p, clamped):
+        def states(q):
+            return telegraph_tick_states(q, 10e-6, self.CFG, 50, 10_000, np.random.default_rng(4))
+
+        got = states(p)
+        assert np.array_equal(got, states(clamped))
+        # the dwell outside the saturated state is one step, so at dt = tau / 50
+        # the ON fraction saturates at 1/101 and 100/101, not at p
+        assert got.mean() == pytest.approx(1.0 / 101 if p == 0.0 else 100.0 / 101, abs=0.003)
+
+    @pytest.mark.parametrize("p", [np.nan, -0.1, 1.1])
+    def test_tick_states_reject_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            telegraph_tick_states(p, 10e-6, self.CFG, 50, 1000, np.random.default_rng(0))
 
     def test_dwell_distribution_geometric(self):
         # KS distance between empirical dwell steps and Geometric(dt/tau)
