@@ -142,10 +142,22 @@ def _merge(args: argparse.Namespace) -> dict:
     return opts
 
 
-def _with_field(obj, path: str, value):
-    """Copy of dataclass `obj` with the field at dotted `path` set to `value`."""
-    name, _, rest = path.partition(".")
-    return replace(obj, **{name: _with_field(getattr(obj, name), rest, value) if rest else value})
+def _with_fields(obj, values: dict):
+    """Copy of dataclass `obj` with the field at each dotted path in `values` set.
+
+    Each dataclass is rebuilt once, with all its new values, so a check
+    across its fields sees the finished config whatever the option order.
+    """
+    nested: dict[str, dict] = {}
+    top = {}
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            top[name] = value
+    top.update({name: _with_fields(getattr(obj, name), sub) for name, sub in nested.items()})
+    return replace(obj, **top)
 
 
 def build_experiment(opts: dict) -> ExperimentConfig:
@@ -156,7 +168,7 @@ def build_experiment(opts: dict) -> ExperimentConfig:
     rejected rather than truncated; a value the type rejects is an error that
     names the key. Values argparse already parsed come out unchanged.
     """
-    cfg = ExperimentConfig()
+    values = {}
     for key, val in opts.items():
         flag = FLAGS[key]
         if isinstance(val, (str, int, float)):
@@ -164,8 +176,8 @@ def build_experiment(opts: dict) -> ExperimentConfig:
                 val = flag.type(str(val))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{key} = {val!r}: {exc}") from None
-        cfg = _with_field(cfg, flag.field, flag.to_field(val))
-    return cfg
+        values[flag.field] = flag.to_field(val)
+    return _with_fields(ExperimentConfig(), values)
 
 
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:

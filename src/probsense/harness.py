@@ -406,14 +406,14 @@ def sweep_vin(
         p_model = activation_probability(float(v), pn)
         seed = cfg.base_seed + i
         if pn.source == "digital_iid":
-            gated, _ = iid_decisions(np.full(ticks_per_point, p_model), lfsr_from_seed(seed))
+            bits, _ = iid_decisions(np.full(ticks_per_point, p_model), lfsr_from_seed(seed))
         else:
             spt = cfg.upsample_factor
             dt = 1.0 / (cfg.synth.rate_hz * spt)
-            gated = telegraph_tick_states(
+            bits = telegraph_tick_states(
                 p_model, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
             )
-        measured = float(gated.mean())
+        measured = float(bits.mean())
         rows[i] = (v, measured, p_model)
     return rows
 

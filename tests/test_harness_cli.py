@@ -500,6 +500,25 @@ class TestConfigFile:
         assert cfg.activation.afe.slope_gain == 1e-3
         assert cfg.synth.snr_db == 20.0
 
+    @pytest.mark.parametrize("text, flags", [
+        ("rate_hz = 2000\ndataset = D\n", []),
+        ("rate_hz = 2000\n", ["--dataset", "D"]),
+    ], ids=["rate-above-dataset", "dataset-flag"])
+    def test_dataset_rate_in_any_option_order(self, text, flags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--n-events", "1", "--out", "D"]) == 0
+        (tmp_path / "cfg.txt").write_text(text)
+        assert main(["run", "--config", "cfg.txt", "--n-events", "1", *flags]) == 0
+        cfg = build_experiment({"rate_hz": 2000.0, "dataset": "D"})
+        assert (str(cfg.dataset), cfg.dataset_rate_hz) == ("D", 2000.0)
+
+    def test_dataset_rate_in_file_without_dataset_fails(self, tmp_path, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text("rate_hz = 5000\n")
+        assert main(["run", "--config", str(p), "--n-events", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "dataset_rate_hz" in err[0]
+
     @pytest.mark.parametrize("line", ["n_events = 2.9", "upsample = 50.9", "seed = 2.7"])
     def test_fractional_value_for_integer_flag_fails(self, line, tmp_path, monkeypatch, capsys):
         p = tmp_path / "cfg.txt"
