@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: `run` (survey evaluation), `sweep-vin`, `sweep-slope`, and
-`synth` (emit a synthetic dataset). A flat key = value config file can set
-any common flag (`FLAGS`; keys are the flag names); CLI flags override file
-values.
+`synth` (emit a synthetic dataset). Each registers only the common flags
+(`FLAGS`) it reads, and a flat key = value config file may set only those
+(keys are the flag names); CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def parse_config_file(path: Path | str) -> dict:
     inside it is kept; only a comment may follow the closing quote.
     """
     opts: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
@@ -49,6 +50,9 @@ def parse_config_file(path: Path | str) -> dict:
             raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, val = raw.partition("=")
         key = key.strip().replace("-", "_")
+        if key in line_of:
+            raise ValueError(f"{where}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         val = val.strip()
         if val.startswith(("'", '"')):
             end = val.find(val[0], 1)
@@ -82,61 +86,70 @@ class Flag(NamedTuple):
     """A common flag: the ExperimentConfig field it sets, as a dotted path."""
 
     field: str
+    commands: tuple[str, ...]  # the subcommands that read it
     type: Callable  # parses the flag's text, or a config-file value
     help: str  # "{default}" is replaced by the field's value in ExperimentConfig()
     to_field: Callable = lambda v: v  # parsed value -> field value
     choices: tuple[str, ...] | None = None
 
 
-# The common flags of every subcommand, which are also the config-file keys.
+# The subcommands that read a flag; `run` reads every flag.
+RUN = ("run",)
+SYNTH = ("run", "synth")
+SWEEPS = ("run", "sweep-vin", "sweep-slope")
+SLOPE = ("run", "sweep-slope")
+ALL = ("run", "sweep-vin", "sweep-slope", "synth")
+
+# The common flags, which are also the config-file keys.
 FLAGS = {
-    "dataset": Flag("dataset", Path, "directory of event CSVs (default: synthetic)"),
-    "rate_hz": Flag("dataset_rate_hz", float, "sample rate for value-only dataset CSVs"),
-    "n_events": Flag("n_events", int, "number of events to evaluate (default {default})"),
-    "seed": Flag("base_seed", int, "base seed; event i uses seed + i (default {default})"),
-    "tau_us": Flag("activation.pneuron.tau_s", float, "sMTJ retention time in microseconds",
-                   to_field=lambda us: us * 1e-6),
-    "vref": Flag("activation.pneuron.v_ref_v", float,
+    "dataset": Flag("dataset", RUN, Path, "directory of event CSVs (default: synthetic)"),
+    "rate_hz": Flag("dataset_rate_hz", RUN, float, "sample rate for value-only dataset CSVs"),
+    "n_events": Flag("n_events", SYNTH, int, "number of events (default {default})"),
+    "seed": Flag("base_seed", ALL, int, "base seed; event i uses seed + i (default {default})"),
+    "tau_us": Flag("activation.pneuron.tau_s", SWEEPS, float,
+                   "sMTJ retention time in microseconds", to_field=lambda us: us * 1e-6),
+    "vref": Flag("activation.pneuron.v_ref_v", SWEEPS, float,
                  "p-neuron reference voltage (sets the minimum rate)"),
-    "beta": Flag("activation.pneuron.beta", float, "activation steepness (1/V)"),
-    "source": Flag("activation.pneuron.source", str, "entropy source",
-                   to_field=lambda s: SOURCE_ALIASES.get(s, s),
-                   choices=tuple(sorted(SOURCE_ALIASES))),
-    "upsample": Flag("upsample_factor", int,
+    "beta": Flag("activation.pneuron.beta", SWEEPS, float, "activation steepness (1/V)"),
+    "source": Flag("activation.pneuron.source", SWEEPS, str, "entropy source",
+                   to_field=lambda s: SOURCE_ALIASES[s], choices=tuple(sorted(SOURCE_ALIASES))),
+    "upsample": Flag("upsample_factor", SWEEPS, int,
                      "high-rate steps per ADC sample; the ADC rate is the trace's rate "
                      "(default {default})"),
-    "band": Flag("band_hz", _parse_band, "frequency band for NMSE, 'low:high' Hz"),
-    "slope_gain": Flag("activation.afe.slope_gain", float, "volts of drive per (V/s) of slope"),
-    "amp_threshold": Flag("activation.afe.amp_threshold_v", float,
+    "band": Flag("band_hz", RUN, _parse_band, "frequency band for NMSE, 'low:high' Hz"),
+    "slope_gain": Flag("activation.afe.slope_gain", SLOPE, float,
+                       "volts of drive per (V/s) of slope"),
+    "amp_threshold": Flag("activation.afe.amp_threshold_v", RUN, float,
                           "deterministic override threshold (V)"),
-    "hold_steps": Flag("activation.hold_steps", int,
+    "hold_steps": Flag("activation.hold_steps", RUN, int,
                        "override hold window in high-rate steps (default {default})"),
-    "snr_db": Flag("synth.snr_db", float, "synthetic event energy SNR in dB (default {default})"),
-    "out": Flag("output_dir", Path, "output directory"),
+    "snr_db": Flag("synth.snr_db", SYNTH, float,
+                   "synthetic event energy SNR in dB (default {default})"),
+    "out": Flag("output_dir", ALL, Path, "output directory"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="flat key = value config file")
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--config", type=Path, help="flat key = value file of this command's flags")
     defaults = ExperimentConfig()
     for name, flag in FLAGS.items():
-        default = reduce(getattr, flag.field.split("."), defaults)
-        p.add_argument("--" + name.replace("_", "-"), type=flag.type, choices=flag.choices,
-                       help=flag.help.format(default=default))
+        if command in flag.commands:
+            default = reduce(getattr, flag.field.split("."), defaults)
+            p.add_argument("--" + name.replace("_", "-"), type=flag.type,
+                           choices=flag.choices, help=flag.help.format(default=default))
 
 
 def _merge(args: argparse.Namespace) -> dict:
     """File options first, then any common flag that was actually given."""
+    reads = [name for name, flag in FLAGS.items() if args.command in flag.commands]
     opts: dict[str, object] = {}
     if args.config is not None:
         opts.update(parse_config_file(args.config))
         for key in opts:
-            if key not in FLAGS:
-                raise ValueError(
-                    f"unknown key {key!r} in {args.config}; keys are the flag names "
-                    f"{', '.join(FLAGS)}"
-                )
-    for key in FLAGS:
+            if key not in reads:
+                raise ValueError(f"{args.config}: {args.command} does not read key {key!r}; "
+                                 f"its keys are {', '.join(reads)}")
+    for key in reads:
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
     return opts
@@ -176,6 +189,8 @@ def build_experiment(opts: dict) -> ExperimentConfig:
                 val = flag.type(str(val))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{key} = {val!r}: {exc}") from None
+        if flag.choices and val not in flag.choices:
+            raise ValueError(f"{key} = {val!r}: choose from {', '.join(flag.choices)}")
         values[flag.field] = flag.to_field(val)
     return _with_fields(ExperimentConfig(), values)
 
@@ -261,31 +276,27 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="evaluate a survey with the P-ADC vs the R-ADC")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    for command, func, text, grid in (
+        ("run", _cmd_run, "evaluate a survey with the P-ADC vs the R-ADC", None),
+        ("sweep-vin", _cmd_sweep, "measured sampling rate vs p-neuron input voltage",
+         ("--vmin", -0.1, "--vmax", 0.8, 19)),
+        ("sweep-slope", _cmd_sweep, "measured sampling rate vs signal slope",
+         ("--smin", 0.0, "--smax", 500.0, 11)),
+        ("synth", _cmd_synth, "emit a synthetic survey as CSV event files", None),
+    ):
+        p = sub.add_parser(command, help=text)
+        _add_common(p, command)
+        p.set_defaults(func=func)
+        if grid is not None:
+            lo, lo_default, hi, hi_default, points = grid
+            p.add_argument(lo, dest="lo", type=float, default=lo_default)
+            p.add_argument(hi, dest="hi", type=float, default=hi_default)
+            p.add_argument("--points", type=int, default=points)
+            p.add_argument("--ticks", type=int, default=10_000)
 
-    p_vin = sub.add_parser("sweep-vin", help="measured sampling rate vs p-neuron input voltage")
-    _add_common(p_vin)
-    p_vin.add_argument("--vmin", dest="lo", type=float, default=-0.1)
-    p_vin.add_argument("--vmax", dest="hi", type=float, default=0.8)
-    p_vin.add_argument("--points", type=int, default=19)
-    p_vin.add_argument("--ticks", type=int, default=10_000)
-    p_vin.set_defaults(func=_cmd_sweep)
-
-    p_slope = sub.add_parser("sweep-slope", help="measured sampling rate vs signal slope")
-    _add_common(p_slope)
-    p_slope.add_argument("--smin", dest="lo", type=float, default=0.0)
-    p_slope.add_argument("--smax", dest="hi", type=float, default=500.0)
-    p_slope.add_argument("--points", type=int, default=11)
-    p_slope.add_argument("--ticks", type=int, default=10_000)
-    p_slope.set_defaults(func=_cmd_sweep)
-
-    p_synth = sub.add_parser("synth", help="emit a synthetic survey as CSV event files")
-    _add_common(p_synth)
-    p_synth.set_defaults(func=_cmd_synth)
-
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the subcommand's usage lists the flags it reads
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = build_experiment(_merge(args))
     except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:

@@ -87,6 +87,10 @@ class ExperimentConfig:
         if rate is not None and self.dataset is None:
             raise ValueError(f"dataset_rate_hz = {rate:g} Hz applies only to a dataset "
                              f"replay; the synthetic survey runs at synth.rate_hz")
+        synth_set = ", ".join(f"synth.{k} = {v:g}" for k, v in vars(self.synth).items()
+                              if v != getattr(SynthSurveySpec, k))
+        if synth_set and self.dataset is not None:
+            raise ValueError(f"{synth_set} applies only to the synthetic survey, not a replay")
         if self.n_events < 1:
             raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         if self.upsample_factor < 1:

@@ -519,7 +519,8 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "dataset_rate_hz" in err[0]
 
-    @pytest.mark.parametrize("line", ["n_events = 2.9", "upsample = 50.9", "seed = 2.7"])
+    @pytest.mark.parametrize("line", ["n_events = 2.9", "upsample = 50.9", "seed = 2.7",
+                                      "source = digital_iid", "source = foo"])
     def test_fractional_value_for_integer_flag_fails(self, line, tmp_path, monkeypatch, capsys):
         p = tmp_path / "cfg.txt"
         p.write_text(line + "\n")
@@ -532,6 +533,22 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         key = line.partition(" ")[0]
         assert len(err) == 1 and err[0].startswith(f"error: {key} = ")
+        # a value outside the flag's choices is rejected as argparse rejects it
+        assert ", ".join(FLAGS[key].choices or ()) in err[0]
+
+    def test_repeated_key_fails(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "cfg.txt"
+        p.write_text("n_events = 2\nn-events = 3\n")
+        with pytest.raises(ValueError, match=r":2: key 'n_events' already set on line 1$"):
+            parse_config_file(p)
+        import probsense.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_survey", calls.append)
+        assert main(["run", "--config", str(p)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {p}:2: key 'n_events' already set on line 1"]
 
     def test_bad_line(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -641,6 +658,23 @@ def test_command_outputs_are_golden(command, tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_OUTPUTS[command], f"numpy {np.__version__}"
 
 
+# The common flags each subcommand reads, as read off `run_survey`, the sweeps
+# and `synth_survey`; 34 (command, flag) pairs. Every other pair is an error.
+COMMON_FLAGS = {
+    "run": set(FLAGS),
+    "sweep-vin": {"seed", "tau_us", "vref", "beta", "source", "upsample", "out"},
+    "sweep-slope": {"seed", "tau_us", "vref", "beta", "source", "upsample", "slope_gain", "out"},
+    "synth": {"n_events", "seed", "snr_db", "out"},
+}
+# A value each common flag accepts, so that only the (command, flag) pair is at fault.
+FLAG_VALUES = {
+    "dataset": "D", "rate_hz": "2000", "n_events": "1", "seed": "1", "tau_us": "500",
+    "vref": "0.3", "beta": "10", "source": "digital", "upsample": "50", "band": "0:100",
+    "slope_gain": "0.001", "amp_threshold": "0.05", "hold_steps": "5", "snr_db": "20",
+    "out": "x",
+}
+
+
 class TestCli:
     def test_synth_then_run(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -724,6 +758,8 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'sourc'" in err[0] and str(p) in err[0]
+        # it names the command and every key the command reads
+        assert err[0].endswith(f"run does not read key 'sourc'; its keys are {', '.join(FLAGS)}")
 
     def test_bool_config_value_fails_before_any_event(self, tmp_path, monkeypatch, capsys):
         # `true` stays text: int("true") fails, where int(True) would run one event
@@ -756,6 +792,7 @@ class TestCli:
         ["--snr-db=nan"], ["--snr-db=-inf"],
         ["--dataset=D", "--rate-hz=-5"], ["--dataset=D", "--rate-hz=nan"],
         ["--rate-hz=5000"],  # a dataset's rate, with no dataset to replay
+        ["--dataset=D", "--snr-db=-40"],  # a synthetic setting, with a dataset to replay
     ])
     def test_bad_config_value_is_one_error_line(self, flags, monkeypatch, capsys):
         import probsense.cli as cli_mod
@@ -854,6 +891,41 @@ class TestCli:
         p.write_text("sync_hz = 2000\n")
         assert main(["run", "--config", str(p)]) == 2
         assert "'sync_hz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for name, flag in FLAGS.items() for command in COMMON_FLAGS
+        if command not in flag.commands])
+    def test_flag_the_command_does_not_read_is_an_error(self, command, name, tmp_path,
+                                                         monkeypatch, capsys):
+        import probsense.cli as cli_mod
+
+        calls = []
+        for fn in ("run_survey", "sweep_vin", "sweep_slope", "synth_survey"):
+            monkeypatch.setattr(cli_mod, fn, lambda *a: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, FLAG_VALUES[name]])
+        assert exc.value.code == 2
+        err = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert err == [f"probsense {command}: error: unrecognized arguments: "
+                       f"{flag} {FLAG_VALUES[name]}"]
+        (tmp_path / "cfg.txt").write_text(f"{name} = {FLAG_VALUES[name]}\n")
+        assert main([command, "--config", "cfg.txt"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{command} does not read key {name!r}" in err[0]
+        assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+    @pytest.mark.parametrize("command", sorted(COMMON_FLAGS))
+    def test_help_lists_exactly_the_flags_the_command_reads(self, command, monkeypatch,
+                                                            capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = {f.replace("-", "_")
+                  for f in re.findall(r"^  --([a-z-]+)", capsys.readouterr().out, re.M)}
+        grid = {"vmin", "vmax", "smin", "smax", "points", "ticks"}
+        assert listed - grid - {"config"} == COMMON_FLAGS[command]
 
     def test_help_shows_dataclass_defaults(self, monkeypatch, capsys):
         import functools
