@@ -198,7 +198,7 @@ def build_experiment(opts: dict) -> ExperimentConfig:
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     try:
         report = run_survey(cfg)
-    except (FileNotFoundError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"events evaluated : {report.n_events} ({report.n_failed} failed)")

@@ -37,7 +37,6 @@ from .traces import (
     load_trace,
     synth_event,
     write_csv,
-    write_ticks,
     write_trace,
 )
 
@@ -98,7 +97,8 @@ class ExperimentConfig:
 
 
 class GridError(ValueError):
-    """A setting that would fail every event on the survey's ADC grid.
+    """A setting that would fail every event: one the survey's ADC grid cannot
+    work with, or a dataset directory with no event to run.
 
     `field` is the dotted ExperimentConfig path of the setting at fault.
     """
@@ -178,7 +178,7 @@ def _event_paths(directory: Path | str) -> list[Path]:
     """The event CSV files of a survey directory, sorted by name."""
     paths = sorted(Path(directory).glob("*.csv"))
     if not paths:
-        raise FileNotFoundError(f"no event CSV files in {directory}")
+        raise GridError("dataset", f"no event CSV files in {directory}")
     return paths
 
 
@@ -244,8 +244,9 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
     The survey's ADC rate is the synthetic rate_hz, the sidecar
     dataset_rate_hz, or else the rate of the first event that loads; every
     event must share it. A sidecar rate that event 0's own time column
-    contradicts, or a band or upsampling factor that cannot work at the
-    survey's rate, raises `GridError` before any event runs.
+    contradicts, a dataset directory with no event CSV files, or a band or
+    upsampling factor that cannot work at the survey's rate, raises
+    `GridError` before any event runs.
     """
     if cfg.dataset is not None:
         paths = _event_paths(cfg.dataset)
@@ -295,14 +296,15 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
                     f"event rate {trace.rate_hz:.6g} Hz disagrees with survey rate "
                     f"{rate:.6g} Hz"
                 )
-            ev, p_stream, r_stream, recon = run_event(trace, cfg, i, onsets[i], f0)
+            # r_stream is held until the next event: freeing it inside
+            # run_event raised an smtj survey's minor page faults (heap
+            # layout, not work).
+            ev, p_stream, _, recon = run_event(trace, cfg, i, onsets[i], f0)
             results.append(ev)
             if out_dir is not None:
-                # recon first: its grid's text is kept for the samples' times.
                 write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
-                write_ticks(out_dir / f"samples_event_{i:03d}.csv", p_stream.ticks,
-                            p_stream.values, p_stream.rate_hz, p_stream.t0_s)
-                _write_rate_csv(out_dir / f"rate_event_{i:03d}.csv", p_stream, len(r_stream))
+                write_csv(out_dir / f"samples_event_{i:03d}.csv", "time_s,value",
+                          p_stream.times_s, p_stream.values)
         except Exception as exc:  # noqa: BLE001 - contained per event by contract
             results.append(EventEval(index=i, error=f"{type(exc).__name__}: {exc}"))
 
@@ -365,18 +367,6 @@ def write_report(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-RATE_TRACE_WINDOW_TICKS = 100
-
-
-def _write_rate_csv(path: Path, p_stream, n_ticks: int) -> None:
-    """Windowed average sampling rate of the gated stream, plot-ready."""
-    w = RATE_TRACE_WINDOW_TICKS
-    n_win = n_ticks // w
-    counts, _ = np.histogram(p_stream.ticks, bins=np.arange(0, n_win * w + 1, w))
-    starts = p_stream.t0_s + np.arange(n_win) * w / p_stream.rate_hz
-    write_csv(path, "window_start_s,avg_rate", starts, counts / w)
 
 
 # --------------------------------------------------------------------------

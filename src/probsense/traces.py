@@ -77,7 +77,7 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
 
     With a time column the rate is inferred and the grid must be uniform to
     within UNIFORM_GRID_TOL. A value-only file needs an explicit rate_hz;
-    this path round-trips `write_trace(..., include_time=False)` bit-exactly.
+    this path round-trips `write_csv(path, "value", samples)` bit-exactly.
     """
     path = Path(path)
     if not path.exists():
@@ -130,9 +130,9 @@ def load_trace(path, rate_hz: float | None = None, t0_s: float = 0.0) -> Trace:
 
 # The text of the time grid `write_trace` last wrote, keyed on (t0_s, rate_hz),
 # for grids of at most GRID_TEXT_MAX_ROWS rows (about 5 MB of str objects).
-# It pays when events share their start time and rate, as a synthetic survey's
-# do: later events and their `write_ticks` streams reuse it. Events that start
-# at different times miss and format their own grid, as they would without it.
+# It pays when traces share their start time and rate, as a synthetic survey's
+# events and their reconstructions do. Traces that start at different times
+# miss and format their own grid, as they would without it.
 GRID_TEXT_MAX_ROWS = 1 << 16
 _grid_text_kept: dict[tuple[float, float], list[str]] = {}
 
@@ -167,37 +167,15 @@ def write_csv(path, header: str, *columns) -> None:
     _write_rows(path, header, *map(_float_text, columns))
 
 
-def write_ticks(path, ticks, values, rate_hz: float, t0_s: float = 0.0) -> None:
-    """Write values taken at integer ticks k >= 0 of the grid t0_s + k / rate_hz
-    as CSV ``time_s,value``.
-
-    The bytes are those of ``write_csv(path, "time_s,value", t0_s + ticks /
-    rate_hz, values)``. When `write_trace` last wrote this grid and it covers
-    every tick, each time's text is looked up by tick instead of formatted.
-    """
-    ticks = np.asarray(ticks)
-    if ticks.size and ticks.min() < 0:
-        raise ValueError(f"ticks must be >= 0, got {ticks.min()}")
-    grid = _grid_text_kept.get((t0_s, rate_hz), ())
-    if ticks.size and ticks.max() < len(grid):
-        times = map(grid.__getitem__, ticks.tolist())
-    else:
-        times = _float_text(t0_s + ticks / rate_hz)
-    _write_rows(path, "time_s,value", times, _float_text(values))
-
-
-def write_trace(trace: Trace, path, include_time: bool = True) -> None:
-    """Write a trace as CSV with header ``time_s,value`` or ``value``.
+def write_trace(trace: Trace, path) -> None:
+    """Write a trace as CSV with header ``time_s,value``.
 
     The time column's text is formatted once per grid (t0_s, rate_hz) and
-    reused while later traces and `write_ticks` streams stay on that grid.
+    reused while later traces stay on that grid.
     """
-    if include_time:
-        n = len(trace)
-        times = _grid_text(trace.t0_s, trace.rate_hz, n)[:n]
-        _write_rows(path, "time_s,value", times, _float_text(trace.samples))
-    else:
-        _write_rows(path, "value", _float_text(trace.samples))
+    n = len(trace)
+    times = _grid_text(trace.t0_s, trace.rate_hz, n)[:n]
+    _write_rows(path, "time_s,value", times, _float_text(trace.samples))
 
 
 def ricker(t, f0_hz: float):

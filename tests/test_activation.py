@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probsense.acquisition import sample_gated, sample_regular
 from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
@@ -12,7 +11,6 @@ from probsense.activation import (
     run_activation,
 )
 from probsense.afe import AfeConfig, extract_features
-from probsense.harness import RATE_TRACE_WINDOW_TICKS, _write_rate_csv
 from probsense.pbit import (
     PNeuronConfig,
     activation_probability,
@@ -301,32 +299,29 @@ def test_override_latch_matches_cumsum_oracle(hold, kind):
     assert got.dtype == np.uint8 and got.tobytes() == ref.tobytes()
 
 
-def _rate_csv(x_high, cfg, path, seed=0):
-    """The avg_rate column of the rate_event_NNN.csv that `run_survey` writes
-    for an event with this activation: the gated fraction of each window of
-    RATE_TRACE_WINDOW_TICKS sync ticks."""
+def _window_rates(x_high, cfg, seed=0, window_ticks=100):
+    """The gated fraction of each whole window of window_ticks sync ticks."""
     act = run_activation(x_high, cfg, SPT, seed)
-    _write_rate_csv(path, sample_gated(x_high, act), len(sample_regular(x_high, act)))
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    gated = act.gate[act.sync_ticks] > 0
+    n_win = gated.size // window_ticks
+    return gated[:n_win * window_ticks].reshape(n_win, window_ticks).mean(axis=1)
 
 
 class TestAverageRate:
-    def test_all_gated(self, tmp_path):
+    def test_all_gated(self):
         x = Trace(np.full(50_000, 2.0), RATE_HI)
-        w = _rate_csv(x, _cfg(amp_thr=0.5), tmp_path / "rate_event_000.csv")
+        w = _window_rates(x, _cfg(amp_thr=0.5))
         assert w.size == 10 and np.all(w == 1.0)
 
-    def test_no_gate(self, tmp_path):
+    def test_no_gate(self):
         # p ~ 1e-22 at v_ref = 5 V: digital decisions never fire
         cfg = ActivationConfig(pneuron=PNeuronConfig(v_ref_v=5.0, source="digital_iid"))
-        w = _rate_csv(_zero_trace(1000), cfg, tmp_path / "rate_event_000.csv")
+        w = _window_rates(_zero_trace(1000), cfg)
         assert w.size == 10 and np.all(w == 0.0)
 
-    def test_baseline_window_statistics(self, tmp_path):
-        w = _rate_csv(_zero_trace(100_000), _cfg(x_min=0.05),
-                      tmp_path / "rate_event_000.csv", seed=1)
-        assert w.size == 100_000 // RATE_TRACE_WINDOW_TICKS
-        w = w.reshape(-1, 1000 // RATE_TRACE_WINDOW_TICKS).mean(axis=1)  # 1000-tick windows
+    def test_baseline_window_statistics(self):
+        w = _window_rates(_zero_trace(100_000), _cfg(x_min=0.05), seed=1, window_ticks=1000)
+        assert w.size == 100
         assert w.mean() == pytest.approx(0.05, abs=0.01)
         assert w.std() < 0.01
 

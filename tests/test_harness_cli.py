@@ -9,12 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from probsense.acquisition import SampleStream
+from probsense.acquisition import SampleStream, reconstruct
 from probsense.activation import ActivationConfig
 from probsense.afe import AfeConfig
 from probsense.cli import FLAGS, build_experiment, main, parse_config_file
 from probsense.harness import (
-    RATE_TRACE_WINDOW_TICKS,
     TRIANGLE_BLOCK,
     ExperimentConfig,
     GridError,
@@ -22,7 +21,6 @@ from probsense.harness import (
     _survey_onsets,
     _synth_one,
     _triangle_wave,
-    _write_rate_csv,
     max_sweep_slope,
     run_event,
     run_survey,
@@ -32,7 +30,7 @@ from probsense.harness import (
     write_sweep_csv,
 )
 from probsense.pbit import PNeuronConfig
-from probsense.traces import Trace, load_trace, synth_event, write_trace
+from probsense.traces import Trace, load_trace, synth_event, write_csv, write_trace
 
 # Every finite float64, with signed zero, subnormals and huge magnitudes forced in.
 csv_floats = st.one_of(
@@ -49,15 +47,16 @@ def _write_stream_loop(path, stream):
             fh.write(f"{t!r},{v!r}\n")
 
 
-def _write_rate_loop(path, p_stream, n_ticks):
-    w = RATE_TRACE_WINDOW_TICKS
-    n_win = n_ticks // w
-    counts, _ = np.histogram(p_stream.ticks, bins=np.arange(0, n_win * w + 1, w))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window_start_s,avg_rate\n")
-        for k, c in enumerate(counts.tolist()):
-            t = p_stream.t0_s + k * w / p_stream.rate_hz
-            fh.write(f"{t!r},{c / w!r}\n")
+def _assert_recon_rebuilds(out, i, rate_hz, t0_s, n):
+    """recon_event_i.csv is `reconstruct` over samples_event_i.csv, on the
+    event's own n-tick grid at rate_hz from t0_s."""
+    t, v = np.loadtxt(out / f"samples_event_{i:03d}.csv", delimiter=",", skiprows=1,
+                      ndmin=2).T
+    ticks = np.rint((t - t0_s) * rate_hz).astype(np.int64)
+    rebuilt = reconstruct(SampleStream(ticks, v, rate_hz, t0_s), rate_hz, n, t0_s)
+    t_r, v_r = np.loadtxt(out / f"recon_event_{i:03d}.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(rebuilt.samples, v_r)
+    assert np.array_equal(rebuilt.times_s, t_r)
 
 
 def _write_sweep_loop(rows, path, x_name):
@@ -155,13 +154,9 @@ class TestRunSurvey:
     def test_report_and_stream_files(self, tmp_path):
         out = tmp_path / "out"
         rep = run_survey(ExperimentConfig(n_events=2, output_dir=out))
-        assert (out / "report.json").exists()
-        assert (out / "samples_event_000.csv").exists()
-        assert (out / "recon_event_001.csv").exists()
-        rate_lines = (out / "rate_event_000.csv").read_text().splitlines()
-        assert rate_lines[0] == "window_start_s,avg_rate"
-        rates = [float(ln.split(",")[1]) for ln in rate_lines[1:]]
-        assert all(0.0 <= r <= 1.0 for r in rates)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "recon_event_000.csv", "recon_event_001.csv", "report.json",
+            "samples_event_000.csv", "samples_event_001.csv"]
         doc = json.loads((out / "report.json").read_text())
         assert set(doc) == {"aggregate", "config", "per_event"}
         agg = doc["aggregate"]
@@ -210,7 +205,7 @@ class TestRunSurvey:
         d = tmp_path / "data"
         d.mkdir()
         for i, ev in enumerate(_survey_events(SynthSurveySpec(), 2, 8)):
-            write_trace(ev, d / f"event_{i:03d}.csv", include_time=False)
+            write_csv(d / f"event_{i:03d}.csv", "value", ev.samples)
         rep = run_survey(
             ExperimentConfig(dataset=d, dataset_rate_hz=2000.0, n_events=2, base_seed=8)
         )
@@ -236,7 +231,7 @@ class TestRunSurvey:
         times = np.loadtxt(out / "samples_event_000.csv", delimiter=",", skiprows=1)[:, 0]
         assert np.allclose(times * 1000.0, np.round(times * 1000.0))
 
-    def test_grid_checked_before_any_event(self, monkeypatch):
+    def test_grid_checked_before_any_event(self, tmp_path, monkeypatch):
         import probsense.harness as harness_mod
 
         # the digital source has no dwell time to resolve, so upsample 1 works
@@ -247,7 +242,11 @@ class TestRunSurvey:
         calls = []
         monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
         for cfg, field, match in ((ExperimentConfig(band_hz=(0.0, 2000.0)), "band_hz", "Nyquist"),
-                                  (coarse, "upsample_factor", "too coarse")):
+                                  (coarse, "upsample_factor", "too coarse"),
+                                  (ExperimentConfig(dataset=tmp_path / "missing"), "dataset",
+                                   "no event CSV files"),
+                                  (ExperimentConfig(dataset=tmp_path), "dataset",
+                                   "no event CSV files")):
             with pytest.raises(GridError, match=match) as exc:
                 run_survey(cfg)
             assert exc.value.field == field
@@ -292,30 +291,37 @@ class TestOutputFiles:
         run_survey(cfg)
         onsets = _survey_onsets(cfg.synth, 2, cfg.base_seed)
         for i, trace in enumerate(_survey_events(cfg.synth, 2, cfg.base_seed)):
-            _, p_stream, r_stream, _ = run_event(
-                trace, cfg, i, onsets[i], cfg.synth.wavelet_f0_hz
-            )
+            _, p_stream, _, _ = run_event(trace, cfg, i, onsets[i], cfg.synth.wavelet_f0_hz)
             _write_stream_loop(tmp_path / "samples.csv", p_stream)
-            _write_rate_loop(tmp_path / "rate.csv", p_stream, len(r_stream))
-            out = tmp_path / "out"
-            assert (out / f"samples_event_{i:03d}.csv").read_bytes() == \
+            assert (tmp_path / "out" / f"samples_event_{i:03d}.csv").read_bytes() == \
                 (tmp_path / "samples.csv").read_bytes()
-            assert (out / f"rate_event_{i:03d}.csv").read_bytes() == \
-                (tmp_path / "rate.csv").read_bytes()
 
-    @pytest.mark.parametrize("rate_hz, factor, include_time", [
+    @pytest.mark.parametrize("source", ["digital", "smtj"])
+    def test_recon_csv_rebuilds_from_samples(self, source, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--n-events", "3", "--source", source, "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        spec = SynthSurveySpec()
+        for i, ev in enumerate(doc["per_event"]):
+            _assert_recon_rebuilds(out, i, spec.rate_hz, 0.0, ev["n_samples_r"])
+
+    @pytest.mark.parametrize("rate_hz, factor, timed", [
         (2000.0, 50, True),
         # (r * 42) / 42 != r: the samples' times are on the stream's own rate
         (27524.72501488567, 42, False),
     ])
-    def test_replay_csvs_match_line_loops(self, tmp_path, rate_hz, factor, include_time):
+    def test_replay_csvs_match_line_loops(self, tmp_path, rate_hz, factor, timed):
         data = tmp_path / "data"
         data.mkdir()
-        t0s = (0.0, 3.7) if include_time else (0.0, 0.0)
+        t0s = (0.0, 3.7) if timed else (0.0, 0.0)
         for i, t0 in enumerate(t0s):
             x = synth_event(1.0, rate_hz, 50.0, 0.3 + 0.2 * i, 1.0, 0.01, seed=i)
-            write_trace(Trace(x.samples, rate_hz, t0), data / f"event_{i:03d}.csv", include_time)
-        cfg = ExperimentConfig(dataset=data, dataset_rate_hz=None if include_time else rate_hz,
+            path = data / f"event_{i:03d}.csv"
+            if timed:
+                write_trace(Trace(x.samples, rate_hz, t0), path)
+            else:
+                write_csv(path, "value", x.samples)
+        cfg = ExperimentConfig(dataset=data, dataset_rate_hz=None if timed else rate_hz,
                                upsample_factor=factor, band_hz=(0.0, 200.0))
         # Twice in one process: the second replay reuses the formatted grids.
         for out in (tmp_path / "a", tmp_path / "b"):
@@ -325,7 +331,7 @@ class TestOutputFiles:
             trace = load_trace(data / f"event_{i:03d}.csv", cfg.dataset_rate_hz)
             assert trace.t0_s == t0s[i]
             _, p_stream, _, recon = run_event(trace, cfg, i)
-            assert p_stream.rate_hz != trace.rate_hz or include_time
+            assert p_stream.rate_hz != trace.rate_hz or timed
             _write_stream_loop(tmp_path / "samples.csv", p_stream)
             _write_stream_loop(tmp_path / "recon.csv", SimpleNamespace(
                 times_s=recon.t0_s + np.arange(len(recon)) / recon.rate_hz,
@@ -335,25 +341,7 @@ class TestOutputFiles:
                     (tmp_path / "samples.csv").read_bytes()
                 assert (out / f"recon_event_{i:03d}.csv").read_bytes() == \
                     (tmp_path / "recon.csv").read_bytes()
-
-    # Each example overwrites the same two files, so a shared tmp_path is fine.
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        st.integers(min_value=0, max_value=700),
-        st.floats(min_value=1.0, max_value=1e5),
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.data(),
-    )
-    def test_rate_csv_matches_line_loop(self, tmp_path, n_ticks, rate, t0, data):
-        ticks = sorted(data.draw(st.sets(st.integers(0, max(n_ticks - 1, 0)), max_size=n_ticks)))
-        values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
-        stream = SampleStream(np.array(ticks, dtype=np.int64), values, rate, t0)
-        _write_rate_csv(tmp_path / "new.csv", stream, n_ticks)
-        _write_rate_loop(tmp_path / "ref.csv", stream, n_ticks)
-        new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "ref.csv").read_bytes()
-        if n_ticks < RATE_TRACE_WINDOW_TICKS:
-            assert new == b"window_start_s,avg_rate\n"
+                _assert_recon_rebuilds(out, i, trace.rate_hz, trace.t0_s, len(trace))
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(3)), elements=csv_floats))
@@ -603,11 +591,13 @@ class TestConfigFile:
 # SHA-256 of the default `run --out` survey's report.json and of all its
 # per-event CSVs (each file's name, a NUL and its bytes, in name order), per
 # source. A seeded output that moves is a behaviour change and must be named.
+# (The CSV digests were 0a00f0ee...d90465c5 and 215fb838...1d33f29a while each
+# event also wrote a rate_event_NNN.csv.)
 GOLDEN_RUN = {
     "smtj": ("b86b014d6ae6514ccd5050e3d8d2d61e98217ab10864c46cea770e324424647f",
-             "0a00f0ee9023318ac3598119978cf9adf06b7b5ca84e2b5edec05b08d90465c5"),
+             "dd0c886e5ed788a4bfbfd536d140d45b411eeae08b833fe4497d9b4cff6b6428"),
     "digital": ("c9ebbb0ecdb2dbec6904eeb8fa506605b9b14cdbe1b4043296d87b41776e414e",
-                "215fb8382e8482ea502be824e38ac8d2439ce72dda71725e502eedb71d33f29a"),
+                "cb46900ee5637aa85730469ac63d9599d7384dee530dcaf021bd966214f20f00"),
 }
 
 
@@ -619,7 +609,7 @@ def test_default_run_outputs_are_golden(source, tmp_path, capsys):
     paths = sorted(out.glob("*_event_*.csv"))
     for path in paths:
         csvs.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert len(paths) == 3 * ExperimentConfig().n_events
+    assert len(paths) == 2 * ExperimentConfig().n_events
     report = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     # the digests were recorded with numpy 2.4; a release that rounds exp
     # differently moves them all at once
@@ -641,10 +631,11 @@ GOLDEN_OUTPUTS = {
         "abe4c45d4098e666f46f0306131016c9aa0a7930d130d83f37d41210a339d85a",
     "synth": "ac60a31589d666d176fb79e305a530cea67f3abbc3e555c4f03dcd90e46c75a3",
     # a factor whose steps per tick do not divide the AFE's 100-step window
+    # (were 9e246d46...c6cc3ccb and 3c72eff5...ef3538ca with rate_event_NNN.csv)
     "run --source smtj --upsample 30":
-        "9e246d466b58b6f3fb0375ea7c3ff266b269637aa33d3da77827f994c6cc3ccb",
+        "a88a8a44407c063195cfc30f0ec2f0f1f2008bb694d4957c455d68551000fcb8",
     "run --source digital --upsample 30":
-        "3c72eff5cb5767dc15c929c0008ea547e98d4189bd464087bf251e10ef3538ca",
+        "026d2ffbf28c2344157fcaa346e622d5f61abc6eb0f55093787a9dc04ffe3276",
 }
 
 
@@ -810,18 +801,25 @@ class TestCli:
     @pytest.mark.parametrize("flags, flag", [
         (["--band", "0:2000"], "--band"),
         (["--upsample", "1", "--source", "smtj"], "--upsample"),
-    ], ids=["band", "upsample"])
-    def test_grid_error_is_one_line_before_any_event(self, flags, flag, monkeypatch, capsys):
+        (["--dataset", "{tmp}/missing"], "--dataset"),
+        (["--dataset", "{tmp}/empty"], "--dataset"),
+    ], ids=["band", "upsample", "missing-dataset", "empty-dataset"])
+    def test_grid_error_is_one_line_before_any_event(self, flags, flag, tmp_path, monkeypatch,
+                                                     capsys):
         import probsense.harness as harness_mod
 
+        (tmp_path / "empty").mkdir()
         calls = []
         monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
-        assert main(["run", "--n-events", "3", *flags]) == 2
+        out = tmp_path / "out"
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main(["run", "--n-events", "3", *flags, "--out", str(out)]) == 2
         assert calls == []
         cap = capsys.readouterr()
         err = cap.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag}:")
         assert cap.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep-vin", "sweep-slope"])
     def test_sweep_coarse_step_is_one_line_before_any_point(self, command, tmp_path,

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from probsense.traces import (
     synth_event,
     upsample,
     write_csv,
-    write_ticks,
     write_trace,
 )
 
@@ -44,17 +42,8 @@ def _write_trace_loop(trace, path, include_time=True):
                 fh.write(f"{v!r}\n")
 
 
-def _write_ticks_loop(path, ticks, values, rate_hz, t0_s):
-    """Reference for `write_ticks`: each time formatted from its own tick."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,value\n")
-        for k, v in zip(ticks, values.tolist()):
-            fh.write(f"{t0_s + k / rate_hz!r},{v!r}\n")
-
-
 # A rate whose ADC stream rate after upsampling by 42, (r * 42) / 42, is not r
-# (as for about 9 % of random rates): a stream's times must come from its own
-# rate, not from the rate of the trace it was sampled from.
+# (as for about 9 % of random rates): two grids that differ in the last bits.
 ODD_RATE = 27524.72501488567
 ODD_FACTOR = 42
 
@@ -150,7 +139,7 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(0)
         t = Trace(rng.normal(size=777) * 1e-3, 2000.0, t0_s=0.25)
         path = tmp_path / "t.csv"
-        write_trace(t, path, include_time=False)
+        write_csv(path, "value", t.samples)
         back = load_trace(path, rate_hz=t.rate_hz, t0_s=t.t0_s)
         assert np.array_equal(back.samples, t.samples)
         assert back.rate_hz == t.rate_hz
@@ -252,7 +241,10 @@ class TestCsvRoundTrip:
     )
     def test_write_trace_matches_line_loop(self, tmp_path, x, rate, t0, include_time):
         t = Trace(x, rate, t0_s=t0)
-        write_trace(t, tmp_path / "new.csv", include_time)
+        if include_time:
+            write_trace(t, tmp_path / "new.csv")
+        else:
+            write_csv(tmp_path / "new.csv", "value", t.samples)
         _write_trace_loop(t, tmp_path / "ref.csv", include_time)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -268,59 +260,6 @@ class TestCsvRoundTrip:
             write_trace(t, tmp_path / "new.csv")
             _write_trace_loop(t, tmp_path / "ref.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(min_value=1, max_value=3000), grid_rates, grid_t0s,
-           st.integers(min_value=1, max_value=64), st.data())
-    def test_write_ticks_matches_line_loop(self, tmp_path, n, rate, t0, factor, data):
-        # The trace's grid is formatted first; the stream's rate may differ from it.
-        trace = Trace(np.zeros(n), rate, t0_s=t0)
-        write_trace(trace, tmp_path / "trace.csv")
-        stream_rate = rate * factor / factor
-        # Ticks past the trace's grid are formatted from the stream's own grid.
-        ticks = sorted(data.draw(st.sets(st.integers(0, 2 * n), max_size=200)))
-        values = data.draw(arrays(np.float64, len(ticks), elements=csv_floats))
-        write_ticks(tmp_path / "new.csv", np.array(ticks, dtype=np.int64), values,
-                    stream_rate, t0)
-        _write_ticks_loop(tmp_path / "ref.csv", ticks, values, stream_rate, t0)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_write_ticks_uses_the_stream_rate(self, tmp_path):
-        n = 2000
-        stream_rate = ODD_RATE * ODD_FACTOR / ODD_FACTOR
-        assert stream_rate != ODD_RATE
-        write_trace(Trace(np.zeros(n), ODD_RATE, 3.7), tmp_path / "trace.csv")
-        ticks = np.arange(0, n, 7)
-        values = np.ones(ticks.size)
-        write_ticks(tmp_path / "new.csv", ticks, values, stream_rate, 3.7)
-        _write_ticks_loop(tmp_path / "ref.csv", ticks.tolist(), values, stream_rate, 3.7)
-        _write_ticks_loop(tmp_path / "trace_rate.csv", ticks.tolist(), values, ODD_RATE, 3.7)
-        new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "ref.csv").read_bytes()
-        assert new != (tmp_path / "trace_rate.csv").read_bytes()
-
-    def test_write_ticks_sparse_large_ticks(self, tmp_path):
-        # Only the given ticks are formatted: memory does not grow with the largest.
-        write_trace(Trace(np.zeros(100), ODD_RATE, 3.7), tmp_path / "trace.csv")
-        stream_rate = ODD_RATE * ODD_FACTOR / ODD_FACTOR
-        ticks = np.array([5, 10**6, 10**9])
-        values = np.array([1.0, -2.0, 3.0])
-        tracemalloc.start()
-        try:
-            write_ticks(tmp_path / "new.csv", ticks, values, stream_rate, 3.7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        _write_ticks_loop(tmp_path / "ref.csv", ticks.tolist(), values, stream_rate, 3.7)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_write_ticks_empty_and_negative(self, tmp_path):
-        write_ticks(tmp_path / "e.csv", np.array([], dtype=np.int64), np.array([]), 10.0)
-        assert (tmp_path / "e.csv").read_bytes() == b"time_s,value\n"
-        with pytest.raises(ValueError, match=">= 0"):
-            write_ticks(tmp_path / "n.csv", np.array([-1, 2]), np.zeros(2), 10.0)
-        assert not (tmp_path / "n.csv").exists()
 
     def test_write_csv_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
