@@ -3,8 +3,10 @@
 Per high-rate step the AFE's slope feature drives the p-neuron; its output
 is masked by the regular ADC's clock (every steps_per_tick-th step of the
 high-rate grid) so samples only ever fall on the regular ADC grid.
-A deterministic amplitude override, latched for a configurable hold window,
+A deterministic amplitude override, latched for a configurable hold,
 forces acquisition whenever the signal is unambiguously large.
+The AFE window, SMOOTHING_S, and the hold, hold_s, are times: a run turns
+them into steps at its own high rate, so the upsampling factor changes neither.
 """
 
 from __future__ import annotations
@@ -24,20 +26,28 @@ from .pbit import (
 )
 from .traces import Trace, upsample
 
-# Override hold: 10 ms on the survey's default 100 kHz grid, long enough to
-# ride out the decaying tail of an event after its last threshold crossing.
-DEFAULT_HOLD_STEPS = 1000
+# The AFE's trailing moving-average window: 100 steps on the survey's
+# default 100 kHz grid.
+SMOOTHING_S = 1e-3
 
 
 @dataclass(frozen=True)
 class ActivationConfig:
-    hold_steps: int = DEFAULT_HOLD_STEPS
+    # Override hold: long enough to ride out the decaying tail of an event
+    # after its last threshold crossing.
+    hold_s: float = 10e-3
     pneuron: PNeuronConfig = field(default_factory=PNeuronConfig)
     afe: AfeConfig = field(default_factory=AfeConfig)
 
     def __post_init__(self):
-        if self.hold_steps < 0:
-            raise ValueError(f"hold_steps must be >= 0, got {self.hold_steps}")
+        if not (self.hold_s >= 0 and np.isfinite(self.hold_s)):
+            raise ValueError(f"hold_s must be finite and >= 0, got {self.hold_s}")
+
+
+def _window_and_hold(cfg: ActivationConfig, rate_hz: float, n: int) -> tuple[int, int]:
+    """The AFE window (at least 1) and the override hold (at most n, which latches
+    to the run's end as any longer hold would) in steps of an n-step run at rate_hz."""
+    return max(1, round(SMOOTHING_S * rate_hz)), round(min(cfg.hold_s * rate_hz, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +151,13 @@ def run_activation(
     spt = steps_per_tick
     if spt < 1:
         raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
+    rate_hz = x.rate_hz * int(factor)
+    n = (len(x) - 1) * int(factor) + 1
+    window, hold = _window_and_hold(cfg, rate_hz, n)
     # the triggers first: their upsampled sub-trace is freed before the slope is made
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
-    slope = extract_features(x, cfg.afe, factor)
-    rate_hz = x.rate_hz * int(factor)
+    slope = extract_features(x, window, factor)
     del x
-    n = slope.size
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
@@ -164,7 +175,7 @@ def run_activation(
         rng = np.random.default_rng(seed)
         pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng)
 
-    det_override = _override_latch(trigger_steps, cfg.hold_steps, n)
+    det_override = _override_latch(trigger_steps, hold, n)
 
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]

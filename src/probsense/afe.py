@@ -3,8 +3,10 @@
 The slope path mirrors the analog circuit structure: the first difference is
 split into half-wave-rectified branches whose sum, the absolute slope, is
 computed directly as |diff|; a short trailing moving average then stands in
-for the analog bandwidth limit. The amplitude override compares the signal
-itself with its threshold (see `activation`), so no amplitude feature is kept.
+for the analog bandwidth limit. The caller gives that window in steps: the
+activation unit keeps it a fixed time, `activation.SMOOTHING_S`, at any
+step rate. The amplitude override compares the signal itself with its
+threshold (see `activation`), so no amplitude feature is kept.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ DEFAULT_SLOPE_GAIN = 0.002306
 
 @dataclass(frozen=True)
 class AfeConfig:
-    smoothing_steps: int = 100
     slope_gain: float = DEFAULT_SLOPE_GAIN
     amp_threshold_v: float = 0.05
 
     def __post_init__(self):
-        if self.smoothing_steps < 1:
-            raise ValueError(f"smoothing_steps must be >= 1, got {self.smoothing_steps}")
         for name in ("slope_gain", "amp_threshold_v"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
@@ -40,17 +39,18 @@ class AfeConfig:
 FEATURE_BLOCK = 1 << 14
 
 
-def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> np.ndarray:
+def extract_features(x: Trace, window_steps: int, factor: int = 1) -> np.ndarray:
     """Slope magnitude (V/s) of `x` linearly interpolated onto a grid
     `factor` times finer, as `upsample(x, factor)` makes it, at every one of
     its (len(x) - 1) * factor + 1 steps; that grid's rate is
     x.rate_hz * factor.
 
-    slope[i] is the trailing moving average of the per-step |dx| * rate
-    on that grid (step 0, which has no predecessor, is zero and excluded
-    from averages; leading partial windows divide by their count). The
-    interpolant is linear within each segment j of `x`, so each of its
-    steps contributes g_j = |x[j+1] - x[j]| * x.rate_hz and the running sum
+    slope[i] is the trailing moving average, over window_steps steps, of
+    the per-step |dx| * rate on that grid (step 0, which has no
+    predecessor, is zero and excluded from averages; leading partial
+    windows divide by their count). The interpolant is linear within each
+    segment j of `x`, so each of its steps contributes
+    g_j = |x[j+1] - x[j]| * x.rate_hz and the running sum
     c of the contributions is known in closed form: at the segment's end it
     is cumsum(factor * g)[j], and r steps into the segment it is the
     previous end plus r * g_j. That is the upsampled trace's own running sum
@@ -69,7 +69,9 @@ def extract_features(x: Trace, cfg: AfeConfig, factor: int = 1) -> np.ndarray:
     factor = int(factor)
     n_seg = len(x) - 1
     n = n_seg * factor + 1
-    w = cfg.smoothing_steps
+    w = window_steps
+    if w < 1:
+        raise ValueError(f"window_steps must be >= 1, got {w}")
     if n < w + 1:
         raise ValueError(f"trace too short: need at least {w + 1} steps, got {n}")
     slope = np.empty(n)

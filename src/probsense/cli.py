@@ -27,8 +27,8 @@ from .harness import (
     sweep_slope,
     sweep_vin,
     synth_survey,
-    write_sweep_csv,
 )
+from .traces import write_csv
 
 SOURCE_ALIASES = {"digital": "digital_iid", "smtj": "smtj_telegraph"}
 
@@ -121,9 +121,9 @@ FLAGS = {
                        "volts of drive per (V/s) of slope"),
     "amp_threshold": Flag("activation.afe.amp_threshold_v", RUN, float,
                           "deterministic override threshold (V)"),
-    "hold_steps": Flag("activation.hold_steps", RUN, int,
-                       "override hold window in high-rate steps (default {default})"),
-    "snr_db": Flag("synth.snr_db", SYNTH, float,
+    "hold_ms": Flag("activation.hold_s", RUN, float, "override hold window in milliseconds",
+                    to_field=lambda ms: ms * 1e-3),
+    "snr_db": Flag("snr_db", SYNTH, float,
                    "synthetic event energy SNR in dB (default {default})"),
     "out": Flag("output_dir", ALL, Path, "output directory"),
 }
@@ -253,7 +253,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
-    write_sweep_csv(rows, path, x_name)
+    write_csv(path, f"{x_name},measured_rate,model_probability", *rows.T)
     print(f"wrote {path} ({len(rows)} points, max |measured - model| = "
           f"{np.max(np.abs(rows[:, 1] - rows[:, 2])):.4f})")
     return 0
@@ -262,7 +262,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 def _cmd_synth(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     out = cfg.output_dir or Path("survey_data")
     try:
-        paths = synth_survey(cfg.synth, cfg.n_events, cfg.base_seed, out)
+        paths = synth_survey(cfg.snr_db, cfg.n_events, cfg.base_seed, out)
     except FileExistsError as exc:
         raise _FlagError("--out", str(exc)) from None
     print(f"wrote {len(paths)} event files to {out}")

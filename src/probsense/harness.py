@@ -2,7 +2,9 @@
 
 Events are processed independently with derived seeds (base_seed +
 event_index), so a survey is reproducible event by event and report files are
-byte-identical across runs of the same configuration.
+byte-identical across runs of the same configuration. The synthetic survey is
+fixed but for its energy SNR (`ExperimentConfig.snr_db`): 1 s events at
+2 kHz, each a unit 50 Hz Ricker wavelet with its onset drawn from 0.3-0.7 s.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .acquisition import (
     sample_regular,
     savings,
 )
-from .activation import ActivationConfig, detection_latency, run_activation
+from .activation import ActivationConfig, _window_and_hold, detection_latency, run_activation
 from .pbit import (
     DT_RESOLUTION_FACTOR,
     activation_probability,
@@ -45,33 +47,20 @@ NEURON_SEED_OFFSET = 499979
 
 DEFAULT_BASE_SEED = 12345
 
-
-@dataclass(frozen=True)
-class SynthSurveySpec:
-    """Parameters of the default synthetic active-source survey."""
-
-    duration_s: float = 1.0
-    rate_hz: float = 2000.0
-    wavelet_f0_hz: float = 50.0
-    amplitude: float = 1.0
-    snr_db: float = 26.0
-    onset_min_s: float = 0.3
-    onset_max_s: float = 0.7
-
-    def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-
-    def noise_rms_for(self, signal_energy: float, n: int) -> float:
-        """Noise RMS giving the configured energy SNR over an n-sample trace."""
-        return float(np.sqrt(signal_energy / (10.0 ** (self.snr_db / 10.0) * n)))
+# The synthetic active-source survey.
+SYNTH_DURATION_S = 1.0
+SYNTH_RATE_HZ = 2000.0
+WAVELET_F0_HZ = 50.0
+WAVELET_AMPLITUDE = 1.0
+ONSET_MIN_S = 0.3
+ONSET_MAX_S = 0.7
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: Path | None = None  # directory of event CSVs; None -> synthetic survey
     dataset_rate_hz: float | None = None  # sidecar rate for value-only CSVs
-    synth: SynthSurveySpec = field(default_factory=SynthSurveySpec)
+    snr_db: float = 26.0  # energy SNR of the synthetic survey's events
     n_events: int = 50
     activation: ActivationConfig = field(default_factory=ActivationConfig)
     upsample_factor: int = 50
@@ -85,11 +74,14 @@ class ExperimentConfig:
             raise ValueError(f"dataset_rate_hz must be positive and finite, got {rate}")
         if rate is not None and self.dataset is None:
             raise ValueError(f"dataset_rate_hz = {rate:g} Hz applies only to a dataset "
-                             f"replay; the synthetic survey runs at synth.rate_hz")
-        synth_set = ", ".join(f"synth.{k} = {v:g}" for k, v in vars(self.synth).items()
-                              if v != getattr(SynthSurveySpec, k))
-        if synth_set and self.dataset is not None:
-            raise ValueError(f"{synth_set} applies only to the synthetic survey, not a replay")
+                             f"replay; the synthetic survey runs at {SYNTH_RATE_HZ:g} Hz")
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.snr_db != ExperimentConfig.snr_db and self.dataset is not None:
+            raise ValueError(f"snr_db = {self.snr_db:g} applies only to the synthetic survey, "
+                             f"not a replay")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_events < 1:
             raise ValueError(f"n_events must be >= 1, got {self.n_events}")
         if self.upsample_factor < 1:
@@ -128,28 +120,29 @@ def _check_telegraph_step(cfg: ExperimentConfig, rate_hz: float) -> None:
                         f"{pn.tau_s / DT_RESOLUTION_FACTOR:.3g} s)")
 
 
-def _survey_onsets(spec: SynthSurveySpec, n_events: int, base_seed: int) -> tuple[float, ...]:
+def _survey_onsets(n_events: int, base_seed: int) -> tuple[float, ...]:
     """Per-event wavelet onsets, snapped to the event sample grid."""
     rng = np.random.default_rng((base_seed, 1))
-    raw = spec.onset_min_s + (spec.onset_max_s - spec.onset_min_s) * rng.random(n_events)
-    return tuple(round(o * spec.rate_hz) / spec.rate_hz for o in raw.tolist())
+    raw = ONSET_MIN_S + (ONSET_MAX_S - ONSET_MIN_S) * rng.random(n_events)
+    return tuple(round(o * SYNTH_RATE_HZ) / SYNTH_RATE_HZ for o in raw.tolist())
 
 
-def _synth_one(spec: SynthSurveySpec, onset_s: float, seed: int) -> Trace:
-    """One survey event at the configured energy SNR."""
+def _synth_one(snr_db: float, onset_s: float, seed: int) -> Trace:
+    """One survey event at energy SNR snr_db over the whole trace."""
     clean = synth_event(
-        spec.duration_s, spec.rate_hz, spec.wavelet_f0_hz, onset_s,
-        spec.amplitude, 0.0, seed=0,
+        SYNTH_DURATION_S, SYNTH_RATE_HZ, WAVELET_F0_HZ, onset_s,
+        WAVELET_AMPLITUDE, 0.0, seed=0,
     )
-    sigma = spec.noise_rms_for(float(np.sum(clean.samples**2)), len(clean))
+    energy = float(np.sum(clean.samples**2))
+    sigma = float(np.sqrt(energy / (10.0 ** (snr_db / 10.0) * len(clean))))
     return synth_event(
-        spec.duration_s, spec.rate_hz, spec.wavelet_f0_hz, onset_s,
-        spec.amplitude, sigma, seed=seed,
+        SYNTH_DURATION_S, SYNTH_RATE_HZ, WAVELET_F0_HZ, onset_s,
+        WAVELET_AMPLITUDE, sigma, seed=seed,
     )
 
 
 def synth_survey(
-    spec: SynthSurveySpec, n_events: int, base_seed: int, directory: Path | str
+    snr_db: float, n_events: int, base_seed: int, directory: Path | str
 ) -> list[Path]:
     """Write the synthetic survey to directory as event_NNN.csv, each event as
     soon as it is made: the events `run_survey` synthesizes for the same seed.
@@ -167,9 +160,9 @@ def synth_survey(
                               f"write to a new or empty directory")
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, onset in enumerate(_survey_onsets(spec, n_events, base_seed)):
+    for i, onset in enumerate(_survey_onsets(n_events, base_seed)):
         path = directory / f"event_{i:03d}.csv"
-        write_trace(_synth_one(spec, onset, base_seed + i), path)
+        write_trace(_synth_one(snr_db, onset, base_seed + i), path)
         paths.append(path)
     return paths
 
@@ -182,18 +175,14 @@ def _event_paths(directory: Path | str) -> list[Path]:
     return paths
 
 
-def run_event(
-    trace: Trace,
-    cfg: ExperimentConfig,
-    index: int,
-    onset_s: float | None = None,
-    wavelet_f0_hz: float | None = None,
-):
+def run_event(trace: Trace, cfg: ExperimentConfig, index: int, onset_s: float | None = None):
     """Run one event through activation -> P-ADC -> reconstruction.
 
     The activation runs on the trace upsampled by upsample_factor without
     building it, and the trace's own grid is the ADC grid: the sync ticks
-    are every upsample_factor-th high-rate step, the trace's samples.
+    are every upsample_factor-th high-rate step, the trace's samples. With
+    the onset of a synthetic event's WAVELET_F0_HZ wavelet, the event window
+    savings and the detection latency are measured too.
     Returns (EventEval, p_stream, r_stream, recon).
     """
     factor = cfg.upsample_factor
@@ -206,8 +195,8 @@ def run_event(
 
     window_sav = None
     latency = None
-    if onset_s is not None and wavelet_f0_hz is not None:
-        half_width = 2.0 / wavelet_f0_hz
+    if onset_s is not None:
+        half_width = 2.0 / WAVELET_F0_HZ
         lo, hi = onset_s - half_width, onset_s + half_width
         t_p, t_r = p_stream.times_s, r_stream.times_s
         in_win_p = np.sum((t_p >= lo) & (t_p <= hi))
@@ -215,7 +204,7 @@ def run_event(
         if in_win_r > 0:
             window_sav = float(100.0 * (1.0 - in_win_p / in_win_r))
         # latency measured from where the wavelet emerges (half-period early)
-        t_emerge = onset_s - 0.5 / wavelet_f0_hz
+        t_emerge = onset_s - 0.5 / WAVELET_F0_HZ
         onset_step = max(0, int(round((t_emerge - trace.t0_s) * act.rate_hz)))
         try:
             latency = detection_latency(act, onset_step)
@@ -252,19 +241,17 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
         paths = _event_paths(cfg.dataset)
         n = min(cfg.n_events, len(paths))
         onsets: tuple[float | None, ...] = (None,) * n
-        f0 = None
 
         def get_event(i: int) -> Trace:
             return load_trace(paths[i], rate_hz=cfg.dataset_rate_hz)
     else:
         n = cfg.n_events
-        onsets = _survey_onsets(cfg.synth, n, cfg.base_seed)
-        f0 = cfg.synth.wavelet_f0_hz
+        onsets = _survey_onsets(n, cfg.base_seed)
 
         def get_event(i: int) -> Trace:
-            return _synth_one(cfg.synth, onsets[i], cfg.base_seed + i)
+            return _synth_one(cfg.snr_db, onsets[i], cfg.base_seed + i)
 
-    rate = cfg.synth.rate_hz if cfg.dataset is None else cfg.dataset_rate_hz
+    rate = SYNTH_RATE_HZ if cfg.dataset is None else cfg.dataset_rate_hz
     # Dataset events loaded up front, kept so no file is read twice: event 0
     # checks a sidecar rate; without one, the first event that loads sets it.
     first: list[Trace | Exception] = []
@@ -299,7 +286,7 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             # r_stream is held until the next event: freeing it inside
             # run_event raised an smtj survey's minor page faults (heap
             # layout, not work).
-            ev, p_stream, _, recon = run_event(trace, cfg, i, onsets[i], f0)
+            ev, p_stream, _, recon = run_event(trace, cfg, i, onsets[i])
             results.append(ev)
             if out_dir is not None:
                 write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
@@ -332,9 +319,13 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
     return report
 
 
-def _config_echo(cfg: ExperimentConfig, rate_hz: float) -> dict:
+def _config_echo(cfg: ExperimentConfig, rate_hz: float, n_ticks: int) -> dict:
+    """The config as run, with the AFE window and the hold in the steps that
+    an event of n_ticks ADC samples, the longest that ran, used."""
     pn = cfg.activation.pneuron
     fe = cfg.activation.afe
+    factor = cfg.upsample_factor
+    window, hold = _window_and_hold(cfg.activation, rate_hz * factor, (n_ticks - 1) * factor + 1)
     return {
         "dataset": str(cfg.dataset) if cfg.dataset is not None else None,
         "n_events": cfg.n_events,
@@ -342,19 +333,18 @@ def _config_echo(cfg: ExperimentConfig, rate_hz: float) -> dict:
         "upsample_factor": cfg.upsample_factor,
         "band_hz": list(cfg.band_hz),
         "sync_rate_hz": rate_hz,
-        "hold_steps": cfg.activation.hold_steps,
+        "hold_steps": hold,
         "pneuron": {
             "beta": pn.beta, "v_ref_v": pn.v_ref_v, "source": pn.source, "tau_s": pn.tau_s,
         },
         "afe": {
-            "smoothing_steps": fe.smoothing_steps, "slope_gain": fe.slope_gain,
+            "smoothing_steps": window, "slope_gain": fe.slope_gain,
             "amp_threshold_v": fe.amp_threshold_v,
         },
         "synth": None if cfg.dataset is not None else {
-            "duration_s": cfg.synth.duration_s, "rate_hz": cfg.synth.rate_hz,
-            "wavelet_f0_hz": cfg.synth.wavelet_f0_hz, "amplitude": cfg.synth.amplitude,
-            "snr_db": cfg.synth.snr_db, "onset_min_s": cfg.synth.onset_min_s,
-            "onset_max_s": cfg.synth.onset_max_s,
+            "duration_s": SYNTH_DURATION_S, "rate_hz": SYNTH_RATE_HZ,
+            "wavelet_f0_hz": WAVELET_F0_HZ, "amplitude": WAVELET_AMPLITUDE,
+            "snr_db": cfg.snr_db, "onset_min_s": ONSET_MIN_S, "onset_max_s": ONSET_MAX_S,
         },
     }
 
@@ -363,7 +353,8 @@ def write_report(
     report: EvalReport, cfg: ExperimentConfig, rate_hz: float, path: Path | str
 ) -> None:
     """Write report.json; rate_hz is the survey's ADC rate, echoed as sync_rate_hz."""
-    doc = {"config": _config_echo(cfg, rate_hz)} | report.to_dict()
+    n_ticks = max(e.n_samples_r for e in report.per_event if e.error is None)
+    doc = {"config": _config_echo(cfg, rate_hz, n_ticks)} | report.to_dict()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -383,7 +374,7 @@ def sweep_vin(
 
     The drive is pinned to each grid value (zero signal, AFE bypassed) and
     the gated fraction over ticks_per_point sync ticks, on the synthetic
-    survey's ADC grid (cfg.synth.rate_hz), is recorded. An upsampling factor
+    survey's ADC grid (SYNTH_RATE_HZ), is recorded. An upsampling factor
     too coarse for the telegraph raises `GridError` before any point runs.
     Returns rows of (v_in, measured_rate, model_probability).
     """
@@ -393,7 +384,7 @@ def sweep_vin(
     v_grid = np.asarray(v_grid, dtype=np.float64)
     if v_grid.size == 0 or not np.all(np.isfinite(v_grid)):
         raise ValueError("v_grid must be non-empty and finite")
-    _check_telegraph_step(cfg, cfg.synth.rate_hz)
+    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
     pn = cfg.activation.pneuron
     rows = np.empty((v_grid.size, 3))
     for i, v in enumerate(v_grid):
@@ -403,7 +394,7 @@ def sweep_vin(
             bits, _ = iid_decisions(np.full(ticks_per_point, p_model), lfsr_from_seed(seed))
         else:
             spt = cfg.upsample_factor
-            dt = 1.0 / (cfg.synth.rate_hz * spt)
+            dt = 1.0 / (SYNTH_RATE_HZ * spt)
             bits = telegraph_tick_states(
                 p_model, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
             )
@@ -426,8 +417,8 @@ def max_sweep_slope(cfg: ExperimentConfig) -> float:
     The limit scales with the high-rate step, so an upsampling factor too
     coarse for the telegraph raises `GridError` first.
     """
-    _check_telegraph_step(cfg, cfg.synth.rate_hz)
-    rate_high = cfg.synth.rate_hz * cfg.upsample_factor
+    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
+    rate_high = SYNTH_RATE_HZ * cfg.upsample_factor
     return 2.0 * SLOPE_SWEEP_PEAK_V * rate_high / MIN_RAMP_STEPS
 
 
@@ -471,7 +462,7 @@ def sweep_slope(
 
     Each grid point feeds a triangle wave (constant slope magnitude) through
     feature extraction and the p-neuron, on the synthetic survey's ADC grid
-    (cfg.synth.rate_hz) upsampled by cfg.upsample_factor; the amplitude
+    (SYNTH_RATE_HZ) upsampled by cfg.upsample_factor; the amplitude
     override is disabled so the probabilistic path is isolated. An upsampling
     factor too coarse for the telegraph raises `GridError`, and a slope above
     `max_sweep_slope` raises ValueError, before any point runs. Returns rows
@@ -488,7 +479,7 @@ def sweep_slope(
         raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s: "
                          f"each ramp of the {SLOPE_SWEEP_PEAK_V:g} V triangle wave must span "
                          f">= {MIN_RAMP_STEPS} high-rate steps")
-    rate_high = cfg.synth.rate_hz * cfg.upsample_factor
+    rate_high = SYNTH_RATE_HZ * cfg.upsample_factor
     n = ticks_per_point * cfg.upsample_factor
     act_cfg = replace(cfg.activation, afe=replace(cfg.activation.afe, amp_threshold_v=1e9))
     rows = np.empty((slope_grid.size, 3))
@@ -502,7 +493,3 @@ def sweep_slope(
         model = activation_probability(act_cfg.afe.slope_gain * float(s), act_cfg.pneuron)
         rows[i] = (s, measured, model)
     return rows
-
-
-def write_sweep_csv(rows: np.ndarray, path: Path | str, x_name: str) -> None:
-    write_csv(path, f"{x_name},measured_rate,model_probability", *rows.T)

@@ -13,6 +13,7 @@ occupancy of the ON state equals the activation probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -140,40 +141,34 @@ def _apply_jump(jump: np.ndarray, regs: np.ndarray) -> np.ndarray:
     return jump[:256][regs & 0xFF] ^ jump[256:][regs >> 8]
 
 
-class _LfsrCycle:
-    """Lazily built full-period tables for vectorized word generation.
+@cache
+def _lfsr_cycle() -> tuple[np.ndarray, np.ndarray]:
+    """(index, registers): the full-period tables for vectorized word
+    generation, built on first use.
 
     The LFSR state sequence is one cycle through all 65535 nonzero registers,
-    so any stream is a rotation of the canonical cycle. The output bit is the
-    register's LSB and each shift moves bit j down to bit j - 1, so the
-    register at cycle position i holds the next 16 output bits, LSB first:
-    a word is one register read, not 16 steps.
+    so any stream is a rotation of the canonical cycle: registers[i] is the
+    register at cycle position i, and index maps a register value back to
+    its position. The output bit is the register's LSB and each shift moves
+    bit j down to bit j - 1, so the register at cycle position i holds the
+    next 16 output bits, LSB first: a word is one register read, not 16 steps.
     """
-
-    def __init__(self):
-        self.index: np.ndarray | None = None  # register value -> cycle position
-        self.registers: np.ndarray | None = None
-
-    def build(self):
-        # The step is linear over GF(2), so step^n of a register is the XOR of
-        # step^n of its low byte and of its high byte: `jump` holds those 512
-        # images, and squaring it (jump applied to itself) doubles n. Each
-        # round appends step^n of the n registers so far: 16 rounds, no loop
-        # over the cycle.
-        jump = np.array([_lfsr_step(b) for b in range(256)]
-                        + [_lfsr_step(b << 8) for b in range(256)], dtype=np.uint32)
-        regs = np.ones(1, dtype=np.uint32)
-        while regs.size <= LFSR_PERIOD:
-            regs = np.concatenate((regs, _apply_jump(jump, regs)))
-            jump = _apply_jump(jump, jump)
-        assert regs[LFSR_PERIOD] == 1, "LFSR cycle did not close"
-        regs = regs[:LFSR_PERIOD]
-        index = np.zeros(0x10000, dtype=np.int64)
-        index[regs] = np.arange(LFSR_PERIOD)
-        self.index, self.registers = index, regs
-
-
-_CYCLE = _LfsrCycle()
+    # The step is linear over GF(2), so step^n of a register is the XOR of
+    # step^n of its low byte and of its high byte: `jump` holds those 512
+    # images, and squaring it (jump applied to itself) doubles n. Each round
+    # appends step^n of the n registers so far: 16 rounds, no loop over the
+    # cycle.
+    jump = np.array([_lfsr_step(b) for b in range(256)]
+                    + [_lfsr_step(b << 8) for b in range(256)], dtype=np.uint32)
+    regs = np.ones(1, dtype=np.uint32)
+    while regs.size <= LFSR_PERIOD:
+        regs = np.concatenate((regs, _apply_jump(jump, regs)))
+        jump = _apply_jump(jump, jump)
+    assert regs[LFSR_PERIOD] == 1, "LFSR cycle did not close"
+    regs = regs[:LFSR_PERIOD]
+    index = np.zeros(0x10000, dtype=np.int64)
+    index[regs] = np.arange(LFSR_PERIOD)
+    return index, regs
 
 
 def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
@@ -184,16 +179,15 @@ def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     steps into the stream, read from the cycle table. The all-zero word
     never occurs, so the uniforms are strictly positive and strictly below 1.
     """
-    if _CYCLE.registers is None:
-        _CYCLE.build()
-    start = int(_CYCLE.index[s.register])
+    index, registers = _lfsr_cycle()
+    start = int(index[s.register])
     pos = np.arange(n, dtype=np.int64)
     pos *= LFSR_WORD_BITS
     pos += start
     pos %= LFSR_PERIOD
-    u = np.divide(_CYCLE.registers[pos], 65536.0)
+    u = np.divide(registers[pos], 65536.0)
     end = (start + n * LFSR_WORD_BITS) % LFSR_PERIOD
-    return u, LfsrState(int(_CYCLE.registers[end]))
+    return u, LfsrState(int(registers[end]))
 
 
 def _check_probabilities(p: np.ndarray) -> None:

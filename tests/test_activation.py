@@ -7,6 +7,7 @@ from probsense.activation import (
     ActivationTrace,
     _override_latch,
     _trigger_steps,
+    _window_and_hold,
     detection_latency,
     run_activation,
 )
@@ -26,8 +27,9 @@ SPT = 50  # high-rate steps per tick: a 2 kHz ADC grid upsampled to RATE_HI
 
 
 def _cfg(x_min=0.05, source="digital_iid", amp_thr=0.05, hold=SPT, tau=500e-6):
+    """hold is in steps at RATE_HI."""
     return ActivationConfig(
-        hold_steps=hold,
+        hold_s=hold / RATE_HI,
         pneuron=PNeuronConfig(v_ref_v=v_ref_for_min_rate(x_min, 10.0), source=source, tau_s=tau),
         afe=AfeConfig(amp_threshold_v=amp_thr),
     )
@@ -43,7 +45,8 @@ def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
     running maximum of trigger indices."""
     spt = steps_per_tick
     n = len(x_high)
-    slope = extract_features(x_high, cfg.afe)
+    window, hold = _window_and_hold(cfg, x_high.rate_hz, n)
+    slope = extract_features(x_high, window)
     p = activation_probability(cfg.afe.slope_gain * slope, cfg.pneuron)
     ticks = np.arange(0, n, spt, dtype=np.int64)
     pneuron_out = np.zeros(n, dtype=np.uint8)
@@ -53,7 +56,6 @@ def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
     else:
         rng = np.random.default_rng(seed)
         pneuron_out[:] = telegraph_run(p, 1.0 / x_high.rate_hz, cfg.pneuron, rng)
-    hold = cfg.hold_steps
     trigger = np.abs(x_high.samples) >= cfg.afe.amp_threshold_v
     steps = np.arange(n, dtype=np.int64)
     last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
@@ -65,7 +67,7 @@ def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
 
 @st.composite
 def _trigger_cases(draw):
-    """(x, hold_steps, steps_per_tick): triggers are the steps with |x| >= 0.5."""
+    """(x, hold in steps, steps_per_tick): triggers are the steps with |x| >= 0.5."""
     n = draw(st.integers(min_value=6, max_value=400))
     spt = draw(st.integers(min_value=1, max_value=8))
     hold = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=40)))
@@ -155,7 +157,7 @@ class TestRunActivation:
         assert f_hi - f_lo > (0.3 - 0.1) - 3 * sigma
 
     def test_hold_latches_override(self):
-        # single above-threshold spike held for hold_steps
+        # single above-threshold spike held for 2 ms, 200 steps
         x = np.zeros(5000)
         x[1000] = 1.0
         act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), SPT, seed=0)
@@ -182,13 +184,16 @@ class TestRunActivation:
     )
     @settings(max_examples=300)
     def test_matches_scan_oracle(self, case, source, window, seed):
+        # the AFE's 1 ms window is `window` steps at this rate; tau spans 10 of
+        # the slowest rate's steps, as the telegraph needs
         x, hold, spt = case
+        rate = 1000.0 * window
         cfg = ActivationConfig(
-            hold_steps=hold,
-            pneuron=PNeuronConfig(source=source),
-            afe=AfeConfig(smoothing_steps=window, amp_threshold_v=0.5),
+            hold_s=hold / rate,
+            pneuron=PNeuronConfig(source=source, tau_s=0.01),
+            afe=AfeConfig(amp_threshold_v=0.5),
         )
-        trace = Trace(x, RATE_HI, 0.25)
+        trace = Trace(x, rate, 0.25)
         got = run_activation(trace, cfg, spt, seed)
         ref = _run_activation_scan(trace, cfg, spt, seed)
         for name in ("gate", "sync_ticks", "pneuron_out", "det_override"):
@@ -223,11 +228,14 @@ class TestRunActivation:
     @given(case=_trigger_cases(), factor=st.integers(min_value=1, max_value=9))
     @settings(max_examples=200)
     def test_adc_trace_override_matches_upsampled_scan_oracle(self, case, factor):
+        # at 1 kHz the AFE's 1 ms window is `factor` high-rate steps
         x, hold, spt = case
-        cfg = ActivationConfig(hold_steps=hold, pneuron=PNeuronConfig(source="digital_iid"),
-                               afe=AfeConfig(smoothing_steps=1, amp_threshold_v=0.5))
-        got = run_activation(Trace(x, RATE_HI), cfg, spt, seed=0, factor=factor)
-        ref = _run_activation_scan(upsample(Trace(x, RATE_HI), factor), cfg, spt, 0)
+        trace = Trace(x, 1000.0)
+        cfg = ActivationConfig(hold_s=hold / (1000.0 * factor),
+                               pneuron=PNeuronConfig(source="digital_iid"),
+                               afe=AfeConfig(amp_threshold_v=0.5))
+        got = run_activation(trace, cfg, spt, seed=0, factor=factor)
+        ref = _run_activation_scan(upsample(trace, factor), cfg, spt, 0)
         assert got.det_override.tobytes() == ref.det_override.tobytes()
 
 
@@ -370,6 +378,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="steps_per_tick"):
             run_activation(_zero_trace(100), _cfg(), 0, seed=0)
 
+    def test_window_and_hold_in_steps(self):
+        # 1 ms and 10 ms at the run's rate; the window is at least one step
+        # and the hold at most the run, also where hold_s * rate is inf
+        cfg = ActivationConfig()
+        assert _window_and_hold(cfg, 1e5, 99_951) == (100, 1000)
+        assert _window_and_hold(cfg, 6e4, 59_971) == (60, 600)
+        assert _window_and_hold(cfg, 100.0, 1000) == (1, 1)
+        assert _window_and_hold(ActivationConfig(hold_s=1e306), 1e5, 500) == (100, 500)
+
     def test_bad_hold(self):
-        with pytest.raises(ValueError):
-            ActivationConfig(hold_steps=-1)
+        for hold_s in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="hold_s"):
+                ActivationConfig(hold_s=hold_s)

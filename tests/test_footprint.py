@@ -34,19 +34,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from probsense.activation import DEFAULT_HOLD_STEPS, ActivationConfig, run_activation
+from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
-from probsense.harness import (
-    ExperimentConfig,
-    SynthSurveySpec,
-    _synth_one,
-    _triangle_wave,
-    sweep_slope,
-)
+from probsense.harness import ExperimentConfig, _triangle_wave, sweep_slope
 from probsense.pbit import PNeuronConfig, activation_probability, telegraph_run
-from probsense.traces import upsample
+from probsense.traces import synth_event, upsample
 
 FACTOR = 50
+WINDOW = 100  # the AFE's 1 ms window at 2 kHz * FACTOR
 
 
 def _peak_arrays(fn, n: int) -> float:
@@ -64,7 +59,7 @@ def _peak_arrays(fn, n: int) -> float:
 @pytest.fixture(scope="module")
 def event():
     """A 5 s survey event at 2 kHz: 500 k steps once upsampled."""
-    return _synth_one(SynthSurveySpec(duration_s=5.0), onset_s=2.5, seed=7)
+    return synth_event(5.0, 2000.0, 50.0, 2.5, 1.0, 0.004, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +73,9 @@ def test_upsample(event):
 
 
 def test_extract_features(event, drive):
-    assert _peak_arrays(lambda: extract_features(drive, AfeConfig()), len(drive)) < 1.5
+    assert _peak_arrays(lambda: extract_features(drive, WINDOW), len(drive)) < 1.5
     n = len(drive)
-    assert _peak_arrays(lambda: extract_features(event, AfeConfig(), FACTOR), n) < 1.5
+    assert _peak_arrays(lambda: extract_features(event, WINDOW, FACTOR), n) < 1.5
 
 
 def test_triangle_wave():
@@ -91,7 +86,7 @@ def test_triangle_wave():
 def test_telegraph_run(drive):
     """The survey drive, and constant drives of its length saturated ON and OFF."""
     afe, cfg = AfeConfig(), PNeuronConfig()
-    survey = activation_probability(afe.slope_gain * extract_features(drive, afe), cfg)
+    survey = activation_probability(afe.slope_gain * extract_features(drive, WINDOW), cfg)
     dt = 1.0 / drive.rate_hz
     for p in (survey, np.full(survey.size, 0.995), np.full(survey.size, 0.005)):
         peak = _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size)
@@ -101,7 +96,7 @@ def test_telegraph_run(drive):
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.4), ("digital_iid", 1.6)])
 def test_run_activation(event, source, bound):
     """The survey's event path: the event itself, on its upsampled grid."""
-    cfg = ActivationConfig(hold_steps=DEFAULT_HOLD_STEPS, pneuron=PNeuronConfig(source=source))
+    cfg = ActivationConfig(pneuron=PNeuronConfig(source=source))
     act = run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR)
     assert act.det_override.any()  # the latch is exercised
     n = len(act)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,10 +15,13 @@ from probsense.activation import ActivationConfig
 from probsense.afe import AfeConfig
 from probsense.cli import FLAGS, build_experiment, main, parse_config_file
 from probsense.harness import (
+    SYNTH_DURATION_S,
+    SYNTH_RATE_HZ,
     TRIANGLE_BLOCK,
+    WAVELET_AMPLITUDE,
+    WAVELET_F0_HZ,
     ExperimentConfig,
     GridError,
-    SynthSurveySpec,
     _survey_onsets,
     _synth_one,
     _triangle_wave,
@@ -27,7 +31,6 @@ from probsense.harness import (
     sweep_slope,
     sweep_vin,
     synth_survey,
-    write_sweep_csv,
 )
 from probsense.pbit import PNeuronConfig
 from probsense.traces import Trace, load_trace, synth_event, write_csv, write_trace
@@ -76,51 +79,64 @@ def _triangle_wave_mod(n, rate_hz, slope, peak):
     return peak * (4.0 * np.abs(u - 0.5) - 1.0)
 
 
-def _survey_events(spec, n_events, base_seed):
+SNR_DB = ExperimentConfig.snr_db
+
+
+def _survey_events(snr_db, n_events, base_seed):
     """The events `run_survey` synthesizes, as `synth_survey` writes them."""
-    onsets = _survey_onsets(spec, n_events, base_seed)
-    return [_synth_one(spec, onset, base_seed + i) for i, onset in enumerate(onsets)]
+    onsets = _survey_onsets(n_events, base_seed)
+    return [_synth_one(snr_db, onset, base_seed + i) for i, onset in enumerate(onsets)]
+
+
+def _leaf_fields(obj, prefix=""):
+    """The dotted paths of the non-dataclass fields of dataclass obj, recursively."""
+    leaves = set()
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            leaves |= _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            leaves.add(prefix + f.name)
+    return leaves
 
 
 class TestSynthSurvey:
     def test_counts_and_rate(self, tmp_path):
-        paths = synth_survey(SynthSurveySpec(), n_events=7, base_seed=1, directory=tmp_path)
+        paths = synth_survey(SNR_DB, n_events=7, base_seed=1, directory=tmp_path)
         assert [p.name for p in paths] == [f"event_{i:03d}.csv" for i in range(7)]
         assert sorted(tmp_path.iterdir()) == paths
-        assert len(_survey_onsets(SynthSurveySpec(), 7, base_seed=1)) == 7
+        assert len(_survey_onsets(7, base_seed=1)) == 7
         for p in paths:
             assert load_trace(p).rate_hz == pytest.approx(2000.0, rel=1e-9)
 
     def test_deterministic(self, tmp_path):
-        spec = SynthSurveySpec()
-        assert _survey_onsets(spec, 3, base_seed=5) == _survey_onsets(spec, 3, base_seed=5)
-        for ea, eb in zip(_survey_events(spec, 3, 5), _survey_events(spec, 3, 5)):
+        assert _survey_onsets(3, base_seed=5) == _survey_onsets(3, base_seed=5)
+        for ea, eb in zip(_survey_events(SNR_DB, 3, 5), _survey_events(SNR_DB, 3, 5)):
             assert np.array_equal(ea.samples, eb.samples)
-        a = synth_survey(spec, 3, base_seed=5, directory=tmp_path / "a")
-        b = synth_survey(spec, 3, base_seed=5, directory=tmp_path / "b")
-        for pa, pb, ev in zip(a, b, _survey_events(spec, 3, 5)):
+        a = synth_survey(SNR_DB, 3, base_seed=5, directory=tmp_path / "a")
+        b = synth_survey(SNR_DB, 3, base_seed=5, directory=tmp_path / "b")
+        for pa, pb, ev in zip(a, b, _survey_events(SNR_DB, 3, 5)):
             assert pa.read_bytes() == pb.read_bytes()
             # each file holds the event run_survey synthesizes, bit for bit
             assert np.array_equal(load_trace(pa).samples, ev.samples)
 
     def test_refuses_a_directory_with_csv_files(self, tmp_path):
-        synth_survey(SynthSurveySpec(), 3, base_seed=1, directory=tmp_path)
+        synth_survey(SNR_DB, 3, base_seed=1, directory=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(FileExistsError, match="3 CSV file"):
-            synth_survey(SynthSurveySpec(), 2, base_seed=7, directory=tmp_path)
+            synth_survey(SNR_DB, 2, base_seed=7, directory=tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_accepts_a_directory_without_csv_files(self, tmp_path):
         (tmp_path / "notes.txt").write_text("survey notes\n")
-        assert len(synth_survey(SynthSurveySpec(), 2, base_seed=1, directory=tmp_path)) == 2
+        assert len(synth_survey(SNR_DB, 2, base_seed=1, directory=tmp_path)) == 2
 
     def test_energy_snr_calibration(self):
-        spec = SynthSurveySpec(snr_db=26.0)
-        onsets = _survey_onsets(spec, 1, base_seed=3)
-        noisy = _synth_one(spec, onsets[0], 3)
+        onsets = _survey_onsets(1, base_seed=3)
+        noisy = _synth_one(26.0, onsets[0], 3)
         clean = synth_event(
-            spec.duration_s, spec.rate_hz, spec.wavelet_f0_hz, onsets[0],
-            spec.amplitude, 0.0, seed=0,
+            SYNTH_DURATION_S, SYNTH_RATE_HZ, WAVELET_F0_HZ, onsets[0],
+            WAVELET_AMPLITUDE, 0.0, seed=0,
         )
         noise = noisy.samples - clean.samples
         snr = 10 * np.log10(np.sum(clean.samples**2) / np.sum(noise**2))
@@ -129,8 +145,8 @@ class TestSynthSurvey:
 
 class TestRunSurvey:
     def test_dataset_dir_round_trip(self, tmp_path):
-        paths = synth_survey(SynthSurveySpec(), 3, base_seed=2, directory=tmp_path / "data")
-        for a, p in zip(_survey_events(SynthSurveySpec(), 3, 2), paths, strict=True):
+        paths = synth_survey(SNR_DB, 3, base_seed=2, directory=tmp_path / "data")
+        for a, p in zip(_survey_events(SNR_DB, 3, 2), paths, strict=True):
             assert np.array_equal(a.samples, load_trace(p).samples)
 
         mem = run_survey(ExperimentConfig(n_events=3, base_seed=2))
@@ -141,7 +157,7 @@ class TestRunSurvey:
 
     def test_per_event_failure_contained(self, tmp_path):
         d = tmp_path / "data"
-        synth_survey(SynthSurveySpec(), 3, base_seed=4, directory=d)
+        synth_survey(SNR_DB, 3, base_seed=4, directory=d)
         # corrupt the middle event
         (d / "event_001.csv").write_text("time_s,value\n0.0,nan\n")
         rep = run_survey(ExperimentConfig(dataset=d, n_events=3))
@@ -204,7 +220,7 @@ class TestRunSurvey:
     def test_value_only_dataset_with_sidecar_rate(self, tmp_path):
         d = tmp_path / "data"
         d.mkdir()
-        for i, ev in enumerate(_survey_events(SynthSurveySpec(), 2, 8)):
+        for i, ev in enumerate(_survey_events(SNR_DB, 2, 8)):
             write_csv(d / f"event_{i:03d}.csv", "value", ev.samples)
         rep = run_survey(
             ExperimentConfig(dataset=d, dataset_rate_hz=2000.0, n_events=2, base_seed=8)
@@ -219,7 +235,11 @@ class TestRunSurvey:
 
     def test_1khz_dataset_replays_at_its_own_rate(self, tmp_path):
         # the ADC grid is the trace's grid: no flag has to name the rate
-        synth_survey(SynthSurveySpec(rate_hz=1000.0), 3, base_seed=5, directory=tmp_path / "data")
+        # (noise rms 0.004: about the synthetic survey's 26 dB energy SNR)
+        (tmp_path / "data").mkdir()
+        for i in range(3):
+            write_trace(synth_event(1.0, 1000.0, 50.0, 0.3 + 0.2 * i, 1.0, 0.004, seed=5 + i),
+                        tmp_path / "data" / f"event_{i:03d}.csv")
         out = tmp_path / "out"
         rep = run_survey(ExperimentConfig(dataset=tmp_path / "data", n_events=3,
                                           output_dir=out))
@@ -255,7 +275,7 @@ class TestRunSurvey:
     def test_sidecar_rate_checked_against_event_0(self, tmp_path, monkeypatch):
         import probsense.harness as harness_mod
 
-        synth_survey(SynthSurveySpec(), 3, base_seed=8, directory=tmp_path / "data")
+        synth_survey(SNR_DB, 3, base_seed=8, directory=tmp_path / "data")
         loads = []
         load = harness_mod.load_trace
         monkeypatch.setattr(harness_mod, "load_trace",
@@ -275,9 +295,16 @@ class TestRunSurvey:
         assert exc.value.field == "dataset_rate_hz"
         assert calls == []
 
+    def test_savings_do_not_depend_on_the_upsampling_factor(self):
+        # the AFE window and the override hold are times, not step counts, so
+        # a finer step grid leaves the samples taken about the same
+        savings = [run_survey(ExperimentConfig(upsample_factor=factor)).savings_pct
+                   for factor in (10, 30, 50, 100)]
+        assert max(savings) - min(savings) <= 0.5, savings
+
     def test_mixed_rate_dataset_contained(self, tmp_path):
         d = tmp_path / "data"
-        synth_survey(SynthSurveySpec(), 2, base_seed=6, directory=d)
+        synth_survey(SNR_DB, 2, base_seed=6, directory=d)
         other = Trace(np.zeros(500), 1000.0)
         write_trace(other, d / "event_002.csv")
         rep = run_survey(ExperimentConfig(dataset=d, n_events=3))
@@ -289,9 +316,9 @@ class TestOutputFiles:
     def test_event_csvs_match_line_loops(self, tmp_path):
         cfg = ExperimentConfig(n_events=2, output_dir=tmp_path / "out")
         run_survey(cfg)
-        onsets = _survey_onsets(cfg.synth, 2, cfg.base_seed)
-        for i, trace in enumerate(_survey_events(cfg.synth, 2, cfg.base_seed)):
-            _, p_stream, _, _ = run_event(trace, cfg, i, onsets[i], cfg.synth.wavelet_f0_hz)
+        onsets = _survey_onsets(2, cfg.base_seed)
+        for i, trace in enumerate(_survey_events(cfg.snr_db, 2, cfg.base_seed)):
+            _, p_stream, _, _ = run_event(trace, cfg, i, onsets[i])
             _write_stream_loop(tmp_path / "samples.csv", p_stream)
             assert (tmp_path / "out" / f"samples_event_{i:03d}.csv").read_bytes() == \
                 (tmp_path / "samples.csv").read_bytes()
@@ -301,9 +328,8 @@ class TestOutputFiles:
         out = tmp_path / "out"
         assert main(["run", "--n-events", "3", "--source", source, "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
-        spec = SynthSurveySpec()
         for i, ev in enumerate(doc["per_event"]):
-            _assert_recon_rebuilds(out, i, spec.rate_hz, 0.0, ev["n_samples_r"])
+            _assert_recon_rebuilds(out, i, SYNTH_RATE_HZ, 0.0, ev["n_samples_r"])
 
     @pytest.mark.parametrize("rate_hz, factor, timed", [
         (2000.0, 50, True),
@@ -346,7 +372,7 @@ class TestOutputFiles:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(3)), elements=csv_floats))
     def test_sweep_csv_matches_line_loop(self, tmp_path, rows):
-        write_sweep_csv(rows, tmp_path / "new.csv", "v_in_v")
+        write_csv(tmp_path / "new.csv", "v_in_v,measured_rate,model_probability", *rows.T)
         _write_sweep_loop(rows, tmp_path / "ref.csv", "v_in_v")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -486,7 +512,7 @@ class TestConfigFile:
         assert cfg.n_events == 5
         assert cfg.activation.pneuron.v_ref_v == 0.25
         assert cfg.activation.afe.slope_gain == 1e-3
-        assert cfg.synth.snr_db == 20.0
+        assert cfg.snr_db == 20.0
 
     @pytest.mark.parametrize("text, flags", [
         ("rate_hz = 2000\ndataset = D\n", []),
@@ -587,6 +613,12 @@ class TestConfigFile:
         assert cfg.band_hz == (0.0, 100.0)
         assert cfg.base_seed == 99
 
+    def test_every_config_field_is_one_flag(self):
+        # no field that no command can set, and no two flags for one field
+        fields = [flag.field for flag in FLAGS.values()]
+        assert len(set(fields)) == len(fields)
+        assert _leaf_fields(ExperimentConfig()) == set(fields)
+
 
 # SHA-256 of the default `run --out` survey's report.json and of all its
 # per-event CSVs (each file's name, a NUL and its bytes, in name order), per
@@ -630,12 +662,16 @@ GOLDEN_OUTPUTS = {
     "sweep-slope --source smtj":
         "abe4c45d4098e666f46f0306131016c9aa0a7930d130d83f37d41210a339d85a",
     "synth": "ac60a31589d666d176fb79e305a530cea67f3abbc3e555c4f03dcd90e46c75a3",
-    # a factor whose steps per tick do not divide the AFE's 100-step window
-    # (were 9e246d46...c6cc3ccb and 3c72eff5...ef3538ca with rate_event_NNN.csv)
+    # a factor other than the default: at 2 kHz the AFE's 1 ms window is
+    # always 2 ticks, here 60 steps, and the 10 ms hold 600 steps. Windows
+    # that are not a multiple of the factor stay covered by the
+    # `extract_features` window tests. (Were a88a8a44...1000fcb8 and
+    # 026d2ffb...4ffe3276 while the window was 100 steps and the hold
+    # 1000 steps at any factor.)
     "run --source smtj --upsample 30":
-        "a88a8a44407c063195cfc30f0ec2f0f1f2008bb694d4957c455d68551000fcb8",
+        "fd992563fef747cbc08650ba7986add4dafbb4d32767b2e728690e0c22c5ffd5",
     "run --source digital --upsample 30":
-        "026d2ffbf28c2344157fcaa346e622d5f61abc6eb0f55093787a9dc04ffe3276",
+        "50ab13ca99fdbe4f9700ce673d92a7ca90e171f2e5818239cad65ad8d51d9bb9",
 }
 
 
@@ -661,7 +697,7 @@ COMMON_FLAGS = {
 FLAG_VALUES = {
     "dataset": "D", "rate_hz": "2000", "n_events": "1", "seed": "1", "tau_us": "500",
     "vref": "0.3", "beta": "10", "source": "digital", "upsample": "50", "band": "0:100",
-    "slope_gain": "0.001", "amp_threshold": "0.05", "hold_steps": "5", "snr_db": "20",
+    "slope_gain": "0.001", "amp_threshold": "0.05", "hold_ms": "5", "snr_db": "20",
     "out": "x",
 }
 
@@ -700,12 +736,13 @@ class TestCli:
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hold", [2**63 - 1, 10**20])
+    @pytest.mark.parametrize("hold", [2**63 - 1, 10**20, 1e300, 1e308])
     def test_huge_hold_latches_to_the_trace_end(self, hold, capsys):
-        # as a hold of the trace's length does; no int64 overflow in the latch
-        assert main(["run", "--n-events", "2", "--hold-steps", str(hold)]) == 0
+        # as a hold of the trace's length does: no int64 overflow, and at
+        # 1e308 ms the hold in steps overflows a float to inf
+        assert main(["run", "--n-events", "2", "--hold-ms", str(hold)]) == 0
         out = capsys.readouterr().out
-        assert main(["run", "--n-events", "2", "--hold-steps", "200000"]) == 0
+        assert main(["run", "--n-events", "2", "--hold-ms", "2000"]) == 0
         assert capsys.readouterr().out == out
         assert "(0 failed)" in out
 
@@ -784,6 +821,7 @@ class TestCli:
         ["--dataset=D", "--rate-hz=-5"], ["--dataset=D", "--rate-hz=nan"],
         ["--rate-hz=5000"],  # a dataset's rate, with no dataset to replay
         ["--dataset=D", "--snr-db=-40"],  # a synthetic setting, with a dataset to replay
+        ["--seed=-1"], ["--hold-ms=-1"], ["--hold-ms=nan"], ["--hold-ms=inf"],
     ])
     def test_bad_config_value_is_one_error_line(self, flags, monkeypatch, capsys):
         import probsense.cli as cli_mod
@@ -890,6 +928,16 @@ class TestCli:
         assert main(["run", "--config", str(p)]) == 2
         assert "'sync_hz'" in capsys.readouterr().err
 
+    def test_hold_steps_removed(self, tmp_path, capsys):
+        # the hold is a time: --hold-ms
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--hold-steps", "1000"])
+        assert exc.value.code == 2
+        p = tmp_path / "cfg.txt"
+        p.write_text("hold_steps = 1000\n")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "'hold_steps'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, name", [
         (command, name) for name, flag in FLAGS.items() for command in COMMON_FLAGS
         if command not in flag.commands])
@@ -932,7 +980,7 @@ class TestCli:
 
         monkeypatch.setenv("COLUMNS", "200")
         monkeypatch.setattr(cli_mod, "ExperimentConfig", functools.partial(
-            ExperimentConfig, n_events=7, upsample_factor=13, synth=SynthSurveySpec(snr_db=19.5)))
+            ExperimentConfig, n_events=7, upsample_factor=13, snr_db=19.5))
         with pytest.raises(SystemExit):
             main(["run", "--help"])
         lines = capsys.readouterr().out.splitlines()

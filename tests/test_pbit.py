@@ -30,8 +30,7 @@ from probsense.pbit import (
     telegraph_run,
     telegraph_tick_states,
     v_ref_for_min_rate,
-    _CYCLE,
-    _LfsrCycle,
+    _lfsr_cycle,
     _flip_probs,
     _lfsr_step,
 )
@@ -346,20 +345,20 @@ class TestLfsr:
             bits[i], s = lfsr_next(s)
         index = np.zeros(0x10000, dtype=np.int64)
         index[regs] = np.arange(LFSR_PERIOD)
-        _CYCLE.build()
-        assert np.array_equal(_CYCLE.registers, regs)
-        assert np.array_equal(_CYCLE.registers & 1, bits)
-        assert np.array_equal(_CYCLE.index, index)
-        assert (_CYCLE.registers.dtype, _CYCLE.index.dtype) == (regs.dtype, index.dtype)
+        got_index, got_regs = _lfsr_cycle()
+        assert np.array_equal(got_regs, regs)
+        assert np.array_equal(got_regs & 1, bits)
+        assert np.array_equal(got_index, index)
+        assert (got_regs.dtype, got_index.dtype) == (regs.dtype, index.dtype)
 
     def test_jump_build_matches_loop_oracle(self):
-        cycle = _LfsrCycle()
-        cycle.build()
+        # a fresh build, not the cached tables
+        got_index, got_regs = _lfsr_cycle.__wrapped__()
         bits, index, regs = _lfsr_cycle_loop()
-        for got, want in ((cycle.index, index), (cycle.registers, regs)):
+        for got, want in ((got_index, index), (got_regs, regs)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-        assert np.array_equal(cycle.registers & 1, bits)
+        assert np.array_equal(got_regs & 1, bits)
 
     @given(
         # registers near the cycle end make the word reads wrap mod LFSR_PERIOD
