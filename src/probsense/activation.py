@@ -1,12 +1,15 @@
 """Activation unit: p-neuron output ANDed with the ADC clock, plus override.
 
-Per high-rate step the AFE's slope feature drives the p-neuron; its output
-is masked by the regular ADC's clock (every steps_per_tick-th step of the
-high-rate grid) so samples only ever fall on the regular ADC grid.
-A deterministic amplitude override, latched for a configurable hold,
-forces acquisition whenever the signal is unambiguously large.
-The AFE window, SMOOTHING_S, and the hold, hold_s, are times: a run turns
-them into steps at its own high rate, so the upsampling factor changes neither.
+The AFE's slope feature drives the p-neuron. The slope is one value per
+sample of the trace, so the drive and the activation probability are too:
+every high-rate step of a segment sees its segment's p, and the p-neuron
+responds within steps of a change in slope, not after a smoothing window.
+Its output is masked by the regular ADC's clock (every steps_per_tick-th
+step of the high-rate grid) so samples only ever fall on the regular ADC
+grid. A deterministic amplitude override, latched for a configurable hold,
+forces acquisition whenever the signal is unambiguously large. The hold,
+hold_s, is a time: a run turns it into steps at its own high rate, so the
+upsampling factor does not change it.
 """
 
 from __future__ import annotations
@@ -19,16 +22,11 @@ from .afe import AfeConfig, drive_voltages, extract_features
 from .pbit import (
     PNeuronConfig,
     _activation_inplace,
-    activation_probability,
     iid_decisions,
     lfsr_from_seed,
     telegraph_run,
 )
 from .traces import Trace, upsample
-
-# The AFE's trailing moving-average window: 100 steps on the survey's
-# default 100 kHz grid.
-SMOOTHING_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,10 @@ class ActivationConfig:
             raise ValueError(f"hold_s must be finite and >= 0, got {self.hold_s}")
 
 
-def _window_and_hold(cfg: ActivationConfig, rate_hz: float, n: int) -> tuple[int, int]:
-    """The AFE window (at least 1) and the override hold (at most n, which latches
-    to the run's end as any longer hold would) in steps of an n-step run at rate_hz."""
-    return max(1, round(SMOOTHING_S * rate_hz)), round(min(cfg.hold_s * rate_hz, n))
+def _hold_steps(cfg: ActivationConfig, rate_hz: float, n: int) -> int:
+    """The override hold in steps of an n-step run at rate_hz, at most n, which
+    latches to the run's end as any longer hold would."""
+    return round(min(cfg.hold_s * rate_hz, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +54,13 @@ class ActivationTrace:
 
     gate is nonzero only at sync ticks: gate[i] = (pneuron_out[i] OR
     det_override[i]) AND (i in sync_ticks). With the digital source
-    pneuron_out is nonzero only at sync ticks, the only steps it decides, and
-    its logistic is evaluated only there; the telegraph's pneuron_out is its
-    state after every step. det_override[i] is 1 when a trigger (a step whose
-    interpolated signal magnitude is >= amp_threshold_v) fell on a step t
-    with t <= i <= t + hold, built from the merged intervals [t, t + hold]
-    of the triggers.
+    pneuron_out is nonzero only at sync ticks, the only steps it decides,
+    each with the p of the trace sample that ends its segment, so its
+    logistic runs on the trace's samples, and only those the ticks read;
+    the telegraph's pneuron_out is its state after every step.
+    det_override[i] is 1 when a trigger (a step whose interpolated signal
+    magnitude is >= amp_threshold_v) fell on a step t with t <= i <= t +
+    hold, built from the merged intervals [t, t + hold] of the triggers.
 
     No caller reads pneuron_out. It is kept because it holds the p-neuron
     output until the trace is dropped: freeing it mid-event measured 21.5 k
@@ -129,19 +128,23 @@ def run_activation(
     """Sweep the activation unit over the high-rate steps of a trace.
 
     The high-rate grid is `x` linearly interpolated onto a grid `factor`
-    times finer, `upsample(x, factor)`, which is never built: the AFE takes
-    its slope in closed form from `x` (see `extract_features`), and the
+    times finer, `upsample(x, factor)`, which is never built. Sync ticks
+    fall on every steps_per_tick-th step from step 0. The survey passes its
+    ADC-rate trace with both numbers set to the upsampling factor, so the
+    ticks are the trace's own samples: the regular ADC's clock is the
+    trace's grid.
+
+    The AFE's slope, and so the drive and the activation probability p,
+    are one value per sample of `x` (see `extract_features`), computed in
+    place in the slope array. High-rate step s >= 1 lies in segment
+    (s - 1) // factor and sees p[(s - 1) // factor + 1]; floor division maps
+    step 0 to p[0]. The digital source draws one fresh Bernoulli decision
+    per sync tick from the p its tick sees, so its drive and logistic are
+    evaluated at the ticks only. The telegraph source evolves on every
+    high-rate step and is read at ticks: at factor 1 it runs on p itself,
+    and above it on p held over each segment, one step-length array. The
     override's triggers come from the few segments that can reach the
-    threshold (see `_trigger_steps`). Sync ticks fall on every
-    steps_per_tick-th step from step 0. The survey passes its ADC-rate trace
-    with both numbers set to the upsampling factor, so the ticks are the
-    trace's own samples: the regular ADC's clock is the trace's grid. The
-    digital source draws one fresh Bernoulli decision per sync tick, so its
-    drive and logistic are evaluated only at the ticks; the telegraph source
-    evolves on every high-rate step and is read at ticks; its drive and then
-    its activation probability are computed in place in the slope array
-    `extract_features` returns, so no other step-length float64 array is
-    made for them. The override latch is built from the merged trigger
+    threshold (see `_trigger_steps`), and its latch from the merged trigger
     intervals (see `_override_latch`), not a per-step scan.
     The function drops its reference to `x` once the triggers and features
     are taken: a trace the caller holds nowhere else is freed before the
@@ -151,31 +154,37 @@ def run_activation(
     spt = steps_per_tick
     if spt < 1:
         raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
-    rate_hz = x.rate_hz * int(factor)
-    n = (len(x) - 1) * int(factor) + 1
-    window, hold = _window_and_hold(cfg, rate_hz, n)
-    # the triggers first: their upsampled sub-trace is freed before the slope is made
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"factor must be a positive integer, got {factor}")
+    factor = int(factor)
+    rate_hz = x.rate_hz * factor
+    n = (len(x) - 1) * factor + 1
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
-    slope = extract_features(x, window, factor)
+    slope = extract_features(x)
     del x
     ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
-        v_ticks = drive_voltages(slope, cfg.afe, ticks)
+        seg = ticks - 1  # tick s >= 1 sees p[(s - 1) // factor + 1], tick 0 p[0]
+        seg //= factor
+        seg += 1
+        p = _activation_inplace(drive_voltages(slope[seg], cfg.afe), cfg.pneuron)
         del slope
-        lfsr = lfsr_from_seed(seed)
-        decisions, _ = iid_decisions(activation_probability(v_ticks, cfg.pneuron), lfsr)
+        decisions, _ = iid_decisions(p, lfsr_from_seed(seed))
         pneuron_out = np.zeros(n, dtype=np.uint8)
         pneuron_out[ticks] = decisions
     else:
-        p = slope  # becomes the drive, then p, in place
+        p = _activation_inplace(drive_voltages(slope, cfg.afe), cfg.pneuron)
         del slope
-        p *= cfg.afe.slope_gain
-        _activation_inplace(p, cfg.pneuron)
+        if factor > 1:
+            held = np.empty(n)
+            held[0] = p[0]
+            held[1:].reshape(-1, factor)[:] = p[1:, None]
+            p = held
         rng = np.random.default_rng(seed)
         pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng)
 
-    det_override = _override_latch(trigger_steps, hold, n)
+    det_override = _override_latch(trigger_steps, _hold_steps(cfg, rate_hz, n), n)
 
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]
@@ -186,7 +195,7 @@ def run_activation(
         det_override=det_override,
         rate_hz=rate_hz,
         steps_per_tick=spt,
-        factor=int(factor),
+        factor=factor,
     )
 
 

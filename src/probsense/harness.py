@@ -25,7 +25,7 @@ from .acquisition import (
     sample_regular,
     savings,
 )
-from .activation import ActivationConfig, _window_and_hold, detection_latency, run_activation
+from .activation import ActivationConfig, _hold_steps, detection_latency, run_activation
 from .pbit import (
     DT_RESOLUTION_FACTOR,
     activation_probability,
@@ -320,12 +320,12 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
 
 
 def _config_echo(cfg: ExperimentConfig, rate_hz: float, n_ticks: int) -> dict:
-    """The config as run, with the AFE window and the hold in the steps that
-    an event of n_ticks ADC samples, the longest that ran, used."""
+    """The config as run, with the hold in the steps that an event of n_ticks
+    ADC samples, the longest that ran, used."""
     pn = cfg.activation.pneuron
     fe = cfg.activation.afe
     factor = cfg.upsample_factor
-    window, hold = _window_and_hold(cfg.activation, rate_hz * factor, (n_ticks - 1) * factor + 1)
+    hold = _hold_steps(cfg.activation, rate_hz * factor, (n_ticks - 1) * factor + 1)
     return {
         "dataset": str(cfg.dataset) if cfg.dataset is not None else None,
         "n_events": cfg.n_events,
@@ -338,8 +338,7 @@ def _config_echo(cfg: ExperimentConfig, rate_hz: float, n_ticks: int) -> dict:
             "beta": pn.beta, "v_ref_v": pn.v_ref_v, "source": pn.source, "tau_s": pn.tau_s,
         },
         "afe": {
-            "smoothing_steps": window, "slope_gain": fe.slope_gain,
-            "amp_threshold_v": fe.amp_threshold_v,
+            "slope_gain": fe.slope_gain, "amp_threshold_v": fe.amp_threshold_v,
         },
         "synth": None if cfg.dataset is not None else {
             "duration_s": SYNTH_DURATION_S, "rate_hz": SYNTH_RATE_HZ,

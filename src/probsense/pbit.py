@@ -252,6 +252,9 @@ def telegraph_run(
     for the start state when initial_state is None, then one uniform u per
     step; a step flips the state when u < q01 (from OFF) or u < q10 (from
     ON). Saturated drives are accepted, so only dt_s <= tau_s / 10 is needed.
+    Once q01 >= 1 (p >= 1 - dt / (2 tau)), though, an OFF dwell lasts one
+    step, so the ON fraction caps at 2 tau p / (2 tau p + dt), about 0.990 at
+    dt = tau / 50, however close to 1 p is.
 
     With flip0 = u < q01 and flip1 = u < q10 each step applies one of four
     maps to the state: identity (neither), NOT (both), const 1 (flip0 only)

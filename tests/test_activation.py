@@ -6,12 +6,12 @@ from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
     _override_latch,
+    _hold_steps,
     _trigger_steps,
-    _window_and_hold,
     detection_latency,
     run_activation,
 )
-from probsense.afe import AfeConfig, extract_features
+from probsense.afe import AfeConfig
 from probsense.pbit import (
     PNeuronConfig,
     activation_probability,
@@ -40,13 +40,15 @@ def _zero_trace(n_ticks):
 
 
 def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
-    """Reference oracle for `run_activation` at factor 1: the logistic at
-    every step, the triggers from |x_high| and the override latch as a
-    running maximum of trigger indices."""
+    """Reference oracle for `run_activation` at factor 1: the slope of every
+    step from its own difference, the logistic at every step, the triggers
+    from |x_high| and the override latch as a running maximum of trigger
+    indices. On `upsample(x, factor)` it agrees with `run_activation(x, ...,
+    factor=factor)` up to the rounding of the upsampled steps."""
     spt = steps_per_tick
     n = len(x_high)
-    window, hold = _window_and_hold(cfg, x_high.rate_hz, n)
-    slope = extract_features(x_high, window)
+    hold = _hold_steps(cfg, x_high.rate_hz, n)
+    slope = np.concatenate([[0.0], np.abs(np.diff(x_high.samples)) * x_high.rate_hz])
     p = activation_probability(cfg.afe.slope_gain * slope, cfg.pneuron)
     ticks = np.arange(0, n, spt, dtype=np.int64)
     pneuron_out = np.zeros(n, dtype=np.uint8)
@@ -179,15 +181,14 @@ class TestRunActivation:
     @given(
         case=_trigger_cases(),
         source=st.sampled_from(["digital_iid", "smtj_telegraph"]),
-        window=st.integers(min_value=1, max_value=5),
+        rate_khz=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=300)
-    def test_matches_scan_oracle(self, case, source, window, seed):
-        # the AFE's 1 ms window is `window` steps at this rate; tau spans 10 of
-        # the slowest rate's steps, as the telegraph needs
+    def test_matches_scan_oracle(self, case, source, rate_khz, seed):
+        # tau spans 10 of the slowest rate's steps, as the telegraph needs
         x, hold, spt = case
-        rate = 1000.0 * window
+        rate = 1000.0 * rate_khz
         cfg = ActivationConfig(
             hold_s=hold / rate,
             pneuron=PNeuronConfig(source=source, tau_s=0.01),
@@ -214,7 +215,8 @@ class TestRunActivation:
     @pytest.mark.parametrize("factor", [50, 30, 64])
     def test_adc_trace_matches_upsampled_scan_oracle(self, source, factor):
         # the survey's event path: the ADC trace with its factor, against the
-        # scan oracle on the upsampled trace, bit for bit
+        # scan oracle on the upsampled trace; the slopes agree up to rounding,
+        # and no decision falls within it
         trace = synth_event(1.0, 2000.0, 50.0, 0.4, 1.0, 0.02, seed=11)
         cfg = _cfg(source=source, amp_thr=0.05, hold=1000)
         got = run_activation(trace, cfg, factor, seed=8, factor=factor)
@@ -225,18 +227,24 @@ class TestRunActivation:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert (got.rate_hz, got.steps_per_tick, got.factor) == (ref.rate_hz, factor, factor)
 
-    @given(case=_trigger_cases(), factor=st.integers(min_value=1, max_value=9))
+    @given(case=_trigger_cases(), factor=st.integers(min_value=1, max_value=9),
+           source=st.sampled_from(["digital_iid", "smtj_telegraph"]),
+           seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=200)
-    def test_adc_trace_override_matches_upsampled_scan_oracle(self, case, factor):
-        # at 1 kHz the AFE's 1 ms window is `factor` high-rate steps
+    def test_adc_trace_override_matches_upsampled_scan_oracle(self, case, factor, source, seed):
+        # the override, and with it every output, at ticks that need not fall
+        # on the trace's samples: each reads the p of the segment it ends or
+        # lies in, and step 0 reads p[0], as the per-step slopes of the
+        # upsampled trace do; tau spans 10 steps
         x, hold, spt = case
         trace = Trace(x, 1000.0)
         cfg = ActivationConfig(hold_s=hold / (1000.0 * factor),
-                               pneuron=PNeuronConfig(source="digital_iid"),
+                               pneuron=PNeuronConfig(source=source, tau_s=0.01),
                                afe=AfeConfig(amp_threshold_v=0.5))
-        got = run_activation(trace, cfg, spt, seed=0, factor=factor)
-        ref = _run_activation_scan(upsample(trace, factor), cfg, spt, 0)
-        assert got.det_override.tobytes() == ref.det_override.tobytes()
+        got = run_activation(trace, cfg, spt, seed, factor=factor)
+        ref = _run_activation_scan(upsample(trace, factor), cfg, spt, seed)
+        for name in ("det_override", "gate", "sync_ticks", "pneuron_out"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 # Sample values at and around the threshold, signed zeros, and values that
@@ -370,6 +378,26 @@ class TestDetectionLatency:
                 pass
         assert ok >= 95
 
+    def test_microsecond_response_to_a_ramp(self):
+        # the paper's p-neuron responds within microseconds: a 306.6 V/s ramp
+        # (the default event's peak slope) from an ADC sample after 200 flat
+        # ones, override off, default telegraph, factor 50. In the runs where
+        # the telegraph is OFF when the ramp starts, the median time to its
+        # first ON step is under 50 us, a tenth of an ADC period
+        rate, factor, flat = 2000.0, 50, 200
+        k = np.arange(flat + 40)
+        x = Trace(np.where(k >= flat, 306.6 * (k - flat) / rate, 0.0), rate)
+        cfg = ActivationConfig(afe=AfeConfig(amp_threshold_v=1e9))
+        start = flat * factor
+        latencies = []
+        for seed in range(300):
+            act = run_activation(x, cfg, factor, seed, factor=factor)
+            if act.pneuron_out[start] == 0:
+                first_on = np.flatnonzero(act.pneuron_out[start:])[0]
+                latencies.append(first_on / act.rate_hz)
+        assert len(latencies) > 250
+        assert np.median(latencies) < 50e-6
+
 
 class TestConfigValidation:
     def test_ticks_every_steps_per_tick(self):
@@ -379,13 +407,13 @@ class TestConfigValidation:
             run_activation(_zero_trace(100), _cfg(), 0, seed=0)
 
     def test_window_and_hold_in_steps(self):
-        # 1 ms and 10 ms at the run's rate; the window is at least one step
-        # and the hold at most the run, also where hold_s * rate is inf
+        # there is no AFE window; the 10 ms hold at the run's rate, at most
+        # the run, also where hold_s * rate is inf
         cfg = ActivationConfig()
-        assert _window_and_hold(cfg, 1e5, 99_951) == (100, 1000)
-        assert _window_and_hold(cfg, 6e4, 59_971) == (60, 600)
-        assert _window_and_hold(cfg, 100.0, 1000) == (1, 1)
-        assert _window_and_hold(ActivationConfig(hold_s=1e306), 1e5, 500) == (100, 500)
+        assert _hold_steps(cfg, 1e5, 99_951) == 1000
+        assert _hold_steps(cfg, 6e4, 59_971) == 600
+        assert _hold_steps(cfg, 100.0, 1000) == 1
+        assert _hold_steps(ActivationConfig(hold_s=1e306), 1e5, 500) == 500
 
     def test_bad_hold(self):
         for hold_s in (-1e-3, float("nan"), float("inf")):

@@ -296,8 +296,9 @@ class TestRunSurvey:
         assert calls == []
 
     def test_savings_do_not_depend_on_the_upsampling_factor(self):
-        # the AFE window and the override hold are times, not step counts, so
-        # a finer step grid leaves the samples taken about the same
+        # the AFE slope is one value per ADC sample and the override hold is
+        # a time, not a step count, so a finer step grid leaves the samples
+        # taken about the same
         savings = [run_survey(ExperimentConfig(upsample_factor=factor)).savings_pct
                    for factor in (10, 30, 50, 100)]
         assert max(savings) - min(savings) <= 0.5, savings
@@ -624,12 +625,14 @@ class TestConfigFile:
 # per-event CSVs (each file's name, a NUL and its bytes, in name order), per
 # source. A seeded output that moves is a behaviour change and must be named.
 # (The CSV digests were 0a00f0ee...d90465c5 and 215fb838...1d33f29a while each
-# event also wrote a rate_event_NNN.csv.)
+# event also wrote a rate_event_NNN.csv. With a 1 ms AFE moving average the
+# smtj digests were b86b014d...4424647f and dd0c886e...ff6b6428, the digital
+# ones c9ebbb0e...776e414e and cb46900e...14f20f00.)
 GOLDEN_RUN = {
-    "smtj": ("b86b014d6ae6514ccd5050e3d8d2d61e98217ab10864c46cea770e324424647f",
-             "dd0c886e5ed788a4bfbfd536d140d45b411eeae08b833fe4497d9b4cff6b6428"),
-    "digital": ("c9ebbb0ecdb2dbec6904eeb8fa506605b9b14cdbe1b4043296d87b41776e414e",
-                "cb46900ee5637aa85730469ac63d9599d7384dee530dcaf021bd966214f20f00"),
+    "smtj": ("da0c9a3153365afd7fbf20e23a2ed77105c61157919d10574e576215781d7f8e",
+             "c255c0babdda83f1caaa3bb048619330655a233ef917d04b9b9b33a353fd59ae"),
+    "digital": ("d8b0a9a08b6df6d3bace172d59762c40a6184c008e133fd2751e5f1e76c0f8dc",
+                "15212b514671fe7e1e76ceeac328a76919c6b03afcab743a0bfc2f93d0868051"),
 }
 
 
@@ -657,21 +660,22 @@ GOLDEN_OUTPUTS = {
     # (was dff3389f...d1bbf16, when it drew about 15 times more pairs)
     "sweep-vin --source smtj":
         "96bf109a24578d21378085820311c7cbf59bda47e8de8de60c3be1dcb0c743ff",
+    # (were e703966e...6606976c and abe4c45d...a339d85a with a 1 ms AFE
+    # moving average)
     "sweep-slope --source digital":
-        "e703966ec96aa3a560b996d7646c97cf5c85b4cd54cd2c8814e6a3326606976c",
+        "a12ba8f8980b58bdb9f92cc402efeceb8b7cd9026368d3880dcbb8f1e062a690",
     "sweep-slope --source smtj":
-        "abe4c45d4098e666f46f0306131016c9aa0a7930d130d83f37d41210a339d85a",
+        "2cb2023add99900627e5c3d4152111aad009157013c322327bad477baab27bee",
     "synth": "ac60a31589d666d176fb79e305a530cea67f3abbc3e555c4f03dcd90e46c75a3",
-    # a factor other than the default: at 2 kHz the AFE's 1 ms window is
-    # always 2 ticks, here 60 steps, and the 10 ms hold 600 steps. Windows
-    # that are not a multiple of the factor stay covered by the
-    # `extract_features` window tests. (Were a88a8a44...1000fcb8 and
-    # 026d2ffb...4ffe3276 while the window was 100 steps and the hold
-    # 1000 steps at any factor.)
+    # a factor other than the default: the p-neuron's drive is held over 30
+    # steps per ADC sample, and the 10 ms hold is 600 steps. (Were
+    # a88a8a44...1000fcb8 and 026d2ffb...4ffe3276 while the AFE window was
+    # 100 steps and the hold 1000 steps at any factor, then fd992563...22c5ffd5
+    # and 50ab13ca...d51d9bb9 while the window was 1 ms, 30 steps.)
     "run --source smtj --upsample 30":
-        "fd992563fef747cbc08650ba7986add4dafbb4d32767b2e728690e0c22c5ffd5",
+        "eb0a697f1cc41b38bd4b097a8d63c53cb04a77d213f1e11b20ac015335028074",
     "run --source digital --upsample 30":
-        "50ab13ca99fdbe4f9700ce673d92a7ca90e171f2e5818239cad65ad8d51d9bb9",
+        "586b2781d7c107072a6ff0e7d3deb7c3f967dc3939e95970ef2decaa286bbc38",
 }
 
 

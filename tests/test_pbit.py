@@ -669,6 +669,23 @@ class TestTelegraph:
         )
         assert states.mean() == pytest.approx(0.8, abs=0.01)
 
+    def test_on_fraction_caps_once_q01_reaches_one(self):
+        # at p = 0.9998 and dt = tau / 50, q01 = dt / ((1 - p) 2 tau) = 50:
+        # every OFF dwell is one step and an ON dwell averages 2 tau p / dt
+        # steps, so the ON fraction is 2 tau p / (2 tau p + dt), about 0.990,
+        # not p
+        p, dt, n = 0.9998, 10e-6, 1_000_000
+        two_tau_p = 2 * self.CFG.tau_s * p
+        states = telegraph_run(np.full(n, p), dt, self.CFG, np.random.default_rng(17))
+        cap = two_tau_p / (two_tau_p + dt)
+        # renewal cycles of one Geometric(q10) ON dwell and one OFF step: the
+        # number of cycles in n steps has variance n * var / mean**3
+        q10 = dt / two_tau_p
+        mean, var = 1 / q10 + 1, (1 - q10) / q10**2
+        se = math.sqrt(n * var / mean**3) / n
+        assert abs(states.mean() - cap) < 4 * se
+        assert p - cap > 50 * se
+
     @pytest.mark.parametrize("p, clamped", [(0.0, P_CLAMP), (1.0, 1.0 - P_CLAMP)])
     def test_tick_states_clamp_p_as_run_does(self, p, clamped):
         def states(q):
