@@ -26,7 +26,7 @@ from .pbit import (
     lfsr_from_seed,
     telegraph_run,
 )
-from .traces import Trace, upsample
+from .traces import Trace, _step_count, upsample
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,10 @@ class ActivationTrace:
     each with the p of the trace sample that ends its segment, so its
     logistic runs on the trace's samples, and only those the ticks read;
     the telegraph's pneuron_out is its state after every step.
-    det_override[i] is 1 when a trigger (a step whose interpolated signal
+    det_override is nonzero only at sync ticks too: det_override[i] is 1
+    at a sync tick i when a trigger (a step whose interpolated signal
     magnitude is >= amp_threshold_v) fell on a step t with t <= i <= t +
-    hold, built from the merged intervals [t, t + hold] of the triggers.
+    hold. Between ticks it is 0, as nothing reads it there.
 
     No caller reads pneuron_out. It is kept because it holds the p-neuron
     output until the trace is dropped: freeing it mid-event measured 21.5 k
@@ -78,27 +79,6 @@ class ActivationTrace:
 
     def __len__(self) -> int:
         return self.gate.size
-
-
-def _override_latch(trigger_steps: np.ndarray, hold: int, n: int) -> np.ndarray:
-    """uint8 mask over n steps, 1 on each interval [t, t + hold] of a trigger t.
-
-    trigger_steps is sorted. Overlapping or adjacent intervals are merged,
-    and the mask is the alternating runs of 0 and 1 between their edges. A
-    hold of n or more latches to the end of the trace, so it is clamped to n
-    before any int64 arithmetic that it could overflow.
-    """
-    hold = min(hold, n)
-    if not trigger_steps.size:
-        return np.zeros(n, dtype=np.uint8)
-    gap = np.diff(trigger_steps) > hold + 1
-    edges = np.empty(2 * (int(np.count_nonzero(gap)) + 1), dtype=np.int64)
-    edges[0::2] = trigger_steps[np.concatenate(([True], gap))]
-    edges[1::2] = trigger_steps[np.concatenate((gap, [True]))]
-    edges[1::2] += hold + 1
-    np.minimum(edges, n, out=edges)
-    runs = np.diff(edges, prepend=0, append=n)
-    return np.repeat((np.arange(runs.size) & 1).astype(np.uint8), runs)
 
 
 def _trigger_steps(x: Trace, thr: float, factor: int) -> np.ndarray:
@@ -141,22 +121,20 @@ def run_activation(
     step 0 to p[0]. The digital source draws one fresh Bernoulli decision
     per sync tick from the p its tick sees, so its drive and logistic are
     evaluated at the ticks only. The telegraph source evolves on every
-    high-rate step and is read at ticks: at factor 1 it runs on p itself,
-    and above it on p held over each segment, one step-length array. The
-    override's triggers come from the few segments that can reach the
-    threshold (see `_trigger_steps`), and its latch from the merged trigger
-    intervals (see `_override_latch`), not a per-step scan.
+    high-rate step and is read at ticks; it takes p and factor as they are,
+    so no array of p held over the steps is built. The override's triggers
+    come from the few segments that can reach the threshold (see
+    `_trigger_steps`). The override is evaluated at the ticks alone: each
+    tick finds the last trigger at or before it by `searchsorted` and is
+    overridden when that trigger lies within the hold, so no per-step latch
+    is built.
     The function drops its reference to `x` once the triggers and features
     are taken: a trace the caller holds nowhere else is freed before the
     p-neuron runs. The entropy source is seeded with `seed`, so the result
     is deterministic per seed.
     """
-    spt = steps_per_tick
-    if spt < 1:
-        raise ValueError(f"steps_per_tick must be >= 1, got {spt}")
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    spt = _step_count("steps_per_tick", steps_per_tick)
+    factor = _step_count("factor", factor)
     rate_hz = x.rate_hz * factor
     n = (len(x) - 1) * factor + 1
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
@@ -176,18 +154,21 @@ def run_activation(
     else:
         p = _activation_inplace(drive_voltages(slope, cfg.afe), cfg.pneuron)
         del slope
-        if factor > 1:
-            held = np.empty(n)
-            held[0] = p[0]
-            held[1:].reshape(-1, factor)[:] = p[1:, None]
-            p = held
         rng = np.random.default_rng(seed)
-        pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng)
+        pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng, factor=factor)
 
-    det_override = _override_latch(trigger_steps, _hold_steps(cfg, rate_hz, n), n)
-
+    # A tick is overridden when the last trigger at or before it lies within
+    # the hold; index -1 (no such trigger) reads the last trigger, which is
+    # after the tick.
+    overridden = ticks[:0]
+    if trigger_steps.size:
+        last = trigger_steps[np.searchsorted(trigger_steps, ticks, "right") - 1]
+        overridden = ticks[(last <= ticks) & (ticks - last <= _hold_steps(cfg, rate_hz, n))]
+    det_override = np.zeros(n, dtype=np.uint8)
+    det_override[overridden] = 1
     gate = np.zeros(n, dtype=np.uint8)
-    gate[ticks] = pneuron_out[ticks] | det_override[ticks]
+    gate[ticks] = pneuron_out[ticks]
+    gate[overridden] = 1
     return ActivationTrace(
         gate=gate,
         sync_ticks=ticks,

@@ -17,6 +17,8 @@ from functools import cache
 
 import numpy as np
 
+from .traces import _step_count
+
 # x^16 + x^15 + x^13 + x^4 + 1 (maximal length): s[n+16] = s[n+15]^s[n+13]^s[n+4]^s[n].
 LFSR_TAP_MASK = 0xA011
 LFSR_PERIOD = 65535
@@ -30,11 +32,10 @@ P_CLAMP = 1e-6
 # least this many steps.
 DT_RESOLUTION_FACTOR = 10
 
-# Steps whose uniforms and flip probabilities `telegraph_run` computes per
-# pass. Its two float64 block buffers (2 x 256 KiB) stay in cache, and with
-# the flip flags they fit in the space the amplitude array of a 100 k-step
-# survey event frees, so an event takes no fresh pages for them; 1 << 16
-# measured slower on the survey.
+# Steps of whole ADC segments whose uniforms `telegraph_run` draws per pass,
+# into one float64 u buffer (256 KiB) that stays in cache; the flip
+# probabilities take one value per segment of the pass. 1 << 16 measured
+# slower on the survey.
 TELEGRAPH_BLOCK = 1 << 15
 
 DEFAULT_BETA = 10.0
@@ -239,39 +240,47 @@ def _drop_repeated_constants(flip0: np.ndarray, flip1: np.ndarray) -> None:
         own[1:] ^= const[1:] & const[:-1]
 
 
+def _check_dt(dt_s: float, cfg: PNeuronConfig) -> None:
+    """Raise ValueError unless 0 < dt_s <= tau_s / DT_RESOLUTION_FACTOR."""
+    if not dt_s > 0:
+        raise ValueError(f"dt_s must be positive, got {dt_s}")
+    if dt_s > cfg.tau_s / DT_RESOLUTION_FACTOR:
+        raise ValueError(f"dt too coarse: {dt_s:.3g} s cannot resolve tau_s = {cfg.tau_s:.3g} s")
+
+
 def telegraph_run(
-    p_steps: np.ndarray,
-    dt_s: float,
-    cfg: PNeuronConfig,
-    rng: np.random.Generator,
-    initial_state: int | None = None,
+    p: np.ndarray, dt_s: float, cfg: PNeuronConfig, rng: np.random.Generator, *, factor: int = 1
 ) -> np.ndarray:
-    """Evolve the telegraph over a per-step drive-probability array.
+    """Evolve the telegraph over a drive held for `factor` steps per entry of p.
 
-    Returns the state after each step (uint8). The generator gives one draw
-    for the start state when initial_state is None, then one uniform u per
-    step; a step flips the state when u < q01 (from OFF) or u < q10 (from
-    ON). Saturated drives are accepted, so only dt_s <= tau_s / 10 is needed.
-    Once q01 >= 1 (p >= 1 - dt / (2 tau)), though, an OFF dwell lasts one
-    step, so the ON fraction caps at 2 tau p / (2 tau p + dt), about 0.990 at
-    dt = tau / 50, however close to 1 p is.
+    The run has (len(p) - 1) * factor + 1 steps: step 0 sees p[0] and step
+    s >= 1 sees p[(s - 1) // factor + 1], so each later entry is one ADC
+    segment of factor steps. Returns the state after each step (uint8). The
+    generator gives one draw for the start state, from p[0], then one
+    uniform u per step; a step flips the state when u < q01 (from OFF) or
+    u < q10 (from ON). Saturated drives are accepted, so only dt_s <= tau_s
+    / 10 is needed. Once q01 >= 1 (p >= 1 - dt / (2 tau)), though, an OFF
+    dwell lasts one step, so the ON fraction caps at 2 tau p / (2 tau p +
+    dt), about 0.990 at dt = tau / 50, however close to 1 p is.
 
-    With flip0 = u < q01 and flip1 = u < q10 each step applies one of four
-    maps to the state: identity (neither), NOT (both), const 1 (flip0 only)
-    or const 0 (flip1 only). Their composition needs no loop: every NOT
-    step flips the state, and a constant step flips it when the state
-    entering it (the previous constant XOR the parity of NOT steps since)
-    differs from its constant. The non-identity steps are taken once, in
-    step order, so the NOT parity is one cumsum over them and the flips are
-    marked in place among them: the flip list comes out sorted, with no
-    search or sort. The flip probabilities are not capped at 1 (a dwell
-    floor of one step): u < 1 always, so a cap cannot change any comparison.
+    Step 0 is folded into the start state (its flip is applied with the
+    second draw), so it is an identity step below. With flip0 = u < q01 and
+    flip1 = u < q10 each other step applies one of four maps to the state:
+    identity (neither), NOT (both), const 1 (flip0 only) or const 0 (flip1
+    only). Their composition needs no loop: every NOT step flips the state,
+    and a constant step flips it when the state entering it (the previous
+    constant XOR the parity of NOT steps since) differs from its constant.
+    The non-identity steps are taken once, in step order, so the NOT parity
+    is one cumsum over them and the flips are marked in place among them:
+    the flip list comes out sorted, with no search or sort. The flip
+    probabilities are not capped at 1: u < 1, so a cap changes no comparison.
 
-    The uniforms and flip probabilities are computed TELEGRAPH_BLOCK steps
-    at a time in two block buffers that stay in cache, and the comparisons
-    write straight into flip0 and flip1; the generator's float64 stream does
-    not depend on how it is split into calls, so this is the same stream as
-    one rng.random(n).
+    Steps 1 onwards run in blocks of whole segments, TELEGRAPH_BLOCK //
+    factor of them (at least one): the flip probabilities are computed once
+    per segment and compared with a (segments, factor) view of the block's
+    uniforms, writing straight into flip0 and flip1. The generator's
+    float64 stream does not depend on how it is split into calls, so this
+    is the same stream as one rng.random(n).
 
     A saturated drive (p >= 0.99 or p <= 0.01 at dt = tau / 50) makes q01 or
     q10 at least 1: every step is then a non-identity step, and the lists of
@@ -286,42 +295,40 @@ def telegraph_run(
     shrinks to about twice their NOT steps; the two counts allocate nothing,
     and a block below that share allocates nothing more for it.
 
-    p_steps must lie in [0, 1]; a NaN or an entry outside raises ValueError
-    before the generator is used.
+    An empty p, an entry outside [0, 1] (or NaN) or a factor that is not a
+    positive integer raises ValueError before the generator is used.
     """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    if dt_s > cfg.tau_s / DT_RESOLUTION_FACTOR:
-        raise ValueError(
-            f"dt too coarse: {dt_s:.3g} s cannot resolve tau_s = {cfg.tau_s:.3g} s"
-        )
-    p_steps = np.asarray(p_steps, dtype=np.float64)
-    _check_probabilities(p_steps)
-    n = p_steps.size
-    if initial_state is None:
-        if n == 0:
-            raise ValueError("p_steps is empty: no drive to draw the start state from")
-        s0 = 1 if rng.random() < p_steps[0] else 0
-    else:
-        s0 = int(initial_state)
+    _check_dt(dt_s, cfg)
+    factor = _step_count("factor", factor)
+    p = np.asarray(p, dtype=np.float64)
+    _check_probabilities(p)
+    if p.size == 0:
+        raise ValueError("p is empty: no drive to draw the start state from")
+    n = (p.size - 1) * factor + 1
+    s0 = 1 if rng.random() < p[0] else 0
+    if rng.random() < _flip_probs(p[0], cfg.tau_s, dt_s)[s0]:
+        s0 ^= 1
     flip0 = np.empty(n, dtype=bool)
     flip1 = np.empty(n, dtype=bool)
-    u_buf = np.empty(min(n, TELEGRAPH_BLOCK))
-    q_buf = np.empty_like(u_buf)
+    flip0[0] = flip1[0] = False
+    segs = max(1, TELEGRAPH_BLOCK // factor)
+    u_buf = np.empty(min(n - 1, segs * factor))
+    q_buf = np.empty(min(p.size - 1, segs))
     two_tau = 2.0 * cfg.tau_s
-    for lo in range(0, n, TELEGRAPH_BLOCK):
-        hi = min(lo + TELEGRAPH_BLOCK, n)
-        p = p_steps[lo:hi]
-        u = rng.random(hi - lo, out=u_buf[:hi - lo])
+    for j in range(1, p.size, segs):
+        m = min(segs, p.size - j)
+        lo, hi = (j - 1) * factor + 1, (j - 1 + m) * factor + 1
+        u = rng.random(hi - lo, out=u_buf[:hi - lo]).reshape(m, factor)
+        seg_p = p[j:j + m]
         # q01 = dt / ((1 - p) * 2 tau), then q10 = dt / (p * 2 tau), with p
         # clipped to [P_CLAMP, 1 - P_CLAMP], each computed in turn in q.
-        q = np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=q_buf[:hi - lo])
+        q = np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q_buf[:m])
         np.subtract(1.0, q, out=q)
         q *= two_tau
-        np.less(u, np.divide(dt_s, q, out=q), out=flip0[lo:hi])
-        np.clip(p, P_CLAMP, 1.0 - P_CLAMP, out=q)
+        np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip0[lo:hi].reshape(m, factor))
+        np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q)
         q *= two_tau
-        np.less(u, np.divide(dt_s, q, out=q), out=flip1[lo:hi])
+        np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip1[lo:hi].reshape(m, factor))
         half = (hi - lo) // 2
         if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
             _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
@@ -366,10 +373,16 @@ def telegraph_tick_states(
     [P_CLAMP, 1 - P_CLAMP], as `telegraph_run` clamps its drive, so p = 0
     gives the same states as p = P_CLAMP. A flip probability saturates at
     1, a dwell of one step, so the ON fraction saturates too: near 0.01 and
-    0.99 at dt = tau / 50, whatever p is beyond them.
+    0.99 at dt = tau / 50, whatever p is beyond them. dt_s is checked as
+    `telegraph_run` checks it, steps_per_tick must be a positive integer and
+    n_ticks a non-negative one.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_dt(dt_s, cfg)
+    steps_per_tick = _step_count("steps_per_tick", steps_per_tick)
+    if not isinstance(n_ticks, (int, np.integer)) or n_ticks < 0:
+        raise ValueError(f"n_ticks must be a non-negative integer, got {n_ticks}")
     p = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
     q01, q10 = _flip_probs(p, cfg.tau_s, dt_s)
     s0 = 1 if rng.random() < p else 0

@@ -219,6 +219,13 @@ def synth_event(
     return Trace(x, rate_hz, 0.0)
 
 
+def _step_count(name: str, value) -> int:
+    """value as an int, after checking it is a positive integer (a step count)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def upsample(trace: Trace, factor: int) -> Trace:
     """Linearly interpolate onto a grid `factor` times finer.
 
@@ -226,9 +233,7 @@ def upsample(trace: Trace, factor: int) -> Trace:
     points are clipped to each segment's hull so the min/max envelope of the
     input bounds every output value.
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    factor = _step_count("factor", factor)
     if factor == 1:
         return trace
     x = trace.samples

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from probsense.activation import (
     ActivationConfig,
     ActivationTrace,
-    _override_latch,
     _hold_steps,
     _trigger_steps,
     detection_latency,
@@ -43,8 +42,9 @@ def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
     """Reference oracle for `run_activation` at factor 1: the slope of every
     step from its own difference, the logistic at every step, the triggers
     from |x_high| and the override latch as a running maximum of trigger
-    indices. On `upsample(x, factor)` it agrees with `run_activation(x, ...,
-    factor=factor)` up to the rounding of the upsampled steps."""
+    indices at every step, read at the ticks. On `upsample(x, factor)` it
+    agrees with `run_activation(x, ..., factor=factor)` up to the rounding of
+    the upsampled steps."""
     spt = steps_per_tick
     n = len(x_high)
     hold = _hold_steps(cfg, x_high.rate_hz, n)
@@ -61,7 +61,9 @@ def _run_activation_scan(x_high, cfg, steps_per_tick, seed):
     trigger = np.abs(x_high.samples) >= cfg.afe.amp_threshold_v
     steps = np.arange(n, dtype=np.int64)
     last_trigger = np.maximum.accumulate(np.where(trigger, steps, np.int64(-(n + hold + 1))))
-    det_override = (steps - last_trigger <= hold).astype(np.uint8)
+    latch = (steps - last_trigger <= hold).astype(np.uint8)
+    det_override = np.zeros(n, dtype=np.uint8)
+    det_override[ticks] = latch[ticks]
     gate = np.zeros(n, dtype=np.uint8)
     gate[ticks] = pneuron_out[ticks] | det_override[ticks]
     return ActivationTrace(gate, ticks, pneuron_out, det_override, x_high.rate_hz, spt)
@@ -72,7 +74,8 @@ def _trigger_cases(draw):
     """(x, hold in steps, steps_per_tick): triggers are the steps with |x| >= 0.5."""
     n = draw(st.integers(min_value=6, max_value=400))
     spt = draw(st.integers(min_value=1, max_value=8))
-    hold = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=40)))
+    hold = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=40),
+                          st.sampled_from([n - 1, n, 10**6, 2**63 - 1, 10**20])))
     kind = draw(st.sampled_from(["random", "none", "all", "spaced"]))
     if kind == "random":
         trig = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
@@ -159,23 +162,26 @@ class TestRunActivation:
         assert f_hi - f_lo > (0.3 - 0.1) - 3 * sigma
 
     def test_hold_latches_override(self):
-        # single above-threshold spike held for 2 ms, 200 steps
+        # single above-threshold spike held for 2 ms, 200 steps: the override
+        # is set at the ticks from the spike to 200 steps after it, and at
+        # every one of those steps when every step is a tick
         x = np.zeros(5000)
         x[1000] = 1.0
         act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), SPT, seed=0)
-        det = np.flatnonzero(act.det_override)
-        assert det[0] == 1000
-        assert det[-1] == 1200
-        assert det.size == 201
+        assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 1201, SPT))
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=200), 1, seed=0)
+        assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 1201))
 
     @pytest.mark.parametrize("hold", [4999, 5000, 5001, 2**62, 2**63 - 1, 10**20])
     def test_hold_past_the_trace_latches_to_the_end(self, hold):
         x = np.zeros(5000)
         x[[1000, 4000]] = 1.0
         act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=hold), SPT, seed=0)
-        assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 5000))
-        latch = _override_latch(np.array([7, 9], dtype=np.int64), hold, 20)
-        assert latch.tolist() == [0] * 7 + [1] * 13
+        assert np.flatnonzero(act.det_override).tolist() == list(range(1000, 5000, SPT))
+        x = np.zeros(20)
+        x[[7, 9]] = 1.0
+        act = run_activation(Trace(x, RATE_HI), _cfg(amp_thr=0.5, hold=hold), 1, seed=0)
+        assert act.det_override.tolist() == [0] * 7 + [1] * 13
 
 
     @given(
@@ -289,8 +295,9 @@ class TestTriggerSteps:
 
 
 def _override_latch_cumsum(trigger_steps, hold, n):
-    """Reference oracle for `_override_latch`: +1 at each merged interval's
-    start, -1 past its end, and their running sum."""
+    """Reference oracle for the override at every step: +1 at each merged
+    interval [t, t + hold] of the triggers t, -1 past its end, and their
+    running sum."""
     hold = min(hold, n)
     edge = np.zeros(n, dtype=np.int8)
     if trigger_steps.size:
@@ -304,15 +311,24 @@ def _override_latch_cumsum(trigger_steps, hold, n):
 @pytest.mark.parametrize("hold", [0, 1, 50, 1000, 10**6, 2**63 - 1])
 @pytest.mark.parametrize("kind", ["none", "sparse", "dense", "ends"])
 def test_override_latch_matches_cumsum_oracle(hold, kind):
+    # `run_activation`'s override, set at the ticks only, against the latch
+    # over every step read at the ticks; the triggers are the steps where
+    # the factor-1 trace reaches the threshold
     n = 100_000
     rng = np.random.default_rng(hold % 1000)
     trig = {"none": np.zeros(0, dtype=np.int64),
             "sparse": np.sort(rng.choice(n, 20, replace=False)),
             "dense": np.flatnonzero(rng.random(n) < 0.3),
             "ends": np.array([0, 1, n - 2, n - 1])}[kind].astype(np.int64)
-    got = _override_latch(trig, hold, n)
-    ref = _override_latch_cumsum(trig, hold, n)
-    assert got.dtype == np.uint8 and got.tobytes() == ref.tobytes()
+    x = np.zeros(n)
+    x[trig] = 1.0
+    cfg = _cfg(amp_thr=0.5, hold=hold)
+    latch = _override_latch_cumsum(trig, _hold_steps(cfg, RATE_HI, n), n)
+    for spt in (1, 7, SPT):
+        got = run_activation(Trace(x, RATE_HI), cfg, spt, seed=0).det_override
+        ref = np.zeros(n, dtype=np.uint8)
+        ref[::spt] = latch[::spt]
+        assert got.dtype == np.uint8 and got.tobytes() == ref.tobytes(), spt
 
 
 def _window_rates(x_high, cfg, seed=0, window_ticks=100):
@@ -405,6 +421,13 @@ class TestConfigValidation:
         assert np.array_equal(act.sync_ticks, np.arange(0, 5000, 10))
         with pytest.raises(ValueError, match="steps_per_tick"):
             run_activation(_zero_trace(100), _cfg(), 0, seed=0)
+
+    @pytest.mark.parametrize("spt", [2.5, 2.0, np.float64(50.0), "2", -3])
+    def test_steps_per_tick_must_be_a_positive_integer(self, spt):
+        # a fractional steps_per_tick used to run with ticks every 2 steps
+        # (np.arange truncates the float step) while recording 2.5
+        with pytest.raises(ValueError, match="steps_per_tick must be a positive integer"):
+            run_activation(_zero_trace(10), _cfg(), spt, seed=0)
 
     def test_window_and_hold_in_steps(self):
         # there is no AFE window; the 10 ms hold at the run's rate, at most

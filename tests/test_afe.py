@@ -192,9 +192,9 @@ class TestClosedForm:
         assert extract_features(x).tolist() == [0.0, 2000.0, 2000.0]
         assert len(run_activation(x, ActivationConfig(), 50, seed=0, factor=50)) == 101
 
-    @pytest.mark.parametrize("factor", [0, -1, 2.5])
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, 2.0, "2"])
     def test_bad_factor(self, factor):
-        with pytest.raises(ValueError, match="factor"):
+        with pytest.raises(ValueError, match="factor must be a positive integer"):
             run_activation(Trace(np.arange(10.0), 10.0), ActivationConfig(), 1, 0, factor)
 
 

@@ -30,7 +30,11 @@ point peaks at 2.03 at 0, 250 and 500 V/s with either source (smtj 2.9,
 its slope is one value per sample of the trace, `extract_features` peaks at
 1.0 arrays of the trace's own length (of the high-rate steps before), the
 digital `run_activation` at 0.65 (1.08 before) and the smtj one at 1.83, as
-before; one `sweep_slope` point peaks at 2.00 with either source.
+before; one `sweep_slope` point peaks at 2.00 with either source. Since
+`telegraph_run` takes p per ADC segment with its factor, and the override
+is evaluated at the ticks alone, the smtj `run_activation` builds no
+step-length drive or latch and peaks at 0.78 arrays (1.83 before); the
+digital one peaks at 0.66.
 """
 
 import tracemalloc
@@ -96,12 +100,12 @@ def test_telegraph_run(drive):
         assert peak < 1.0, f"p[0] = {p[0]}: {peak:.2f} arrays"
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.4), ("digital_iid", 1.0)])
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 1.3), ("digital_iid", 1.0)])
 def test_run_activation(event, source, bound):
     """The survey's event path: the event itself, on its upsampled grid."""
     cfg = ActivationConfig(pneuron=PNeuronConfig(source=source))
     act = run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR)
-    assert act.det_override.any()  # the latch is exercised
+    assert act.det_override.any()  # the override is exercised
     n = len(act)
     assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR),
                         n) < bound

@@ -124,19 +124,16 @@ def telegraph_step(ts: TelegraphState, p: float, dt_s: float, cfg: PNeuronConfig
     return TelegraphState(state=ts.state, time_in_state_s=ts.time_in_state_s + dt_s, rng=ts.rng)
 
 
-def _telegraph_run_loop(p_steps, dt_s, cfg, rng, initial_state=None):
+def _telegraph_run_loop(p_steps, dt_s, cfg, rng):
     """Reference telegraph engine: a Python loop that scans for each flip.
 
-    Same contract and generator use as `telegraph_run` (one draw for the
-    start state when initial_state is None, then rng.random(n)), with flip
+    Same contract and generator use as `telegraph_run` at factor 1 (one draw
+    for the start state from p_steps[0], then rng.random(n)), with flip
     probabilities capped at 1.
     """
     p_steps = np.asarray(p_steps, dtype=np.float64)
     n = p_steps.size
-    if initial_state is None:
-        s = 1 if rng.random() < p_steps[0] else 0
-    else:
-        s = int(initial_state)
+    s = 1 if rng.random() < p_steps[0] else 0
     pc = np.clip(p_steps, P_CLAMP, 1.0 - P_CLAMP)
     q01 = np.minimum(dt_s / (2.0 * cfg.tau_s * (1.0 - pc)), 1.0)
     q10 = np.minimum(dt_s / (2.0 * cfg.tau_s * pc), 1.0)
@@ -181,11 +178,22 @@ def _flip_probs_arrays(p, tau_s, dt_s, cap):
     return q01, q10
 
 
-def _telegraph_run_three_arrays(p_steps, dt_s, cfg, rng, initial_state=None):
-    """`telegraph_run` with q01, q10 and u all alive at once."""
-    p_steps = np.asarray(p_steps, dtype=np.float64)
+def _held_drive(p, factor):
+    """p held over every step of the run: step 0 sees p[0] and step s >= 1
+    p[(s - 1) // factor + 1], one float64 per step."""
+    p = np.asarray(p, dtype=np.float64)
+    held = np.empty((p.size - 1) * factor + 1)
+    held[0] = p[0]
+    held[1:].reshape(-1, factor)[:] = p[1:, None]
+    return held
+
+
+def _telegraph_run_three_arrays(p, dt_s, cfg, rng, *, factor=1):
+    """`telegraph_run` on the drive held over every step, with q01, q10 and u
+    all alive at once and step 0 in the step maps."""
+    p_steps = _held_drive(p, factor)
     n = p_steps.size
-    s0 = (1 if rng.random() < p_steps[0] else 0) if initial_state is None else int(initial_state)
+    s0 = 1 if rng.random() < p_steps[0] else 0
     q01, q10 = _flip_probs_arrays(p_steps, cfg.tau_s, dt_s, cap=False)
     u = rng.random(n)
     flip0 = u < q01
@@ -458,8 +466,9 @@ class TestTelegraph:
 
     def test_run_matches_step_loop(self):
         p = np.linspace(0.2, 0.8, 2000)
-        out = telegraph_run(p, 5e-6, self.CFG, np.random.default_rng(7), initial_state=0)
-        ts = TelegraphState(0, 0.0, np.random.default_rng(7))
+        out = telegraph_run(p, 5e-6, self.CFG, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        ts = TelegraphState(1 if rng.random() < p[0] else 0, 0.0, rng)
         seq = np.empty(2000, dtype=np.uint8)
         for i in range(2000):
             ts = telegraph_step(ts, float(p[i]), 5e-6, self.CFG)
@@ -477,66 +486,72 @@ class TestTelegraph:
     )
 
     @staticmethod
-    def _make_drive(kind, x, n, rng):
+    def _make_drive(kind, x, n, rng, start=None):
+        """A drive of n entries; start, if not None, is p[0], which pins the
+        start state drawn from it."""
         if kind == "random":
-            return rng.random(n) ** (1.0 + 4.0 * x)
-        if kind == "const":
-            return np.full(n, x)
-        if kind == "ramp":
-            return np.linspace(x, 1.0 - x, n)
-        return np.where(rng.random(n) < x, 1.0, 0.0)
+            p = rng.random(n) ** (1.0 + 4.0 * x)
+        elif kind == "const":
+            p = np.full(n, x)
+        elif kind == "ramp":
+            p = np.linspace(x, 1.0 - x, n)
+        else:
+            p = np.where(rng.random(n) < x, 1.0, 0.0)
+        if start is not None:
+            p[0] = start
+        return p
 
     @given(
         drive=_drive,
-        n=st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+        n=st.one_of(st.integers(1, 3), st.integers(1, 5000)),
         dt_s=st.sampled_from([1e-9, 1e-6, 5e-6, 50e-6]),
-        initial_state=st.sampled_from([None, 0, 1]),
+        start=st.sampled_from([None, 0.0, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200)
-    def test_run_matches_loop_oracle(self, drive, n, dt_s, initial_state, seed):
-        if initial_state is None and n == 0:
-            n = 1
-        p = self._make_drive(*drive, n, np.random.default_rng(seed))
+    def test_run_matches_loop_oracle(self, drive, n, dt_s, start, seed):
+        p = self._make_drive(*drive, n, np.random.default_rng(seed), start)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = telegraph_run(p, dt_s, self.CFG, rng_a, initial_state)
-        ref = _telegraph_run_loop(p, dt_s, self.CFG, rng_b, initial_state)
+        out = telegraph_run(p, dt_s, self.CFG, rng_a)
+        ref = _telegraph_run_loop(p, dt_s, self.CFG, rng_b)
         assert out.dtype == np.uint8
         assert np.array_equal(out, ref)
         assert rng_a.random() == rng_b.random()
 
     @given(
         drive=_drive,
-        n=st.one_of(st.integers(0, 3), st.integers(0, 5000)),
+        n=st.one_of(st.integers(1, 3), st.integers(1, 5000)),
         # dt 1e-11 keeps flip probabilities below 1 at the P_CLAMP-clipped ends
         dt_s=st.sampled_from([1e-11, 1e-9, 1e-6, 5e-6, 50e-6]),
         tau_s=st.sampled_from([500e-6, 1e-3, 2.3e-3]),
-        initial_state=st.sampled_from([None, 0, 1]),
+        start=st.sampled_from([None, 0.0, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200)
-    def test_run_matches_three_array_oracle(self, drive, n, dt_s, tau_s, initial_state, seed):
-        if initial_state is None and n == 0:
-            n = 1
+    def test_run_matches_three_array_oracle(self, drive, n, dt_s, tau_s, start, seed):
         cfg = PNeuronConfig(tau_s=tau_s)
-        p = self._make_drive(*drive, n, np.random.default_rng(seed))
+        p = self._make_drive(*drive, n, np.random.default_rng(seed), start)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = telegraph_run(p, dt_s, cfg, rng_a, initial_state)
-        ref = _telegraph_run_three_arrays(p, dt_s, cfg, rng_b, initial_state)
+        out = telegraph_run(p, dt_s, cfg, rng_a)
+        ref = _telegraph_run_three_arrays(p, dt_s, cfg, rng_b)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("n", [TELEGRAPH_BLOCK - 1, TELEGRAPH_BLOCK, TELEGRAPH_BLOCK + 1,
                                    3 * TELEGRAPH_BLOCK + 17])
-    @pytest.mark.parametrize("initial_state", [None, 1])
-    def test_run_matches_three_array_oracle_at_block_boundaries(self, n, initial_state):
-        # the drive sweeps both saturated ends, so every block has all four step maps
+    @pytest.mark.parametrize("start", [None, 1])
+    def test_run_matches_three_array_oracle_at_block_boundaries(self, n, start):
+        # n steps after step 0, which the start state absorbs, so the blocks
+        # start at step 1; the drive sweeps both saturated ends, so every
+        # block has all four step maps; start, if not None, pins p[0]
         rng = np.random.default_rng(n)
-        p = np.clip(np.sin(np.arange(n) / 997.0) * 0.6 + 0.5, 0.0, 1.0)
-        p[rng.random(n) < 0.01] = 0.5
+        p = np.clip(np.sin(np.arange(n + 1) / 997.0) * 0.6 + 0.5, 0.0, 1.0)
+        p[rng.random(n + 1) < 0.01] = 0.5
+        if start is not None:
+            p[0] = start
         rng_a, rng_b = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
-        out = telegraph_run(p, 5e-5, self.CFG, rng_a, initial_state)
-        ref = _telegraph_run_three_arrays(p, 5e-5, self.CFG, rng_b, initial_state)
+        out = telegraph_run(p, 5e-5, self.CFG, rng_a)
+        ref = _telegraph_run_three_arrays(p, 5e-5, self.CFG, rng_b)
         assert out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
 
@@ -559,11 +574,14 @@ class TestTelegraph:
 
     @pytest.mark.parametrize("p", [[0.5, np.nan, np.nan, 2.0, -1.0], [np.nan], [0.5, np.nan],
                                    [0.5, 1.0 + 1e-12], [-1e-300, 0.5]])
-    @pytest.mark.parametrize("initial_state", [None, 0])
-    def test_run_rejects_nan_and_out_of_range(self, p, initial_state):
+    @pytest.mark.parametrize("prefix", [None, 0])
+    def test_run_rejects_nan_and_out_of_range(self, p, prefix):
+        # prefix 0: a valid p[0], so the bad entry is not the one the start
+        # state is drawn from
         rng = np.random.default_rng(0)
+        drive = np.array(p if prefix is None else [prefix, *p], dtype=np.float64)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            telegraph_run(np.array(p), 5e-6, self.CFG, rng, initial_state)
+            telegraph_run(drive, 5e-6, self.CFG, rng)
         assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
 
     @staticmethod
@@ -573,8 +591,8 @@ class TestTelegraph:
         "const c": constant p = c; "alternate": ON- and OFF-saturated in
         alternate blocks; "mixed": runs of both within each block, so a
         constant step often follows the other constant; "stretch a b":
-        p = 0.995 on steps [B + a, 2 B + b) of a p = 0.5 drive, with
-        B = TELEGRAPH_BLOCK.
+        p = 0.995 on steps [B + 1 + a, 2 B + 1 + b) of a p = 0.5 drive, with
+        B = TELEGRAPH_BLOCK (the blocks start at steps 1, B + 1, ...).
         """
         b = TELEGRAPH_BLOCK
         if kind.startswith("const"):
@@ -585,7 +603,7 @@ class TestTelegraph:
             return np.where(np.random.default_rng(1).random(2 * b + 5) < 0.7, 0.995, 0.005)
         _, lo, hi = kind.split()
         p = np.full(3 * b, 0.5)
-        p[b + int(lo):2 * b + int(hi)] = 0.995
+        p[b + 1 + int(lo):2 * b + 1 + int(hi)] = 0.995
         return p
 
     @staticmethod
@@ -604,50 +622,101 @@ class TestTelegraph:
     @pytest.mark.parametrize("drive", ["const 0.995", "const 0.005", "const 1.0", "const 0.0",
                                        "alternate", "mixed", "stretch -1 -1", "stretch -1 1",
                                        "stretch 1 -1", "stretch 1 1"])
-    @pytest.mark.parametrize("initial_state", [None, 0, 1])
-    def test_pruned_run_matches_three_array_oracle(self, drive, initial_state, monkeypatch):
+    @pytest.mark.parametrize("start", [None, 0, 1])
+    def test_pruned_run_matches_three_array_oracle(self, drive, start, monkeypatch):
+        # start, if not None, pins p[0] and with it the start state
         pruned = self._count_pruned_blocks(monkeypatch)
         p = self._saturated_drive(drive)
+        if start is not None:
+            p[0] = start
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        out = telegraph_run(p, 10e-6, self.CFG, rng_a, initial_state)
-        ref = _telegraph_run_three_arrays(p, 10e-6, self.CFG, rng_b, initial_state)
+        out = telegraph_run(p, 10e-6, self.CFG, rng_a)
+        ref = _telegraph_run_three_arrays(p, 10e-6, self.CFG, rng_b)
         assert pruned  # the pruned branch ran
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("over", [0, 1])
-    @pytest.mark.parametrize("initial_state", [None, 0, 1])
-    def test_pruning_gate_at_threshold(self, over, initial_state, monkeypatch):
+    @pytest.mark.parametrize("start", [None, 0, 1])
+    def test_pruning_gate_at_threshold(self, over, start, monkeypatch):
         """One block whose flip0 is set on exactly half its steps, or one more.
 
-        At dt = 2 ns, p = 1 sets flip0 alone (q01 ~ 2, q10 ~ 2e-6) and p = 0
-        flip1 alone, so the first k steps set flip0 and the rest flip1 (at
-        seed 3; the probe below checks that no p = 0 step sets flip0).
+        The block is steps 1 to n, after step 0, which the start state
+        absorbs; p[0] is 0.5, or start to pin the start state. At dt = 2 ns,
+        p = 1 sets flip0 alone (q01 ~ 2, q10 ~ 2e-6) and p = 0 flip1 alone,
+        so the block's first k steps set flip0 and the rest flip1 (at seed
+        3; the probe below checks that no p = 0 step sets flip0).
         """
         pruned = self._count_pruned_blocks(monkeypatch)
         n, dt = TELEGRAPH_BLOCK, 2e-9
         k = n // 2 + over
-        p = np.zeros(n)
-        p[:k] = 1.0
+        p = np.zeros(n + 1)
+        p[0] = 0.5 if start is None else start
+        p[1:k + 1] = 1.0
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        q01, q10 = _flip_probs_arrays(p, self.CFG.tau_s, dt, cap=False)
+        q01, q10 = _flip_probs_arrays(p[1:], self.CFG.tau_s, dt, cap=False)
         probe = np.random.default_rng(3)
-        if initial_state is None:
-            probe.random()
+        probe.random(2)  # the start state and step 0
         u = probe.random(n)
         assert np.count_nonzero(u < q01) == k and np.count_nonzero(u < q10) == n - k
-        out = telegraph_run(p, dt, self.CFG, rng_a, initial_state)
-        ref = _telegraph_run_three_arrays(p, dt, self.CFG, rng_b, initial_state)
+        out = telegraph_run(p, dt, self.CFG, rng_a)
+        ref = _telegraph_run_three_arrays(p, dt, self.CFG, rng_b)
         assert pruned == [n] * over
         assert out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
 
     def test_run_empty_drive(self):
-        with pytest.raises(ValueError, match="p_steps"):
-            telegraph_run(np.empty(0), 5e-6, self.CFG, np.random.default_rng(0))
-        for s0 in (0, 1):
-            out = telegraph_run(np.empty(0), 5e-6, self.CFG, np.random.default_rng(0), s0)
-            assert out.dtype == np.uint8 and out.size == 0
+        for factor in (1, 50):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="p is empty"):
+                telegraph_run(np.empty(0), 5e-6, self.CFG, rng, factor=factor)
+            assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, np.float64(2.0), "2", None])
+    def test_factor_must_be_a_positive_integer(self, factor):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="factor must be a positive integer"):
+            telegraph_run(np.full(3, 0.5), 5e-6, self.CFG, rng, factor=factor)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_factor_is_keyword_only(self):
+        # the fifth positional slot was the start state: it is gone, and a
+        # factor cannot be passed there by mistake
+        with pytest.raises(TypeError):
+            telegraph_run(np.full(3, 0.5), 5e-6, self.CFG, np.random.default_rng(0), 2)
+
+    @given(
+        factor=st.one_of(st.integers(1, 64), st.sampled_from([655, 32768, 40000])),
+        segments=st.one_of(st.integers(0, 3), st.tuples(st.integers(1, 2), st.integers(-1, 1))),
+        kind=st.sampled_from(["random", "pinned", "const"]),
+        dt_s=st.sampled_from([2e-9, 1e-6, 5e-6, 10e-6, 50e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150)
+    def test_held_factor_matches_held_drive(self, factor, segments, kind, dt_s, seed):
+        # p per segment with factor steps each against p held over every step
+        # (factor 1): segments is a count, or (j, d) for j whole blocks plus d
+        # segments, so the run ends on either side of a block boundary
+        if isinstance(segments, tuple):
+            j, d = segments
+            segments = j * max(1, TELEGRAPH_BLOCK // factor) + d
+        rng = np.random.default_rng(seed)
+        ends = np.array([0.0, 1.0, 0.995, 0.005])
+        if kind == "random":
+            p = rng.random(segments + 1)
+            p[rng.random(p.size) < 0.3] = rng.choice(ends)
+        elif kind == "pinned":
+            p = rng.choice(ends, segments + 1)
+        else:
+            p = np.full(segments + 1, rng.choice(ends))
+        rng_a, rng_b, rng_c = (np.random.default_rng(seed) for _ in range(3))
+        out = telegraph_run(p, dt_s, self.CFG, rng_a, factor=factor)
+        ref = telegraph_run(_held_drive(p, factor), dt_s, self.CFG, rng_b)
+        assert out.size == segments * factor + 1
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        oracle = _telegraph_run_three_arrays(p, dt_s, self.CFG, rng_c, factor=factor)
+        assert out.tobytes() == oracle.tobytes()
+        assert rng_a.random() == rng_b.random() == rng_c.random()
 
     def test_run_base_resolution_check(self):
         with pytest.raises(ValueError, match="dt too coarse"):
@@ -701,6 +770,36 @@ class TestTelegraph:
     def test_tick_states_reject_p_outside_unit_interval(self, p):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             telegraph_tick_states(p, 10e-6, self.CFG, 50, 1000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dt_s", [0.0, -1e-6, np.nan, 51e-6, 1e-3])
+    def test_tick_states_check_dt_as_run_does(self, dt_s):
+        # tau = 500 us resolves dt <= 50 us; at 1 ms and p = 0.5 the tick
+        # states used to come back all OFF where the run raised
+        with pytest.raises(ValueError, match="dt"):
+            telegraph_tick_states(0.5, dt_s, self.CFG, 50, 1000, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dt"):
+            telegraph_run(np.full(3, 0.5), dt_s, self.CFG, np.random.default_rng(0))
+
+    def test_tick_states_accept_dt_at_the_resolution_limit(self):
+        # the retention demo's 0.1x case: tau = 50 us, dt = 500 us / 100 = tau / 10
+        cfg = PNeuronConfig(tau_s=0.1 * 500e-6)
+        dt = 500e-6 / 100
+        states = telegraph_tick_states(0.5, dt, cfg, 100, 1000, np.random.default_rng(0))
+        assert states.size == 1000
+        assert telegraph_run(np.full(3, 0.5), dt, cfg, np.random.default_rng(0)).size == 3
+
+    @pytest.mark.parametrize("name, value", [("steps_per_tick", 0), ("steps_per_tick", 2.5),
+                                             ("steps_per_tick", "50"), ("n_ticks", -3),
+                                             ("n_ticks", 2.5)])
+    def test_tick_states_check_step_counts(self, name, value):
+        # n_ticks = -3 used to end in an IndexError
+        kwargs = {"steps_per_tick": 50, "n_ticks": 1000, name: value}
+        with pytest.raises(ValueError, match=name):
+            telegraph_tick_states(0.5, 10e-6, self.CFG, rng=np.random.default_rng(0), **kwargs)
+
+    def test_tick_states_zero_ticks(self):
+        states = telegraph_tick_states(0.5, 10e-6, self.CFG, 50, 0, np.random.default_rng(0))
+        assert states.dtype == np.uint8 and states.size == 0
 
     def test_dwell_distribution_geometric(self):
         # KS distance between empirical dwell steps and Geometric(dt/tau)

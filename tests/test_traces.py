@@ -335,6 +335,11 @@ class TestUpsample:
         assert np.array_equal(u.samples, t.samples)
         assert u.rate_hz == t.rate_hz
 
+    @pytest.mark.parametrize("factor", [0, -2, 2.5, 2.0, "2", None])
+    def test_factor_must_be_a_positive_integer(self, factor):
+        with pytest.raises(ValueError, match="factor must be a positive integer"):
+            upsample(Trace(np.array([1.0, 2.0, 3.0]), 10.0), factor)
+
     def test_factor_two_midpoints(self):
         u = upsample(Trace(np.array([0.0, 1.0]), 1.0), 2)
         assert np.array_equal(u.samples, [0.0, 0.5, 1.0])
