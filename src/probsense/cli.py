@@ -18,11 +18,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .harness import (
-    MIN_RAMP_STEPS,
     MIN_TICKS_PER_POINT,
     ExperimentConfig,
     GridError,
-    max_sweep_slope,
+    max_ramp_slope,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -230,7 +229,7 @@ def _sweep_grid(args: argparse.Namespace, cfg: ExperimentConfig) -> np.ndarray:
         raise _FlagError("--ticks", f"need at least {MIN_TICKS_PER_POINT} ticks per point, "
                          f"got {args.ticks}")
     slope = args.command == "sweep-slope"
-    s_max = max_sweep_slope(cfg) if slope else np.inf
+    s_max = max_ramp_slope(args.ticks) if slope else np.inf
     for flag, value in zip(("--smin", "--smax") if slope else ("--vmin", "--vmax"),
                            (args.lo, args.hi)):
         if not np.isfinite(value):
@@ -239,8 +238,8 @@ def _sweep_grid(args: argparse.Namespace, cfg: ExperimentConfig) -> np.ndarray:
             raise _FlagError(flag, f"a slope magnitude must be >= 0, got {value}")
         if value > s_max:
             raise _FlagError(flag, f"slope {value:g} V/s exceeds the maximum {s_max:g} V/s "
-                             f"at this ADC rate and --upsample; each triangle ramp must span "
-                             f">= {MIN_RAMP_STEPS} high-rate steps")
+                             f"for a ramp of {args.ticks} ticks, whose samples and slope "
+                             f"must stay finite")
     return np.linspace(args.lo, args.hi, args.points)
 
 

@@ -402,56 +402,15 @@ def sweep_vin(
     return rows
 
 
-# The slope sweep's triangle wave swings between -SLOPE_SWEEP_PEAK_V and
-# +SLOPE_SWEEP_PEAK_V. Each ramp must span at least MIN_RAMP_STEPS high-rate
-# steps: a steeper wave aliases on the step grid (at 1e300 V/s it is constant)
-# and its measured rate no longer tracks the slope.
-SLOPE_SWEEP_PEAK_V = 0.25
-MIN_RAMP_STEPS = 10
-
-
-def max_sweep_slope(cfg: ExperimentConfig) -> float:
-    """Steepest slope (V/s) `sweep_slope` accepts: 5000 V/s at the defaults.
-
-    The limit scales with the high-rate step, so an upsampling factor too
-    coarse for the telegraph raises `GridError` first.
-    """
-    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
-    rate_high = SYNTH_RATE_HZ * cfg.upsample_factor
-    return 2.0 * SLOPE_SWEEP_PEAK_V * rate_high / MIN_RAMP_STEPS
-
-
-# Elements of the triangle wave computed per pass: a block and its floor
-# temporary stay in cache, and the temporary is a small fraction of the wave.
-TRIANGLE_BLOCK = 1 << 16
-
-
-def _triangle_wave(n: int, rate_hz: float, slope: float, peak: float) -> np.ndarray:
-    """Bounded waveform whose slope magnitude is `slope` everywhere.
-
-    The phase u = t / period + 0.75 is wrapped as u - floor(u), which equals
-    fmod(u, 1) and u % 1 bit for bit, at a quarter of fmod's cost: below 1,
-    floor(u) is 0; from 1 up, floor(u) <= u <= 2 floor(u), so the subtraction
-    is exact (Sterbenz), as fmod is. The work runs in place over blocks of
-    TRIANGLE_BLOCK elements, so floor's temporary is a block long, not a
-    second wave-length array.
-    """
-    if slope == 0.0:
-        return np.zeros(n)
-    period = 4.0 * peak / slope
-    u = np.arange(n, dtype=np.float64)
-    for start in range(0, n, TRIANGLE_BLOCK):
-        seg = u[start:start + TRIANGLE_BLOCK]
-        seg /= rate_hz
-        seg /= period
-        seg += 0.75
-        seg -= np.floor(seg)
-        seg -= 0.5
-        np.abs(seg, out=seg)
-        seg *= 4.0
-        seg -= 1.0
-        seg *= peak
-    return u
+def max_ramp_slope(ticks_per_point: int) -> float:
+    """Steepest slope (V/s) `sweep_slope` accepts for a ramp of ticks_per_point
+    samples: the one whose last sample or, for a ramp of at most 1 s, whose
+    slope is half the largest float64. The factor 2 leaves room for
+    rounding, so no sample reaches the largest float64 and the slope that
+    `extract_features` recovers stays finite; no product that could
+    overflow is formed."""
+    t_last = (ticks_per_point - 1) / SYNTH_RATE_HZ
+    return float(np.finfo(np.float64).max / 2 / max(t_last, 1.0))
 
 
 def sweep_slope(
@@ -459,13 +418,17 @@ def sweep_slope(
 ) -> np.ndarray:
     """Measured sampling rate vs signal slope through the full AFE chain.
 
-    Each grid point feeds a triangle wave (constant slope magnitude) through
-    feature extraction and the p-neuron, on the synthetic survey's ADC grid
-    (SYNTH_RATE_HZ) upsampled by cfg.upsample_factor; the amplitude
-    override is disabled so the probabilistic path is isolated. An upsampling
-    factor too coarse for the telegraph raises `GridError`, and a slope above
-    `max_sweep_slope` raises ValueError, before any point runs. Returns rows
-    of (slope_v_per_s, measured_rate, model_probability).
+    Each grid point s feeds the ramp x_k = s * k / SYNTH_RATE_HZ of
+    ticks_per_point samples on the synthetic survey's ADC grid through
+    feature extraction and the p-neuron, run as `run_event` runs a survey
+    event: upsampled by cfg.upsample_factor without building it. The
+    interpolant of a ramp has slope s on every segment and no turning
+    point, so no slope aliases on the step grid. The amplitude override is
+    disabled (no finite sample reaches its threshold) so the probabilistic
+    path is isolated. An upsampling factor too coarse for the telegraph
+    raises `GridError`, and a slope above `max_ramp_slope` raises
+    ValueError, before any point runs. Returns rows of (slope_v_per_s,
+    measured_rate, model_probability).
     """
     if ticks_per_point < MIN_TICKS_PER_POINT:
         raise ValueError(
@@ -473,21 +436,21 @@ def sweep_slope(
     slope_grid = np.asarray(slope_grid, dtype=np.float64)
     if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
         raise ValueError("slope_grid must be non-empty, finite and non-negative")
-    s_max = max_sweep_slope(cfg)
+    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
+    s_max = max_ramp_slope(ticks_per_point)
     if np.any(slope_grid > s_max):
-        raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s: "
-                         f"each ramp of the {SLOPE_SWEEP_PEAK_V:g} V triangle wave must span "
-                         f">= {MIN_RAMP_STEPS} high-rate steps")
-    rate_high = SYNTH_RATE_HZ * cfg.upsample_factor
-    n = ticks_per_point * cfg.upsample_factor
-    act_cfg = replace(cfg.activation, afe=replace(cfg.activation.afe, amp_threshold_v=1e9))
+        raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s "
+                         f"for a ramp of {ticks_per_point} ticks, whose samples and slope "
+                         f"must stay finite")
+    factor = cfg.upsample_factor
+    no_override = np.finfo(np.float64).max
+    act_cfg = replace(cfg.activation,
+                      afe=replace(cfg.activation.afe, amp_threshold_v=no_override))
+    t = np.arange(ticks_per_point) / SYNTH_RATE_HZ
     rows = np.empty((slope_grid.size, 3))
     for i, s in enumerate(slope_grid):
-        # the wave is passed, not named, so `run_activation` frees it before
-        # the telegraph runs
-        act = run_activation(
-            Trace._adopt(_triangle_wave(n, rate_high, float(s), SLOPE_SWEEP_PEAK_V), rate_high),
-            act_cfg, cfg.upsample_factor, cfg.base_seed + i)
+        act = run_activation(Trace._adopt(t * s, SYNTH_RATE_HZ), act_cfg, factor,
+                             cfg.base_seed + i, factor=factor)
         measured = float(np.mean(act.gate[act.sync_ticks]))
         model = activation_probability(act_cfg.afe.slope_gain * float(s), act_cfg.pneuron)
         rows[i] = (s, measured, model)

@@ -179,7 +179,11 @@ def lfsr_word_uniforms(s: LfsrState, n: int) -> tuple[np.ndarray, LfsrState]:
     register's LSB followed by one `_lfsr_step`: word k is the register 16 k
     steps into the stream, read from the cycle table. The all-zero word
     never occurs, so the uniforms are strictly positive and strictly below 1.
+    n must be a non-negative integer: a negative one would move the state
+    backwards.
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n}")
     index, registers = _lfsr_cycle()
     start = int(index[s.register])
     pos = np.arange(n, dtype=np.int64)
@@ -410,7 +414,7 @@ def telegraph_tick_states(
 
 def estimate_retention(bits, dt_s: float) -> float:
     """Mean dwell time across both states: mean run length times dt_s."""
-    if dt_s <= 0:
+    if not dt_s > 0:
         raise ValueError(f"dt_s must be positive, got {dt_s}")
     b = np.asarray(bits)
     if b.size < 2:

@@ -32,7 +32,7 @@ class Trace:
     samples are copied into a read-only float64 array, so later writes to the
     caller's array do not reach the trace; all values must be finite and the
     trace non-empty. Only arrays the package has just built and holds nowhere
-    else (`upsample`'s and `reconstruct`'s outputs, the slope sweep's wave)
+    else (`upsample`'s and `reconstruct`'s outputs, the slope sweep's ramp)
     are kept without a copy, through `Trace._adopt`, after the same checks.
     """
 

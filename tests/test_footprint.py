@@ -34,7 +34,10 @@ before; one `sweep_slope` point peaks at 2.00 with either source. Since
 `telegraph_run` takes p per ADC segment with its factor, and the override
 is evaluated at the ticks alone, the smtj `run_activation` builds no
 step-length drive or latch and peaks at 0.78 arrays (1.83 before); the
-digital one peaks at 0.66.
+digital one peaks at 0.66. Since `sweep_slope` feeds each point a ramp on
+the ADC grid, run at the survey's factor, in place of a triangle wave built
+at every high-rate step, one point peaks at 0.52-1.10 arrays (smtj) and
+0.46-0.66 (digital), from 2.00-2.11 and 2.00.
 """
 
 import tracemalloc
@@ -44,7 +47,7 @@ import pytest
 
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
-from probsense.harness import ExperimentConfig, _triangle_wave, sweep_slope
+from probsense.harness import ExperimentConfig, sweep_slope
 from probsense.pbit import PNeuronConfig, activation_probability, telegraph_run
 from probsense.traces import synth_event, upsample
 
@@ -85,11 +88,6 @@ def test_extract_features(event, drive):
         assert _peak_arrays(lambda: extract_features(x), len(x)) < 1.5
 
 
-def test_triangle_wave():
-    n = 500_000
-    assert _peak_arrays(lambda: _triangle_wave(n, 1e5, 250.0, 0.25), n) < 1.5
-
-
 def test_telegraph_run(drive):
     """The survey drive, and constant drives of its length saturated ON and OFF."""
     afe, cfg = AfeConfig(), PNeuronConfig()
@@ -111,9 +109,9 @@ def test_run_activation(event, source, bound):
                         n) < bound
 
 
-@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 2.5), ("digital_iid", 2.6)])
+@pytest.mark.parametrize("source, bound", [("smtj_telegraph", 1.6), ("digital_iid", 1.2)])
 def test_sweep_slope_point(source, bound):
-    """One 500 k-step point: the triangle wave, kept by `Trace`, and `run_activation`.
+    """One 500 k-step point: the ramp on the ADC grid and `run_activation`.
 
     At 0 V/s p is the minimum rate; at 500 V/s the smtj p-neuron saturates.
     """

@@ -11,21 +11,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probsense.acquisition import SampleStream, reconstruct
-from probsense.activation import ActivationConfig
-from probsense.afe import AfeConfig
+from probsense.activation import ActivationConfig, run_activation
+from probsense.afe import AfeConfig, extract_features
 from probsense.cli import FLAGS, build_experiment, main, parse_config_file
 from probsense.harness import (
+    MIN_TICKS_PER_POINT,
     SYNTH_DURATION_S,
     SYNTH_RATE_HZ,
-    TRIANGLE_BLOCK,
     WAVELET_AMPLITUDE,
     WAVELET_F0_HZ,
     ExperimentConfig,
     GridError,
     _survey_onsets,
     _synth_one,
-    _triangle_wave,
-    max_sweep_slope,
+    max_ramp_slope,
     run_event,
     run_survey,
     sweep_slope,
@@ -67,16 +66,6 @@ def _write_sweep_loop(rows, path, x_name):
         fh.write(f"{x_name},measured_rate,model_probability\n")
         for x, m, p in rows.tolist():
             fh.write(f"{x!r},{m!r},{p!r}\n")
-
-
-def _triangle_wave_mod(n, rate_hz, slope, peak):
-    """Reference oracle for `_triangle_wave`: the phase wrapped with %."""
-    if slope == 0.0:
-        return np.zeros(n)
-    t = np.arange(n) / rate_hz
-    period = 4.0 * peak / slope
-    u = (t / period + 0.75) % 1.0
-    return peak * (4.0 * np.abs(u - 0.5) - 1.0)
 
 
 SNR_DB = ExperimentConfig.snr_db
@@ -415,60 +404,72 @@ class TestSweeps:
         assert np.max(np.abs(s_rows[:, 1] - v_rows[:, 1])) < 0.03
 
     def test_slope_saturates(self):
-        # up to the steepest slope the sweep accepts, max_sweep_slope
-        rows = sweep_slope(ExperimentConfig(), [2000.0, 5000.0], 2000)
+        # no slope cap: any slope whose ramp is finite runs, and p = 1 once
+        # the drive is far above v_ref
+        steep = [50_000.0, 1e300, max_ramp_slope(2000)]
+        rows = sweep_slope(ExperimentConfig(), [2000.0, 5000.0, *steep], 2000)
         assert np.all(rows[:, 1] > 0.97)
+        assert np.all(rows[2:, 2] == 1.0)
+        # the override stays off however large the ramp grows: the telegraph's
+        # ON fraction caps near 0.99, where the override would gate every tick
+        assert np.all(rows[:, 1] < 1.0)
 
+    @pytest.mark.parametrize("slope, ticks", [
+        (0.0, 1000), (150.0, 1000), (306.6, 1000), (5000.0, 1000), (1e300, 1000),
+        (max_ramp_slope(1000), 1000), (max_ramp_slope(10_000), 10_000),
+    ], ids=["0", "150", "306.6", "5000", "1e300", "max-at-1000", "max-at-10000"])
+    def test_ramp_has_slope_s_on_every_segment(self, slope, ticks, monkeypatch):
+        # the sweep runs its ramp as `run_event` runs a survey event
+        import probsense.harness as harness_mod
 
-    @given(
-        n=st.one_of(st.integers(min_value=1, max_value=20_000),
-                    st.sampled_from([TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1,
-                                     3 * TRIANGLE_BLOCK + 17])),
-        rate_hz=st.sampled_from([2000.0, 1e5, 3.3e5]),
-        slope=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6),
-                        st.floats(min_value=1e6, max_value=1e12)),
-        peak=st.floats(min_value=1e-3, max_value=10.0),
-    )
-    def test_triangle_wave_matches_mod_oracle(self, n, rate_hz, slope, peak):
-        # small slopes make one period span the whole trace; large ones push
-        # the phase u = t / period + 0.75 past 1e6, where floor(u) is far from 0
-        got = _triangle_wave(n, rate_hz, slope, peak)
-        assert got.tobytes() == _triangle_wave_mod(n, rate_hz, slope, peak).tobytes()
+        seen = []
 
-    @pytest.mark.parametrize("n", [TRIANGLE_BLOCK - 1, TRIANGLE_BLOCK, TRIANGLE_BLOCK + 1,
-                                   4 * TRIANGLE_BLOCK + 3])
-    @pytest.mark.parametrize("rate_hz, slope, peak", [
-        (1e5, 5000.0, 0.25),  # the slope sweep's steepest wave
-        (2000.0, 1e6, 1e-3),  # phase past 1e6 within the first block
-        (3.3e5, 7.7e7, 0.3),  # phase past 1e6 only in later blocks
-    ])
-    def test_triangle_wave_blocks_match_mod_oracle(self, n, rate_hz, slope, peak):
-        got = _triangle_wave(n, rate_hz, slope, peak)
-        assert got.tobytes() == _triangle_wave_mod(n, rate_hz, slope, peak).tobytes()
-        if slope > 1e6:
-            assert (n - 1) / rate_hz / (4.0 * peak / slope) > 1e6
+        def spy(x, cfg, steps_per_tick, seed, factor):
+            seen.append((x, steps_per_tick, factor))
+            return run_activation(x, cfg, steps_per_tick, seed, factor=factor)
+
+        monkeypatch.setattr(harness_mod, "run_activation", spy)
+        sweep_slope(ExperimentConfig(), [slope], ticks)
+        [(x, spt, factor)] = seen
+        assert (len(x), x.rate_hz, spt, factor) == (ticks, SYNTH_RATE_HZ, 50, 50)
+        g = extract_features(x)
+        assert g[0] == 0.0
+        # each sample is rounded once in k / rate and once in the product
+        np.testing.assert_allclose(g[1:], slope, rtol=4 * ticks * np.finfo(np.float64).eps)
+
+    @given(ticks=st.integers(MIN_TICKS_PER_POINT, 10**9))
+    def test_steepest_ramp_stays_below_half_the_largest_float(self, ticks):
+        # the sweep's last sample, computed as the sweep computes it
+        last = np.float64(ticks - 1) / SYNTH_RATE_HZ * max_ramp_slope(ticks)
+        assert last <= np.finfo(np.float64).max / 2 * (1 + 4 * np.finfo(np.float64).eps)
 
     def test_slope_above_maximum_rejected_before_any_point(self, monkeypatch):
         import probsense.harness as harness_mod
 
         cfg = ExperimentConfig()
-        assert max_sweep_slope(cfg) == 5000.0  # 2 * 0.25 V * 100 kHz / 10 steps
         calls = []
-        monkeypatch.setattr(harness_mod, "run_activation", lambda *a: calls.append(a))
-        for grid, named in (([0.0, 5000.5], "5000.5"), ([50_000.0], "50000"),
-                            ([1e300], "1e+300")):
+        monkeypatch.setattr(harness_mod, "run_activation", lambda *a, **k: calls.append(a))
+        # the ramp's last sample s * 9999 / 2 kHz may reach half the largest
+        # float64: about 1.8e307 V/s
+        half = np.finfo(np.float64).max / 2
+        s_max = max_ramp_slope(10_000)
+        assert s_max == half / (9999 / SYNTH_RATE_HZ)
+        # up to a 1 s ramp the slope itself binds
+        assert max_ramp_slope(1000) == max_ramp_slope(2001) == half
+        for grid, named in (([0.0, 1e308], "1e+308"),
+                            ([np.nextafter(s_max, np.inf)], f"{s_max:g}")):
             with pytest.raises(ValueError, match=re.escape(f"slope {named} V/s exceeds the "
-                                                           "maximum 5000 V/s")):
-                sweep_slope(cfg, grid, 1000)
+                                                           f"maximum {s_max:g} V/s")):
+                sweep_slope(cfg, grid, 10_000)
+        # a factor too coarse for the telegraph fails before any point too
+        with pytest.raises(GridError, match="too coarse for the telegraph"):
+            sweep_slope(replace(cfg, upsample_factor=1), [0.0, 500.0], 1000)
         assert calls == []
-        # the limit scales with the high-rate step: 5x the factor, 5x the slope
-        assert max_sweep_slope(replace(cfg, upsample_factor=250)) == 25_000.0
 
     def test_sweeps_match_oracle_kernels(self, monkeypatch):
         # every row, bit for bit, as computed with the reference kernels: the
-        # %-wrapped triangle, the sort-based telegraph and 16-bit-gather words
+        # sort-based telegraph and 16-bit-gather words
         import probsense.activation as activation_mod
-        import probsense.harness as harness_mod
         import probsense.pbit as pbit_mod
         from test_pbit import _lfsr_word_uniforms_gather, _telegraph_run_three_arrays
 
@@ -476,7 +477,7 @@ class TestSweeps:
         digital = replace(smtj, activation=replace(
             smtj.activation, pneuron=PNeuronConfig(source="digital_iid")))
         # 306.6 V/s drives p to 0.98: q01 = 0.5, so half the steps are not identity
-        slopes = [0.0, 150.0, 306.6, 500.0, max_sweep_slope(smtj)]
+        slopes = [0.0, 150.0, 306.6, 500.0, 5000.0]
         v_grid = np.linspace(-0.1, 0.8, 4)
 
         def rows():
@@ -485,7 +486,6 @@ class TestSweeps:
 
         got = rows()
         assert got[0][2, 2] == pytest.approx(0.98, abs=0.002)
-        monkeypatch.setattr(harness_mod, "_triangle_wave", _triangle_wave_mod)
         monkeypatch.setattr(activation_mod, "telegraph_run", _telegraph_run_three_arrays)
         monkeypatch.setattr(pbit_mod, "lfsr_word_uniforms", _lfsr_word_uniforms_gather)
         for a, b in zip(got, rows()):
@@ -664,8 +664,11 @@ GOLDEN_OUTPUTS = {
     # moving average)
     "sweep-slope --source digital":
         "a12ba8f8980b58bdb9f92cc402efeceb8b7cd9026368d3880dcbb8f1e062a690",
+    # a ramp on the ADC grid, run at the survey's factor: the telegraph sees
+    # no turning step of the 100 kHz triangle wave it ran on before, and the
+    # 150 V/s point reads 0.5729 (was 2cb2023a...aab27bee, reading 0.5693)
     "sweep-slope --source smtj":
-        "2cb2023add99900627e5c3d4152111aad009157013c322327bad477baab27bee",
+        "c0749f209b428d8cb94df3fa966841df8df0ad698b8be52d1a54732e59c047f6",
     "synth": "ac60a31589d666d176fb79e305a530cea67f3abbc3e555c4f03dcd90e46c75a3",
     # a factor other than the default: the p-neuron's drive is held over 30
     # steps per ADC sample, and the 10 ms hold is 600 steps. (Were
@@ -891,13 +894,9 @@ class TestCli:
         ("sweep-slope", ["--smax", "inf"], "--smax"),
         ("sweep-vin", ["--vmin", "nan"], "--vmin"),
         ("sweep-vin", ["--vmax=-inf"], "--vmax"),
-        ("sweep-slope", ["--smax", "1e300"], "--smax"),
-        ("sweep-slope", ["--smax", "50000"], "--smax"),
-        ("sweep-slope", ["--smin", "6000", "--smax", "7000"], "--smin"),
-        ("sweep-slope", ["--source", "digital", "--upsample", "4"], "--smax"),
+        ("sweep-slope", ["--smax", "1e308"], "--smax"),
     ], ids=["slope-points-0", "slope-points-neg", "vin-points-0", "slope-ticks", "vin-ticks",
-            "smin", "smax", "vmin", "vmax", "smax-1e300", "smax-50000", "smin-6000",
-            "smax-500-at-upsample-4"])
+            "smin", "smax", "vmin", "vmax", "smax-1e308"])
     def test_bad_sweep_grid_flag_is_one_line_before_any_point(self, command, flags, flag,
                                                               tmp_path, monkeypatch, capsys):
         import probsense.cli as cli_mod
@@ -912,6 +911,22 @@ class TestCli:
         err = cap.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {flag}:")
         assert cap.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--smax", "1e300"],
+        ["--smax", "50000"],
+        ["--smin", "6000", "--smax", "7000"],
+        ["--source", "digital", "--upsample", "4"],
+    ], ids=["smax-1e300", "smax-50000", "smin-6000", "smax-500-at-upsample-4"])
+    def test_steep_sweep_slope_runs(self, flags, tmp_path, capsys):
+        # no slope cap, and none that scales with --upsample: a ramp does not alias
+        out = tmp_path / "sw"
+        assert main(["sweep-slope", *flags, "--points", "2", "--ticks", "1000",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "sweep_slope.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2, 3)
+        assert rows[-1, 2] > 0.99 and rows[-1, 1] > 0.97
+        assert capsys.readouterr().err == ""
 
     def test_sidecar_rate_mismatch_is_one_line(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -388,6 +388,14 @@ class TestLfsr:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    @pytest.mark.parametrize("n", [-1, -3, 2.5, 3.0, "3", None])
+    def test_word_count_must_be_a_non_negative_integer(self, n):
+        # -3 used to return no uniforms and move the register 48 steps back
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            lfsr_word_uniforms(LfsrState(1), n)
+        assert lfsr_word_uniforms(LfsrState(1), np.int64(3))[1] == \
+            lfsr_word_uniforms(LfsrState(1), 3)[1]
+
 
 class TestIidDecisions:
     def test_degenerate_probabilities(self):
@@ -858,6 +866,11 @@ class TestEstimateRetention:
     def test_constant_sequence_rejected(self):
         with pytest.raises(ValueError, match="no transitions"):
             estimate_retention([1, 1, 1, 1], 1e-6)
+
+    @pytest.mark.parametrize("dt_s", [0.0, -1e-6, float("nan")])
+    def test_dt_must_be_positive(self, dt_s):
+        with pytest.raises(ValueError, match="dt_s must be positive"):
+            estimate_retention([0, 1, 0, 1], dt_s)
 
     def test_on_simulated_stream(self):
         cfg = PNeuronConfig(tau_s=200e-6)
