@@ -425,10 +425,12 @@ def sweep_slope(
     interpolant of a ramp has slope s on every segment and no turning
     point, so no slope aliases on the step grid. The amplitude override is
     disabled (no finite sample reaches its threshold) so the probabilistic
-    path is isolated. An upsampling factor too coarse for the telegraph
-    raises `GridError`, and a slope above `max_ramp_slope` raises
-    ValueError, before any point runs. Returns rows of (slope_v_per_s,
-    measured_rate, model_probability).
+    path is isolated. An upsampling factor too coarse for the telegraph, or
+    a slope gain whose drive on the grid's steepest ramp reaches half the
+    largest float64 (the headroom `max_ramp_slope` keeps), raises
+    `GridError`, and a slope above `max_ramp_slope` raises ValueError, before
+    any point runs. Returns rows of (slope_v_per_s, measured_rate,
+    model_probability).
     """
     if ticks_per_point < MIN_TICKS_PER_POINT:
         raise ValueError(
@@ -442,6 +444,12 @@ def sweep_slope(
         raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s "
                          f"for a ramp of {ticks_per_point} ticks, whose samples and slope "
                          f"must stay finite")
+    gain = cfg.activation.afe.slope_gain
+    # in Python floats, so a small gain gives inf here without a warning
+    if slope_grid.max() > float(np.finfo(np.float64).max) / 2 / float(gain):
+        raise GridError("activation.afe.slope_gain",
+                        f"gain {gain:g} times the slope {slope_grid.max():g} V/s exceeds half "
+                        f"the largest float64: the p-neuron's drive must stay finite")
     factor = cfg.upsample_factor
     no_override = np.finfo(np.float64).max
     act_cfg = replace(cfg.activation,

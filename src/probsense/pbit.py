@@ -38,6 +38,12 @@ DT_RESOLUTION_FACTOR = 10
 # slower on the survey.
 TELEGRAPH_BLOCK = 1 << 15
 
+# Steps whose flips `telegraph_run` composes per pass, TELEGRAPH_CHUNK //
+# TELEGRAPH_BLOCK whole blocks, so its working arrays stay this long on any
+# drive; a default survey event (about 100 k steps) still composes in one
+# pass. Composing per block measured slower on the survey.
+TELEGRAPH_CHUNK = 1 << 17
+
 DEFAULT_BETA = 10.0
 DEFAULT_MIN_RATE = 0.04
 DEFAULT_TAU_S = 500e-6
@@ -268,35 +274,39 @@ def telegraph_run(
     dt), about 0.990 at dt = tau / 50, however close to 1 p is.
 
     Step 0 is folded into the start state (its flip is applied with the
-    second draw), so it is an identity step below. With flip0 = u < q01 and
-    flip1 = u < q10 each other step applies one of four maps to the state:
-    identity (neither), NOT (both), const 1 (flip0 only) or const 0 (flip1
-    only). Their composition needs no loop: every NOT step flips the state,
-    and a constant step flips it when the state entering it (the previous
-    constant XOR the parity of NOT steps since) differs from its constant.
-    The non-identity steps are taken once, in step order, so the NOT parity
-    is one cumsum over them and the flips are marked in place among them:
-    the flip list comes out sorted, with no search or sort. The flip
-    probabilities are not capped at 1: u < 1, so a cap changes no comparison.
+    second draw). With flip0 = u < q01 and flip1 = u < q10 each other step
+    applies one of four maps to the state: identity (neither), NOT (both),
+    const 1 (flip0 only) or const 0 (flip1 only). Their composition needs
+    no loop: every NOT step flips the state, and a constant step flips it
+    when the state entering it (the previous constant XOR the parity of NOT
+    steps since) differs from its constant. The non-identity steps are
+    taken once, in step order, so the NOT parity is one cumsum over them
+    and the flips are marked in place among them: the flip list comes out
+    sorted, with no search or sort. The flip probabilities are not capped
+    at 1: u < 1, so a cap changes no comparison.
 
-    Steps 1 onwards run in blocks of whole segments, TELEGRAPH_BLOCK //
-    factor of them (at least one): the flip probabilities are computed once
-    per segment and compared with a (segments, factor) view of the block's
-    uniforms, writing straight into flip0 and flip1. The generator's
-    float64 stream does not depend on how it is split into calls, so this
-    is the same stream as one rng.random(n).
+    Steps 1 onwards run in chunks of TELEGRAPH_CHUNK // TELEGRAPH_BLOCK
+    blocks, and each block holds whole segments, TELEGRAPH_BLOCK // factor
+    of them (at least one): the flip probabilities are computed once per
+    segment and compared with a (segments, factor) view of the block's
+    uniforms, writing straight into the chunk's flip0 and flip1. The
+    generator's float64 stream does not depend on how it is split into
+    calls, so this is the same stream as one rng.random(n). Each chunk is
+    composed from the state the previous one left, and only the sorted flip
+    positions are kept across chunks: the working arrays are as long as a
+    chunk, and the returned states are the only array as long as the drive.
 
     A saturated drive (p >= 0.99 or p <= 0.01 at dt = tau / 50) makes q01 or
-    q10 at least 1: every step is then a non-identity step, and the lists of
-    those steps are as long as the drive. A constant step that directly
-    follows a constant step with the same flags enters the state its
-    predecessor set and leaves it there: it never flips, and its h equals its
-    predecessor's (no NOT step lies between them), so turning it into an
-    identity step before the non-identity steps are listed changes no flip.
-    Every step so dropped keeps the trajectory, so any set of them can be
-    dropped. Blocks where flip0 or flip1 is set on more than half the steps
-    are pruned this way (see `_drop_repeated_constants`), and their list
-    shrinks to about twice their NOT steps; the two counts allocate nothing,
+    q10 at least 1, so every step is a non-identity step. A constant step
+    that directly follows a constant step with the same flags enters the
+    state its predecessor set and leaves it there: it never flips, and its
+    h equals its predecessor's (no NOT step lies between them), so turning
+    it into an identity step before the non-identity steps are listed
+    changes no flip. Every step so dropped keeps the trajectory, so any set
+    of them can be dropped. Blocks where flip0 or flip1 is set on more than
+    half the steps are pruned this way (see `_drop_repeated_constants`),
+    and their list shrinks to about twice their NOT steps, which saves the
+    compose its time on a saturated drive; the two counts allocate nothing,
     and a block below that share allocates nothing more for it.
 
     An empty p, an entry outside [0, 1] (or NaN) or a factor that is not a
@@ -312,49 +322,58 @@ def telegraph_run(
     s0 = 1 if rng.random() < p[0] else 0
     if rng.random() < _flip_probs(p[0], cfg.tau_s, dt_s)[s0]:
         s0 ^= 1
-    flip0 = np.empty(n, dtype=bool)
-    flip1 = np.empty(n, dtype=bool)
-    flip0[0] = flip1[0] = False
     segs = max(1, TELEGRAPH_BLOCK // factor)
-    u_buf = np.empty(min(n - 1, segs * factor))
-    q_buf = np.empty(min(p.size - 1, segs))
+    chunk_segs = segs * (TELEGRAPH_CHUNK // TELEGRAPH_BLOCK)
     two_tau = 2.0 * cfg.tau_s
-    for j in range(1, p.size, segs):
-        m = min(segs, p.size - j)
-        lo, hi = (j - 1) * factor + 1, (j - 1 + m) * factor + 1
-        u = rng.random(hi - lo, out=u_buf[:hi - lo]).reshape(m, factor)
-        seg_p = p[j:j + m]
-        # q01 = dt / ((1 - p) * 2 tau), then q10 = dt / (p * 2 tau), with p
-        # clipped to [P_CLAMP, 1 - P_CLAMP], each computed in turn in q.
-        q = np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q_buf[:m])
-        np.subtract(1.0, q, out=q)
-        q *= two_tau
-        np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip0[lo:hi].reshape(m, factor))
-        np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q)
-        q *= two_tau
-        np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip1[lo:hi].reshape(m, factor))
-        half = (hi - lo) // 2
-        if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
-            _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
-    del u_buf, q_buf
-    active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
-    value = flip0[active]  # a constant step's value
-    flipped = flip1[active]
-    del flip0, flip1
-    flipped &= value  # the NOT steps, each a flip; constant steps are marked below
-    # h: each constant step's value XOR the parity of NOT steps up to it (only
-    # the low bit of the uint8 cumsum is read); a constant step flips the
-    # state exactly when h differs from the last constant step's h, or s0.
-    h = np.cumsum(flipped, dtype=np.uint8)
-    h ^= value
-    h &= 1
-    consts = np.flatnonzero(~flipped)
-    h = h[consts]
-    changed = np.empty(h.size, dtype=bool)
-    changed[:1] = h[:1] != s0
-    np.not_equal(h[1:], h[:-1], out=changed[1:])
-    flipped[consts[changed]] = True
-    flips = active[flipped]
+    state, parts = s0, []
+    for c in range(1, p.size, chunk_segs):
+        c_end = min(c + chunk_segs, p.size)
+        size = (c_end - c) * factor
+        flip0 = np.empty(size, dtype=bool)
+        flip1 = np.empty(size, dtype=bool)
+        u_buf = np.empty(min(size, segs * factor))
+        q_buf = np.empty(min(c_end - c, segs))
+        for j in range(c, c_end, segs):
+            m = min(segs, c_end - j)
+            lo, hi = (j - c) * factor, (j - c + m) * factor
+            u = rng.random(hi - lo, out=u_buf[:hi - lo]).reshape(m, factor)
+            seg_p = p[j:j + m]
+            # q01 = dt / ((1 - p) * 2 tau), then q10 = dt / (p * 2 tau), with p
+            # clipped to [P_CLAMP, 1 - P_CLAMP], each computed in turn in q.
+            q = np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q_buf[:m])
+            np.subtract(1.0, q, out=q)
+            q *= two_tau
+            np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip0[lo:hi].reshape(m, factor))
+            np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q)
+            q *= two_tau
+            np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip1[lo:hi].reshape(m, factor))
+            half = (hi - lo) // 2
+            if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
+                _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
+        del u_buf, q_buf
+        active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
+        value = flip0[active]  # a constant step's value
+        flipped = flip1[active]
+        del flip0, flip1
+        flipped &= value  # the NOT steps, each a flip; constant steps are marked below
+        # h: each constant step's value XOR the parity of NOT steps up to it
+        # (only the low bit of the uint8 cumsum is read); a constant step
+        # flips the state exactly when h differs from the last constant
+        # step's h, or from the state entering the chunk.
+        h = np.cumsum(flipped, dtype=np.uint8)
+        h ^= value
+        h &= 1
+        consts = np.flatnonzero(~flipped)
+        h = h[consts]
+        changed = np.empty(h.size, dtype=bool)
+        changed[:1] = h[:1] != state
+        np.not_equal(h[1:], h[:-1], out=changed[1:])
+        flipped[consts[changed]] = True
+        flips = active[flipped]
+        flips += (c - 1) * factor + 1  # the chunk's first step
+        state ^= flips.size & 1
+        parts.append(flips)
+    flips = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.intp), *parts])
     runs = np.diff(flips, prepend=0, append=n)
     return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
 
@@ -380,6 +399,10 @@ def telegraph_tick_states(
     0.99 at dt = tau / 50, whatever p is beyond them. dt_s is checked as
     `telegraph_run` checks it, steps_per_tick must be a positive integer and
     n_ticks a non-negative one.
+
+    Each drawn dwell is cut at the run's step count: a dwell that outlasts
+    the run ends after every tick either way, and at tau >> dt the
+    generator returns dwells near 2**63 whose sum would wrap.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -403,6 +426,7 @@ def telegraph_tick_states(
         pair = np.empty(2 * m, dtype=np.int64)
         pair[0::2] = rng.geometric(q_even, size=m)
         pair[1::2] = rng.geometric(q_odd, size=m)
+        np.minimum(pair, total, out=pair)
         chunks.append(pair)
         acc += int(pair.sum())
     dwell = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]

@@ -37,7 +37,13 @@ step-length drive or latch and peaks at 0.78 arrays (1.83 before); the
 digital one peaks at 0.66. Since `sweep_slope` feeds each point a ramp on
 the ADC grid, run at the survey's factor, in place of a triangle wave built
 at every high-rate step, one point peaks at 0.52-1.10 arrays (smtj) and
-0.46-0.66 (digital), from 2.00-2.11 and 2.00.
+0.46-0.66 (digital), from 2.00-2.11 and 2.00. Since `telegraph_run`
+composes its flips one chunk of TELEGRAPH_CHUNK steps at a time and keeps
+only the flip positions across chunks, its traced peak fell from 2.81 to
+1.38 MiB on a 500 k-step survey-like drive and from 3.40 to 1.62 MB on a
+`sweep_slope` point, and on a 2 M-step survey-like drive it holds 1.34 MiB
+beyond its uint8 states, from 8.61 MiB; a default survey event (100 k
+steps) composes in one pass, at 0.78 MiB as before.
 """
 
 import tracemalloc
@@ -48,7 +54,9 @@ import pytest
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
 from probsense.harness import ExperimentConfig, sweep_slope
-from probsense.pbit import PNeuronConfig, activation_probability, telegraph_run
+from probsense.pbit import (
+    TELEGRAPH_CHUNK, PNeuronConfig, activation_probability, telegraph_run,
+)
 from probsense.traces import synth_event, upsample
 
 FACTOR = 50
@@ -96,6 +104,20 @@ def test_telegraph_run(drive):
     for p in (survey, np.full(survey.size, 0.995), np.full(survey.size, 0.005)):
         peak = _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size)
         assert peak < 1.0, f"p[0] = {p[0]}: {peak:.2f} arrays"
+
+
+def test_telegraph_run_working_memory():
+    """A 2 M-step survey-like drive, p per ADC segment at the survey's factor:
+    beyond its uint8 states the run holds one chunk's arrays and the flip
+    positions, not arrays as long as the drive."""
+    event = synth_event(20.0, 2000.0, 50.0, 10.0, 1.0, 0.004, seed=7)
+    cfg = PNeuronConfig()
+    p = activation_probability(AfeConfig().slope_gain * extract_features(event), cfg)
+    n = (p.size - 1) * FACTOR + 1
+    assert n > 15 * TELEGRAPH_CHUNK
+    surplus = _peak_arrays(lambda: telegraph_run(p, 1e-5, cfg, np.random.default_rng(3),
+                                                 factor=FACTOR), n) * 8 * n - n
+    assert surplus < 2 * 2**20, f"{surplus / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 1.3), ("digital_iid", 1.0)])

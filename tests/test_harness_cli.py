@@ -466,6 +466,28 @@ class TestSweeps:
             sweep_slope(replace(cfg, upsample_factor=1), [0.0, 500.0], 1000)
         assert calls == []
 
+    def test_slope_gain_overflow_rejected_before_any_point(self, monkeypatch):
+        import probsense.harness as harness_mod
+
+        class PointRan(Exception):
+            pass
+
+        def first_point(*args, **kwargs):
+            raise PointRan
+
+        monkeypatch.setattr(harness_mod, "run_activation", first_point)
+        # gain times the grid's steepest slope may reach half the largest
+        # float64, the headroom max_ramp_slope keeps, and no more
+        limit = np.finfo(np.float64).max / 2 / 500.0
+        for gain in (1e308, np.nextafter(limit, np.inf)):
+            cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=gain)))
+            with pytest.raises(GridError, match="exceeds half the largest float64") as exc:
+                sweep_slope(cfg, [0.0, 500.0], 1000)
+            assert exc.value.field == "activation.afe.slope_gain"
+        cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=limit)))
+        with pytest.raises(PointRan):
+            sweep_slope(cfg, [0.0, 500.0], 1000)
+
     def test_sweeps_match_oracle_kernels(self, monkeypatch):
         # every row, bit for bit, as computed with the reference kernels: the
         # sort-based telegraph and 16-bit-gather words
@@ -882,6 +904,25 @@ class TestCli:
         cap = capsys.readouterr()
         err = cap.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --upsample:")
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("source", ["smtj", "digital"])
+    def test_sweep_slope_gain_overflow_is_one_line_before_any_point(self, source, tmp_path,
+                                                                    monkeypatch, capsys):
+        # the drive slope_gain * slope used to overflow at the 500 V/s point
+        # and end in a "v_in_v must be finite" traceback
+        import probsense.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_activation", lambda *a, **k: calls.append(a))
+        out = tmp_path / "sw"
+        code = main(["sweep-slope", "--source", source, "--slope-gain", "1e308", "--points",
+                     "2", "--ticks", "1000", "--out", str(out)])
+        assert code == 2
+        assert calls == [] and not out.exists()
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --slope-gain:")
         assert cap.out == ""
 
     @pytest.mark.parametrize("command, flags, flag", [

@@ -20,6 +20,7 @@ from probsense.pbit import (
     LFSR_TAP_MASK,
     P_CLAMP,
     TELEGRAPH_BLOCK,
+    TELEGRAPH_CHUNK,
     LfsrState,
     PNeuronConfig,
     activation_probability,
@@ -563,6 +564,51 @@ class TestTelegraph:
         assert out.tobytes() == ref.tobytes()
         assert rng_a.random() == rng_b.random()
 
+    @staticmethod
+    def _chunk_drive(kind, segments, rng):
+        """p of segments + 1 entries: "sine" sweeps both saturated ends,
+        "saturated" is p = 1 or 0 at random, and "alternating" is saturated
+        OFF and ON in alternate runs of TELEGRAPH_BLOCK entries, so every
+        block is pruned."""
+        i = np.arange(segments + 1)
+        if kind == "sine":
+            p = np.clip(np.sin(i / 997.0) * 0.6 + 0.5, 0.0, 1.0)
+            p[rng.random(p.size) < 0.01] = 0.5
+        elif kind == "saturated":
+            p = np.where(rng.random(i.size) < 0.5, 1.0, 0.0)
+        else:
+            p = np.where(i // TELEGRAPH_BLOCK % 2, 0.995, 0.005)
+        return p
+
+    @pytest.mark.parametrize("n, factor", [
+        (TELEGRAPH_CHUNK - 1, 1), (TELEGRAPH_CHUNK, 1), (TELEGRAPH_CHUNK + 1, 1),
+        (2 * TELEGRAPH_CHUNK - 1, 1), (2 * TELEGRAPH_CHUNK, 1), (2 * TELEGRAPH_CHUNK + 1, 1),
+        (4 * TELEGRAPH_CHUNK + 17, 1), (9999 * 50, 50),
+    ])
+    @pytest.mark.parametrize("kind", ["sine", "saturated", "alternating"])
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_run_matches_three_array_oracle_at_chunk_boundaries(self, n, factor, kind, start):
+        # n steps after step 0, which the start state absorbs, so the chunks
+        # start at step 1 and chunk k ends at step k * chunk; start pins p[0]
+        # and with it the start state. At factor 50 a chunk is 4 blocks of
+        # 655 segments: a sweep-slope point runs about 3.8 of them.
+        rng = np.random.default_rng(n + start)
+        p = self._chunk_drive(kind, n // factor, rng)
+        p[0] = start
+        chunk = TELEGRAPH_CHUNK // TELEGRAPH_BLOCK * (TELEGRAPH_BLOCK // factor) * factor
+        ends = np.arange(chunk, n, chunk)  # the last step of every chunk but the last
+        if kind == "saturated":
+            # p = 1 on the segment holding each chunk's last step
+            p[(ends - 1) // factor + 1] = 1.0
+        rng_a, rng_b = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+        out = telegraph_run(p, 1e-5, self.CFG, rng_a, factor=factor)
+        ref = _telegraph_run_three_arrays(p, 1e-5, self.CFG, rng_b, factor=factor)
+        assert out.size == n + 1
+        assert out.tobytes() == ref.tobytes()
+        assert rng_a.random() == rng_b.random()
+        if kind == "saturated":
+            assert out[ends].all()  # every chunk but the last ends in the ON state
+
     def test_uniforms_drawn_per_block_are_one_stream(self):
         n = 3 * TELEGRAPH_BLOCK + 17
         whole, blocked = np.random.default_rng(9), np.random.default_rng(9)
@@ -804,6 +850,16 @@ class TestTelegraph:
         kwargs = {"steps_per_tick": 50, "n_ticks": 1000, name: value}
         with pytest.raises(ValueError, match=name):
             telegraph_tick_states(0.5, 10e-6, self.CFG, rng=np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tick_states_dwell_longer_than_the_run(self, seed):
+        # at tau >> dt the generator returns dwells of 2**63 - 1 steps, whose
+        # sum wrapped negative: the states flipped although no flip can occur
+        # in 50 k steps (a mean of 0.994 at seed 0), and at tau_us = 1e300 the
+        # draw loop never ended
+        cfg = PNeuronConfig(tau_s=1e15)
+        states = telegraph_tick_states(0.5, 10e-6, cfg, 50, 1000, np.random.default_rng(seed))
+        assert states.size == 1000 and states.min() == states.max()
 
     def test_tick_states_zero_ticks(self):
         states = telegraph_tick_states(0.5, 10e-6, self.CFG, 50, 0, np.random.default_rng(0))
