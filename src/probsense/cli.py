@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: `run` (survey evaluation), `sweep-vin`, `sweep-slope`, and
-`synth` (emit a synthetic dataset). Each registers only the common flags
-(`FLAGS`) it reads, and a flat key = value config file may set only those
-(keys are the flag names); CLI flags override file values.
+`synth` (emit a synthetic dataset). Each registers only the flags (`FLAGS`)
+it reads, the sweep grid's among them, and a flat key = value config file
+may set only those (keys are the flag names); CLI flags override file
+values. A `GridError`, from the config or from the command, is one
+`error: --flag:` line.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .harness import (
-    MIN_TICKS_PER_POINT,
+    SLOPE_GRID,
+    VIN_GRID,
     ExperimentConfig,
     GridError,
-    max_ramp_slope,
+    SweepGrid,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -30,6 +33,8 @@ from .harness import (
 from .traces import write_csv
 
 SOURCE_ALIASES = {"digital": "digital_iid", "smtj": "smtj_telegraph"}
+# The grid each sweep command runs unless its grid flags change it.
+SWEEP_GRIDS = {"sweep-vin": VIN_GRID, "sweep-slope": SLOPE_GRID}
 
 
 def parse_config_file(path: Path | str) -> dict:
@@ -82,24 +87,26 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 class Flag(NamedTuple):
-    """A common flag: the ExperimentConfig field it sets, as a dotted path."""
+    """A flag: the ExperimentConfig field it sets, as a dotted path."""
 
     field: str
     commands: tuple[str, ...]  # the subcommands that read it
     type: Callable  # parses the flag's text, or a config-file value
-    help: str  # "{default}" is replaced by the field's value in ExperimentConfig()
+    help: str  # "{default}" is replaced by the field's value in the command's default config
     to_field: Callable = lambda v: v  # parsed value -> field value
     choices: tuple[str, ...] | None = None
 
 
-# The subcommands that read a flag; `run` reads every flag.
+# The subcommands that read a flag; `run` reads every flag but the grid's.
 RUN = ("run",)
 SYNTH = ("run", "synth")
 SWEEPS = ("run", "sweep-vin", "sweep-slope")
 SLOPE = ("run", "sweep-slope")
 ALL = ("run", "sweep-vin", "sweep-slope", "synth")
+GRID = ("sweep-vin", "sweep-slope")
 
-# The common flags, which are also the config-file keys.
+# The flags, which are also the config-file keys. --vmin and --smin (and
+# --vmax and --smax) set one field, each for its own sweep.
 FLAGS = {
     "dataset": Flag("dataset", RUN, Path, "directory of event CSVs (default: synthetic)"),
     "rate_hz": Flag("dataset_rate_hz", RUN, float, "sample rate for value-only dataset CSVs"),
@@ -125,12 +132,18 @@ FLAGS = {
     "snr_db": Flag("snr_db", SYNTH, float,
                    "synthetic event energy SNR in dB (default {default})"),
     "out": Flag("output_dir", ALL, Path, "output directory"),
+    "vmin": Flag("sweep.lo", ("sweep-vin",), float, "lowest input voltage (default {default})"),
+    "vmax": Flag("sweep.hi", ("sweep-vin",), float, "highest input voltage (default {default})"),
+    "smin": Flag("sweep.lo", ("sweep-slope",), float, "lowest slope in V/s (default {default})"),
+    "smax": Flag("sweep.hi", ("sweep-slope",), float, "highest slope in V/s (default {default})"),
+    "points": Flag("sweep.points", GRID, int, "evenly spaced points (default {default})"),
+    "ticks": Flag("sweep.ticks", GRID, int, "ADC ticks per point (default {default})"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", type=Path, help="flat key = value file of this command's flags")
-    defaults = ExperimentConfig()
+    defaults = ExperimentConfig(sweep=SWEEP_GRIDS.get(command))
     for name, flag in FLAGS.items():
         if command in flag.commands:
             default = reduce(getattr, flag.field.split("."), defaults)
@@ -139,7 +152,7 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """File options first, then any common flag that was actually given."""
+    """File options first, then any flag that was actually given."""
     reads = [name for name, flag in FLAGS.items() if args.command in flag.commands]
     opts: dict[str, object] = {}
     if args.config is not None:
@@ -172,8 +185,9 @@ def _with_fields(obj, values: dict):
     return replace(obj, **top)
 
 
-def build_experiment(opts: dict) -> ExperimentConfig:
-    """The default ExperimentConfig with each option set on its flag's field.
+def build_experiment(opts: dict, sweep: SweepGrid | None = None) -> ExperimentConfig:
+    """The default ExperimentConfig, with the sweep grid `sweep`, and each
+    option set on its flag's field.
 
     A config-file value (text or a number) is parsed from its text by the
     flag's type, as the command line parses it, so `n_events = 2.9` is
@@ -191,7 +205,7 @@ def build_experiment(opts: dict) -> ExperimentConfig:
         if flag.choices and val not in flag.choices:
             raise ValueError(f"{key} = {val!r}: choose from {', '.join(flag.choices)}")
         values[flag.field] = flag.to_field(val)
-    return _with_fields(ExperimentConfig(), values)
+    return _with_fields(ExperimentConfig(sweep=sweep), values)
 
 
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -213,42 +227,12 @@ def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     return 1 if report.n_failed else 0
 
 
-class _FlagError(ValueError):
-    """A flag value that cannot work; `flag` is the flag as typed, e.g. '--points'."""
-
-    def __init__(self, flag: str, message: str):
-        super().__init__(message)
-        self.flag = flag
-
-
-def _sweep_grid(args: argparse.Namespace, cfg: ExperimentConfig) -> np.ndarray:
-    """The sweep's grid points from its grid flags, each checked before any point runs."""
-    if args.points < 1:
-        raise _FlagError("--points", f"need at least 1 point, got {args.points}")
-    if args.ticks < MIN_TICKS_PER_POINT:
-        raise _FlagError("--ticks", f"need at least {MIN_TICKS_PER_POINT} ticks per point, "
-                         f"got {args.ticks}")
-    slope = args.command == "sweep-slope"
-    s_max = max_ramp_slope(args.ticks) if slope else np.inf
-    for flag, value in zip(("--smin", "--smax") if slope else ("--vmin", "--vmax"),
-                           (args.lo, args.hi)):
-        if not np.isfinite(value):
-            raise _FlagError(flag, f"must be finite, got {value}")
-        if slope and value < 0:
-            raise _FlagError(flag, f"a slope magnitude must be >= 0, got {value}")
-        if value > s_max:
-            raise _FlagError(flag, f"slope {value:g} V/s exceeds the maximum {s_max:g} V/s "
-                             f"for a ramp of {args.ticks} ticks, whose samples and slope "
-                             f"must stay finite")
-    return np.linspace(args.lo, args.hi, args.points)
-
-
 def _cmd_sweep(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "sweep-vin":
         sweep, name, x_name = sweep_vin, "sweep_vin", "v_in_v"
     else:
         sweep, name, x_name = sweep_slope, "sweep_slope", "slope_v_per_s"
-    rows = sweep(cfg, _sweep_grid(args, cfg), args.ticks)
+    rows = sweep(cfg)
     out = Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
@@ -263,7 +247,7 @@ def _cmd_synth(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     try:
         paths = synth_survey(cfg.snr_db, cfg.n_events, cfg.base_seed, out)
     except FileExistsError as exc:
-        raise _FlagError("--out", str(exc)) from None
+        raise GridError("output_dir", str(exc)) from None
     print(f"wrote {len(paths)} event files to {out}")
     return 0
 
@@ -275,41 +259,33 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, func, text, grid in (
-        ("run", _cmd_run, "evaluate a survey with the P-ADC vs the R-ADC", None),
-        ("sweep-vin", _cmd_sweep, "measured sampling rate vs p-neuron input voltage",
-         ("--vmin", -0.1, "--vmax", 0.8, 19)),
-        ("sweep-slope", _cmd_sweep, "measured sampling rate vs signal slope",
-         ("--smin", 0.0, "--smax", 500.0, 11)),
-        ("synth", _cmd_synth, "emit a synthetic survey as CSV event files", None),
+    for command, func, text in (
+        ("run", _cmd_run, "evaluate a survey with the P-ADC vs the R-ADC"),
+        ("sweep-vin", _cmd_sweep, "measured sampling rate vs p-neuron input voltage"),
+        ("sweep-slope", _cmd_sweep, "measured sampling rate vs signal slope"),
+        ("synth", _cmd_synth, "emit a synthetic survey as CSV event files"),
     ):
         p = sub.add_parser(command, help=text)
-        _add_common(p, command)
+        _add_flags(p, command)
         p.set_defaults(func=func)
-        if grid is not None:
-            lo, lo_default, hi, hi_default, points = grid
-            p.add_argument(lo, dest="lo", type=float, default=lo_default)
-            p.add_argument(hi, dest="hi", type=float, default=hi_default)
-            p.add_argument("--points", type=int, default=points)
-            p.add_argument("--ticks", type=int, default=10_000)
 
     args, extra = parser.parse_known_args(argv)
     if extra:  # the subcommand's usage lists the flags it reads
         sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        cfg = build_experiment(_merge(args))
-    except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            cfg = build_experiment(_merge(args), SWEEP_GRIDS.get(args.command))
+        except GridError:
+            raise
+        except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return args.func(args, cfg)
     except GridError as exc:
-        name = next(name for name, f in FLAGS.items() if f.field == exc.field)
-        bad = _FlagError("--" + name.replace("_", "-"), str(exc))
-    except _FlagError as exc:
-        bad = exc
-    print(f"error: {bad.flag}: {bad}", file=sys.stderr)
-    return 2
+        name = next(name for name, flag in FLAGS.items()
+                    if flag.field == exc.field and args.command in flag.commands)
+        print(f"error: --{name.replace('_', '-')}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,6 +67,7 @@ class ExperimentConfig:
     band_hz: tuple[float, float] = (0.0, 200.0)
     base_seed: int = DEFAULT_BASE_SEED
     output_dir: Path | None = None
+    sweep: SweepGrid | None = None  # a sweep's grid; None -> VIN_GRID or SLOPE_GRID
 
     def __post_init__(self):
         rate = self.dataset_rate_hz
@@ -89,8 +90,10 @@ class ExperimentConfig:
 
 
 class GridError(ValueError):
-    """A setting that would fail every event: one the survey's ADC grid cannot
-    work with, or a dataset directory with no event to run.
+    """A setting that would fail every event or sweep point: one the survey's
+    ADC grid cannot work with, a sweep grid that cannot run, a dataset
+    directory with no event to run, or an output directory that already
+    holds a survey.
 
     `field` is the dotted ExperimentConfig path of the setting at fault.
     """
@@ -366,39 +369,59 @@ def write_report(
 MIN_TICKS_PER_POINT = 1000
 
 
-def sweep_vin(
-    cfg: ExperimentConfig, v_grid, ticks_per_point: int = 10_000
-) -> np.ndarray:
+@dataclass(frozen=True)
+class SweepGrid:
+    """A sweep's grid: `points` values evenly spaced from lo to hi, each run
+    for `ticks` sync ticks; the rules both sweeps share raise `GridError`."""
+
+    lo: float
+    hi: float
+    points: int
+    ticks: int
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise GridError("sweep.points", f"need at least 1 point, got {self.points}")
+        if self.ticks < MIN_TICKS_PER_POINT:
+            raise GridError("sweep.ticks", f"need at least {MIN_TICKS_PER_POINT} ticks per "
+                            f"point, got {self.ticks}")
+        for name, value in (("lo", self.lo), ("hi", self.hi)):
+            if not np.isfinite(value):
+                raise GridError(f"sweep.{name}", f"must be finite, got {value}")
+        if not np.isfinite(float(self.hi) - float(self.lo)):  # in Python floats: no warning
+            raise GridError("sweep.hi", f"the span {self.lo:g} to {self.hi:g} must be finite")
+
+
+# The grid each sweep runs when the config sets none: input voltages (V) for
+# `sweep_vin`, slopes (V/s) for `sweep_slope`.
+VIN_GRID = SweepGrid(-0.1, 0.8, 19, 10_000)
+SLOPE_GRID = SweepGrid(0.0, 500.0, 11, 10_000)
+
+
+def sweep_vin(cfg: ExperimentConfig) -> np.ndarray:
     """Measured sampling rate vs constant p-neuron input voltage.
 
-    The drive is pinned to each grid value (zero signal, AFE bypassed) and
-    the gated fraction over ticks_per_point sync ticks, on the synthetic
-    survey's ADC grid (SYNTH_RATE_HZ), is recorded. An upsampling factor
-    too coarse for the telegraph raises `GridError` before any point runs.
+    The drive is pinned to each voltage of the grid cfg.sweep (VIN_GRID if
+    None); zero signal, AFE bypassed. The gated fraction over the grid's
+    ticks on the synthetic survey's ADC grid (SYNTH_RATE_HZ) is recorded.
+    An upsampling factor too coarse for the telegraph raises `GridError`
+    before any point runs.
     Returns rows of (v_in, measured_rate, model_probability).
     """
-    if ticks_per_point < MIN_TICKS_PER_POINT:
-        raise ValueError(
-            f"ticks_per_point must be >= {MIN_TICKS_PER_POINT}, got {ticks_per_point}")
-    v_grid = np.asarray(v_grid, dtype=np.float64)
-    if v_grid.size == 0 or not np.all(np.isfinite(v_grid)):
-        raise ValueError("v_grid must be non-empty and finite")
+    grid = cfg.sweep or VIN_GRID
     _check_telegraph_step(cfg, SYNTH_RATE_HZ)
     pn = cfg.activation.pneuron
-    rows = np.empty((v_grid.size, 3))
-    for i, v in enumerate(v_grid):
+    rows = np.empty((grid.points, 3))
+    for i, v in enumerate(np.linspace(grid.lo, grid.hi, grid.points)):
         p_model = activation_probability(float(v), pn)
         seed = cfg.base_seed + i
         if pn.source == "digital_iid":
-            bits, _ = iid_decisions(np.full(ticks_per_point, p_model), lfsr_from_seed(seed))
+            bits, _ = iid_decisions(np.full(grid.ticks, p_model), lfsr_from_seed(seed))
         else:
             spt = cfg.upsample_factor
-            dt = 1.0 / (SYNTH_RATE_HZ * spt)
-            bits = telegraph_tick_states(
-                p_model, dt, pn, spt, ticks_per_point, np.random.default_rng(seed)
-            )
-        measured = float(bits.mean())
-        rows[i] = (v, measured, p_model)
+            bits = telegraph_tick_states(p_model, 1.0 / (SYNTH_RATE_HZ * spt), pn, spt,
+                                         grid.ticks, np.random.default_rng(seed))
+        rows[i] = (v, bits.mean(), p_model)
     return rows
 
 
@@ -413,50 +436,47 @@ def max_ramp_slope(ticks_per_point: int) -> float:
     return float(np.finfo(np.float64).max / 2 / max(t_last, 1.0))
 
 
-def sweep_slope(
-    cfg: ExperimentConfig, slope_grid, ticks_per_point: int = 10_000
-) -> np.ndarray:
+def sweep_slope(cfg: ExperimentConfig) -> np.ndarray:
     """Measured sampling rate vs signal slope through the full AFE chain.
 
-    Each grid point s feeds the ramp x_k = s * k / SYNTH_RATE_HZ of
-    ticks_per_point samples on the synthetic survey's ADC grid through
-    feature extraction and the p-neuron, run as `run_event` runs a survey
-    event: upsampled by cfg.upsample_factor without building it. The
-    interpolant of a ramp has slope s on every segment and no turning
-    point, so no slope aliases on the step grid. The amplitude override is
-    disabled (no finite sample reaches its threshold) so the probabilistic
-    path is isolated. An upsampling factor too coarse for the telegraph, or
-    a slope gain whose drive on the grid's steepest ramp reaches half the
-    largest float64 (the headroom `max_ramp_slope` keeps), raises
-    `GridError`, and a slope above `max_ramp_slope` raises ValueError, before
-    any point runs. Returns rows of (slope_v_per_s, measured_rate,
-    model_probability).
+    Each slope s of the grid cfg.sweep (SLOPE_GRID if None) feeds the ramp
+    x_k = s * k / SYNTH_RATE_HZ of the grid's ticks on the synthetic
+    survey's ADC grid through feature extraction and the p-neuron, run as
+    `run_event` runs a survey event: upsampled by cfg.upsample_factor
+    without building it. The interpolant of a ramp has slope s on every
+    segment and no turning point, so no slope aliases on the step grid. The
+    amplitude override is disabled (no finite sample reaches its threshold)
+    so the probabilistic path is isolated. A grid bound that is negative or
+    above `max_ramp_slope`, an upsampling factor too coarse for the
+    telegraph, or a slope gain whose drive on the grid's steepest ramp
+    reaches half the largest float64 (the headroom `max_ramp_slope` keeps)
+    raises `GridError` before any point runs. Returns rows of
+    (slope_v_per_s, measured_rate, model_probability).
     """
-    if ticks_per_point < MIN_TICKS_PER_POINT:
-        raise ValueError(
-            f"ticks_per_point must be >= {MIN_TICKS_PER_POINT}, got {ticks_per_point}")
-    slope_grid = np.asarray(slope_grid, dtype=np.float64)
-    if slope_grid.size == 0 or np.any(slope_grid < 0) or not np.all(np.isfinite(slope_grid)):
-        raise ValueError("slope_grid must be non-empty, finite and non-negative")
+    grid = cfg.sweep or SLOPE_GRID
+    s_max = max_ramp_slope(grid.ticks)
+    for name, s in (("lo", grid.lo), ("hi", grid.hi)):
+        if s < 0:
+            raise GridError(f"sweep.{name}", f"a slope magnitude must be >= 0, got {s}")
+        if s > s_max:
+            raise GridError(f"sweep.{name}", f"slope {s:g} V/s exceeds the maximum {s_max:g} "
+                            f"V/s for a ramp of {grid.ticks} ticks, whose samples and slope "
+                            f"must stay finite")
     _check_telegraph_step(cfg, SYNTH_RATE_HZ)
-    s_max = max_ramp_slope(ticks_per_point)
-    if np.any(slope_grid > s_max):
-        raise ValueError(f"slope {slope_grid.max():g} V/s exceeds the maximum {s_max:g} V/s "
-                         f"for a ramp of {ticks_per_point} ticks, whose samples and slope "
-                         f"must stay finite")
+    slopes = np.linspace(grid.lo, grid.hi, grid.points)
     gain = cfg.activation.afe.slope_gain
     # in Python floats, so a small gain gives inf here without a warning
-    if slope_grid.max() > float(np.finfo(np.float64).max) / 2 / float(gain):
+    if slopes.max() > float(np.finfo(np.float64).max) / 2 / float(gain):
         raise GridError("activation.afe.slope_gain",
-                        f"gain {gain:g} times the slope {slope_grid.max():g} V/s exceeds half "
+                        f"gain {gain:g} times the slope {slopes.max():g} V/s exceeds half "
                         f"the largest float64: the p-neuron's drive must stay finite")
     factor = cfg.upsample_factor
     no_override = np.finfo(np.float64).max
     act_cfg = replace(cfg.activation,
                       afe=replace(cfg.activation.afe, amp_threshold_v=no_override))
-    t = np.arange(ticks_per_point) / SYNTH_RATE_HZ
-    rows = np.empty((slope_grid.size, 3))
-    for i, s in enumerate(slope_grid):
+    t = np.arange(grid.ticks) / SYNTH_RATE_HZ
+    rows = np.empty((grid.points, 3))
+    for i, s in enumerate(slopes):
         act = run_activation(Trace._adopt(t * s, SYNTH_RATE_HZ), act_cfg, factor,
                              cfg.base_seed + i, factor=factor)
         measured = float(np.mean(act.gate[act.sync_ticks]))

@@ -105,8 +105,10 @@ def _activation_inplace(v: np.ndarray, cfg: PNeuronConfig) -> np.ndarray:
     """
     if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
         raise ValueError("v_in_v must be finite")
-    v -= cfg.v_ref_v
-    v *= cfg.beta
+    # a huge drive overflows to +-inf, whose p is the logistic's limit, 1 or 0
+    with np.errstate(over="ignore"):
+        v -= cfg.v_ref_v
+        v *= cfg.beta
     return _logistic_inplace(v)
 
 

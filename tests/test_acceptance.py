@@ -20,7 +20,7 @@ from probsense.acquisition import (
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig
 from probsense.cli import main
-from probsense.harness import ExperimentConfig, run_event, run_survey, sweep_vin
+from probsense.harness import ExperimentConfig, SweepGrid, run_event, run_survey, sweep_vin
 from probsense.pbit import (
     LFSR_PERIOD,
     PNeuronConfig,
@@ -106,10 +106,10 @@ def test_criterion_3_oracle_equivalence():
 @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
 def test_criterion_4_sigmoid_sweep(source):
     cfg = ExperimentConfig(
-        activation=ActivationConfig(pneuron=PNeuronConfig(source=source))
+        activation=ActivationConfig(pneuron=PNeuronConfig(source=source)),
+        sweep=SweepGrid(-0.1, 0.8, 19, ticks=10_000),
     )
-    grid = np.linspace(-0.1, 0.8, 19)
-    rows = sweep_vin(cfg, grid, ticks_per_point=10_000)
+    rows = sweep_vin(cfg)
     max_err = float(np.max(np.abs(rows[:, 1] - rows[:, 2])))
     # monotone within the statistical noise bound
     dips = float(np.max(np.maximum.accumulate(rows[:, 1]) - rows[:, 1]))

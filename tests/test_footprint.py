@@ -53,7 +53,7 @@ import pytest
 
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
-from probsense.harness import ExperimentConfig, sweep_slope
+from probsense.harness import ExperimentConfig, SweepGrid, sweep_slope
 from probsense.pbit import (
     TELEGRAPH_CHUNK, PNeuronConfig, activation_probability, telegraph_run,
 )
@@ -137,8 +137,9 @@ def test_sweep_slope_point(source, bound):
 
     At 0 V/s p is the minimum rate; at 500 V/s the smtj p-neuron saturates.
     """
-    cfg = ExperimentConfig(activation=ActivationConfig(pneuron=PNeuronConfig(source=source)))
     ticks = 10_000
     for slope in (0.0, 250.0, 500.0):
-        peak = _peak_arrays(lambda: sweep_slope(cfg, [slope], ticks), ticks * FACTOR)
+        cfg = ExperimentConfig(activation=ActivationConfig(pneuron=PNeuronConfig(source=source)),
+                               sweep=SweepGrid(slope, slope, 1, ticks))
+        peak = _peak_arrays(lambda: sweep_slope(cfg), ticks * FACTOR)
         assert peak < bound, f"{slope} V/s: {peak:.2f} arrays"

@@ -22,6 +22,7 @@ from probsense.harness import (
     WAVELET_F0_HZ,
     ExperimentConfig,
     GridError,
+    SweepGrid,
     _survey_onsets,
     _synth_one,
     max_ramp_slope,
@@ -59,6 +60,13 @@ def _assert_recon_rebuilds(out, i, rate_hz, t0_s, n):
     t_r, v_r = np.loadtxt(out / f"recon_event_{i:03d}.csv", delimiter=",", skiprows=1).T
     assert np.array_equal(rebuilt.samples, v_r)
     assert np.array_equal(rebuilt.times_s, t_r)
+
+
+def _sweep_at(sweep, cfg, xs, ticks):
+    """`sweep` at the points xs, row i seeded as a sweep over a grid of xs seeds its point i."""
+    return np.vstack([sweep(replace(cfg, base_seed=cfg.base_seed + i,
+                                    sweep=SweepGrid(x, x, 1, ticks)))
+                      for i, x in enumerate(xs)])
 
 
 def _write_sweep_loop(rows, path, x_name):
@@ -373,24 +381,38 @@ class TestSweeps:
             activation=ActivationConfig(pneuron=PNeuronConfig(source="digital_iid"))
         )
         v_ref = cfg.activation.pneuron.v_ref_v
-        rows = sweep_vin(cfg, [v_ref], 10_000)
+        rows = sweep_vin(replace(cfg, sweep=SweepGrid(v_ref, v_ref, 1, 10_000)))
         assert rows[0, 1] == pytest.approx(0.5, abs=0.02)
 
     @pytest.mark.parametrize("source", ["digital_iid", "smtj_telegraph"])
     def test_vin_matches_model(self, source):
         cfg = ExperimentConfig(
-            activation=ActivationConfig(pneuron=PNeuronConfig(source=source))
+            activation=ActivationConfig(pneuron=PNeuronConfig(source=source)),
+            sweep=SweepGrid(-0.1, 0.8, 10, 10_000),
         )
-        rows = sweep_vin(cfg, np.linspace(-0.1, 0.8, 10), 10_000)
+        rows = sweep_vin(cfg)
         assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 0.02
 
     def test_vin_ticks_validation(self):
-        with pytest.raises(ValueError, match="1000"):
-            sweep_vin(ExperimentConfig(), [0.0], 10)
+        with pytest.raises(GridError, match="1000") as exc:
+            sweep_vin(ExperimentConfig(sweep=SweepGrid(0.0, 0.0, 1, 10)))
+        assert exc.value.field == "sweep.ticks"
+
+    @pytest.mark.parametrize("lo, hi, points, ticks, field", [
+        (0.0, 1.0, 0, 1000, "sweep.points"),
+        (0.0, 1.0, 1, MIN_TICKS_PER_POINT - 1, "sweep.ticks"),
+        (np.nan, 1.0, 2, 1000, "sweep.lo"),
+        (0.0, np.inf, 2, 1000, "sweep.hi"),
+        (-1e308, 1e308, 2, 1000, "sweep.hi"),  # the span overflows float64
+    ])
+    def test_grid_rules(self, lo, hi, points, ticks, field):
+        with pytest.raises(GridError) as exc:
+            SweepGrid(lo, hi, points, ticks)
+        assert exc.value.field == field
 
     def test_slope_zero_gives_baseline(self):
-        cfg = ExperimentConfig()
-        rows = sweep_slope(cfg, [0.0], 2000)
+        cfg = ExperimentConfig(sweep=SweepGrid(0.0, 0.0, 1, 2000))
+        rows = sweep_slope(cfg)
         x = cfg.activation.pneuron.min_rate
         assert rows[0, 1] == pytest.approx(x, abs=0.02)
 
@@ -399,15 +421,15 @@ class TestSweeps:
         cfg = ExperimentConfig()
         gain = cfg.activation.afe.slope_gain
         slopes = np.linspace(50.0, 450.0, 5)
-        s_rows = sweep_slope(cfg, slopes, 4000)
-        v_rows = sweep_vin(cfg, gain * slopes, 4000)
+        s_rows = sweep_slope(replace(cfg, sweep=SweepGrid(50.0, 450.0, 5, 4000)))
+        v_rows = _sweep_at(sweep_vin, cfg, gain * slopes, 4000)
         assert np.max(np.abs(s_rows[:, 1] - v_rows[:, 1])) < 0.03
 
     def test_slope_saturates(self):
         # no slope cap: any slope whose ramp is finite runs, and p = 1 once
         # the drive is far above v_ref
         steep = [50_000.0, 1e300, max_ramp_slope(2000)]
-        rows = sweep_slope(ExperimentConfig(), [2000.0, 5000.0, *steep], 2000)
+        rows = _sweep_at(sweep_slope, ExperimentConfig(), [2000.0, 5000.0, *steep], 2000)
         assert np.all(rows[:, 1] > 0.97)
         assert np.all(rows[2:, 2] == 1.0)
         # the override stays off however large the ramp grows: the telegraph's
@@ -429,7 +451,7 @@ class TestSweeps:
             return run_activation(x, cfg, steps_per_tick, seed, factor=factor)
 
         monkeypatch.setattr(harness_mod, "run_activation", spy)
-        sweep_slope(ExperimentConfig(), [slope], ticks)
+        sweep_slope(ExperimentConfig(sweep=SweepGrid(slope, slope, 1, ticks)))
         [(x, spt, factor)] = seen
         assert (len(x), x.rate_hz, spt, factor) == (ticks, SYNTH_RATE_HZ, 50, 50)
         g = extract_features(x)
@@ -456,14 +478,21 @@ class TestSweeps:
         assert s_max == half / (9999 / SYNTH_RATE_HZ)
         # up to a 1 s ramp the slope itself binds
         assert max_ramp_slope(1000) == max_ramp_slope(2001) == half
-        for grid, named in (([0.0, 1e308], "1e+308"),
-                            ([np.nextafter(s_max, np.inf)], f"{s_max:g}")):
-            with pytest.raises(ValueError, match=re.escape(f"slope {named} V/s exceeds the "
-                                                           f"maximum {s_max:g} V/s")):
-                sweep_slope(cfg, grid, 10_000)
-        # a factor too coarse for the telegraph fails before any point too
+        above = np.nextafter(s_max, np.inf)
+        for grid, named, field in ((SweepGrid(0.0, 1e308, 2, 10_000), "1e+308", "sweep.hi"),
+                                   (SweepGrid(above, above, 1, 10_000), f"{s_max:g}",
+                                    "sweep.lo")):
+            with pytest.raises(GridError, match=re.escape(f"slope {named} V/s exceeds the "
+                                                          f"maximum {s_max:g} V/s")) as exc:
+                sweep_slope(replace(cfg, sweep=grid))
+            assert exc.value.field == field
+        # a negative slope, and a factor too coarse for the telegraph, fail
+        # before any point too
+        with pytest.raises(GridError, match="must be >= 0") as exc:
+            sweep_slope(replace(cfg, sweep=SweepGrid(0.0, -5.0, 2, 1000)))
+        assert exc.value.field == "sweep.hi"
         with pytest.raises(GridError, match="too coarse for the telegraph"):
-            sweep_slope(replace(cfg, upsample_factor=1), [0.0, 500.0], 1000)
+            sweep_slope(replace(cfg, upsample_factor=1, sweep=SweepGrid(0.0, 500.0, 2, 1000)))
         assert calls == []
 
     def test_slope_gain_overflow_rejected_before_any_point(self, monkeypatch):
@@ -479,14 +508,17 @@ class TestSweeps:
         # gain times the grid's steepest slope may reach half the largest
         # float64, the headroom max_ramp_slope keeps, and no more
         limit = np.finfo(np.float64).max / 2 / 500.0
+        grid = SweepGrid(0.0, 500.0, 2, 1000)
         for gain in (1e308, np.nextafter(limit, np.inf)):
-            cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=gain)))
+            cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=gain)),
+                                   sweep=grid)
             with pytest.raises(GridError, match="exceeds half the largest float64") as exc:
-                sweep_slope(cfg, [0.0, 500.0], 1000)
+                sweep_slope(cfg)
             assert exc.value.field == "activation.afe.slope_gain"
-        cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=limit)))
+        cfg = ExperimentConfig(activation=ActivationConfig(afe=AfeConfig(slope_gain=limit)),
+                               sweep=grid)
         with pytest.raises(PointRan):
-            sweep_slope(cfg, [0.0, 500.0], 1000)
+            sweep_slope(cfg)
 
     def test_sweeps_match_oracle_kernels(self, monkeypatch):
         # every row, bit for bit, as computed with the reference kernels: the
@@ -500,11 +532,12 @@ class TestSweeps:
             smtj.activation, pneuron=PNeuronConfig(source="digital_iid")))
         # 306.6 V/s drives p to 0.98: q01 = 0.5, so half the steps are not identity
         slopes = [0.0, 150.0, 306.6, 500.0, 5000.0]
-        v_grid = np.linspace(-0.1, 0.8, 4)
+        v_grid = SweepGrid(-0.1, 0.8, 4, 1000)
 
         def rows():
-            return (sweep_slope(smtj, slopes, 1000), sweep_vin(smtj, v_grid, 1000),
-                    sweep_vin(digital, v_grid, 1000))
+            return (_sweep_at(sweep_slope, smtj, slopes, 1000),
+                    sweep_vin(replace(smtj, sweep=v_grid)),
+                    sweep_vin(replace(digital, sweep=v_grid)))
 
         got = rows()
         assert got[0][2, 2] == pytest.approx(0.98, abs=0.002)
@@ -637,10 +670,14 @@ class TestConfigFile:
         assert cfg.base_seed == 99
 
     def test_every_config_field_is_one_flag(self):
-        # no field that no command can set, and no two flags for one field
-        fields = [flag.field for flag in FLAGS.values()]
-        assert len(set(fields)) == len(fields)
-        assert _leaf_fields(ExperimentConfig()) == set(fields)
+        # no field that no command can set, and no two flags one command reads
+        # for one field (--vmin and --smin both set sweep.lo, each for its sweep)
+        every = set()
+        for command in COMMON_FLAGS:
+            fields = [flag.field for flag in FLAGS.values() if command in flag.commands]
+            assert len(set(fields)) == len(fields), command
+            every |= set(fields)
+        assert _leaf_fields(ExperimentConfig(sweep=SweepGrid(0.0, 1.0, 2, 1000))) == every
 
 
 # SHA-256 of the default `run --out` survey's report.json and of all its
@@ -714,20 +751,25 @@ def test_command_outputs_are_golden(command, tmp_path, capsys):
     assert digest.hexdigest() == GOLDEN_OUTPUTS[command], f"numpy {np.__version__}"
 
 
-# The common flags each subcommand reads, as read off `run_survey`, the sweeps
-# and `synth_survey`; 34 (command, flag) pairs. Every other pair is an error.
+# The flags each subcommand reads, as read off `run_survey`, the sweeps and
+# `synth_survey`; 42 (command, flag) pairs. Every other pair is an error. `run`
+# reads every flag but the sweep grid's.
 COMMON_FLAGS = {
-    "run": set(FLAGS),
-    "sweep-vin": {"seed", "tau_us", "vref", "beta", "source", "upsample", "out"},
-    "sweep-slope": {"seed", "tau_us", "vref", "beta", "source", "upsample", "slope_gain", "out"},
+    "run": {"dataset", "rate_hz", "n_events", "seed", "tau_us", "vref", "beta", "source",
+            "upsample", "band", "slope_gain", "amp_threshold", "hold_ms", "snr_db", "out"},
+    "sweep-vin": {"seed", "tau_us", "vref", "beta", "source", "upsample", "out",
+                  "vmin", "vmax", "points", "ticks"},
+    "sweep-slope": {"seed", "tau_us", "vref", "beta", "source", "upsample", "slope_gain", "out",
+                    "smin", "smax", "points", "ticks"},
     "synth": {"n_events", "seed", "snr_db", "out"},
 }
-# A value each common flag accepts, so that only the (command, flag) pair is at fault.
+# A value each flag accepts, so that only the (command, flag) pair is at fault.
 FLAG_VALUES = {
     "dataset": "D", "rate_hz": "2000", "n_events": "1", "seed": "1", "tau_us": "500",
     "vref": "0.3", "beta": "10", "source": "digital", "upsample": "50", "band": "0:100",
     "slope_gain": "0.001", "amp_threshold": "0.05", "hold_ms": "5", "snr_db": "20",
-    "out": "x",
+    "out": "x", "vmin": "0", "vmax": "0.5", "smin": "0", "smax": "100", "points": "2",
+    "ticks": "1000",
 }
 
 
@@ -775,6 +817,11 @@ class TestCli:
         assert capsys.readouterr().out == out
         assert "(0 failed)" in out
 
+    def test_huge_slope_gain_runs(self, capsys):
+        # beta times the drive overflows to inf, whose p is 1: no event fails
+        assert main(["run", "--slope-gain", "1e305", "--n-events", "2"]) == 0
+        assert "(0 failed)" in capsys.readouterr().out
+
     def test_flag_overrides_config_file(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.txt"
         p.write_text("n_events = 9\nseed = 7\n")
@@ -816,7 +863,8 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'sourc'" in err[0] and str(p) in err[0]
         # it names the command and every key the command reads
-        assert err[0].endswith(f"run does not read key 'sourc'; its keys are {', '.join(FLAGS)}")
+        keys = ", ".join(name for name, flag in FLAGS.items() if "run" in flag.commands)
+        assert err[0].endswith(f"run does not read key 'sourc'; its keys are {keys}")
 
     def test_bool_config_value_fails_before_any_event(self, tmp_path, monkeypatch, capsys):
         # `true` stays text: int("true") fails, where int(True) would run one event
@@ -832,15 +880,40 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: n_events = 'true':")
 
-    def test_sweep_grid_key_in_config_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, lines, flags", [
+        ("sweep-vin", ["points = 3", "ticks = 1000", "vmin = -0.05", "vmax = 0.6"],
+         ["--points", "3", "--ticks", "1000", "--vmin=-0.05", "--vmax", "0.6"]),
+        ("sweep-slope", ["points = 3", "ticks = 1000", "smin = 100", "smax = 400"],
+         ["--points", "3", "--ticks", "1000", "--smin", "100", "--smax", "400"]),
+    ])
+    def test_sweep_grid_from_config_file(self, command, lines, flags, tmp_path, capsys):
+        # the grid keys are config like any flag: the same CSV bytes either way
         p = tmp_path / "cfg.txt"
-        p.write_text("points = 5\n")
+        p.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "file")]) == 0
+        assert main([command, *flags, "--out", str(tmp_path / "flags")]) == 0
+        name = command.replace("-", "_") + ".csv"
+        csv = (tmp_path / "file" / name).read_bytes()
+        assert csv == (tmp_path / "flags" / name).read_bytes()
+        assert len(csv.splitlines()) == 4
+
+    @pytest.mark.parametrize("command", ["sweep-vin", "sweep-slope"])
+    def test_bad_grid_in_config_file_is_one_line_before_any_point(self, command, tmp_path,
+                                                                  monkeypatch, capsys):
+        import probsense.harness as harness_mod
+
+        calls = []
+        for name in ("run_activation", "telegraph_tick_states", "iid_decisions"):
+            monkeypatch.setattr(harness_mod, name, lambda *a, **k: calls.append(a))
+        p = tmp_path / "cfg.txt"
+        p.write_text("points = 3\nticks = 10\n")
         out = tmp_path / "sw"
-        code = main(["sweep-vin", "--config", str(p), "--ticks", "1000", "--out", str(out)])
-        assert code == 2
-        assert not (out / "sweep_vin.csv").exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "'points'" in err[0] and str(p) in err[0]
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        cap = capsys.readouterr()
+        err = cap.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --ticks: need at least 1000 ticks")
+        assert cap.out == ""
 
     @pytest.mark.parametrize("flags", [
         ["--beta=-1"], ["--tau-us=0"],
@@ -936,15 +1009,16 @@ class TestCli:
         ("sweep-vin", ["--vmin", "nan"], "--vmin"),
         ("sweep-vin", ["--vmax=-inf"], "--vmax"),
         ("sweep-slope", ["--smax", "1e308"], "--smax"),
+        ("sweep-vin", ["--vmin=-1e308", "--vmax", "1e308"], "--vmax"),  # the span overflows
     ], ids=["slope-points-0", "slope-points-neg", "vin-points-0", "slope-ticks", "vin-ticks",
-            "smin", "smax", "vmin", "vmax", "smax-1e308"])
+            "smin", "smax", "vmin", "vmax", "smax-1e308", "vin-span"])
     def test_bad_sweep_grid_flag_is_one_line_before_any_point(self, command, flags, flag,
                                                               tmp_path, monkeypatch, capsys):
-        import probsense.cli as cli_mod
+        import probsense.harness as harness_mod
 
         calls = []
-        for name in ("sweep_vin", "sweep_slope"):
-            monkeypatch.setattr(cli_mod, name, lambda *a: calls.append(a))
+        for name in ("run_activation", "telegraph_tick_states", "iid_decisions"):
+            monkeypatch.setattr(harness_mod, name, lambda *a, **k: calls.append(a))
         out = tmp_path / "sw"
         assert main([command, *flags, "--out", str(out)]) == 2
         assert calls == [] and not out.exists()
@@ -958,7 +1032,8 @@ class TestCli:
         ["--smax", "50000"],
         ["--smin", "6000", "--smax", "7000"],
         ["--source", "digital", "--upsample", "4"],
-    ], ids=["smax-1e300", "smax-50000", "smin-6000", "smax-500-at-upsample-4"])
+        ["--slope-gain", "1e305"],  # beta times the drive overflows to inf: p is 1
+    ], ids=["smax-1e300", "smax-50000", "smin-6000", "smax-500-at-upsample-4", "gain-1e305"])
     def test_steep_sweep_slope_runs(self, flags, tmp_path, capsys):
         # no slope cap, and none that scales with --upsample: a ramp does not alias
         out = tmp_path / "sw"
@@ -1030,8 +1105,7 @@ class TestCli:
             main([command, "--help"])
         listed = {f.replace("-", "_")
                   for f in re.findall(r"^  --([a-z-]+)", capsys.readouterr().out, re.M)}
-        grid = {"vmin", "vmax", "smin", "smax", "points", "ticks"}
-        assert listed - grid - {"config"} == COMMON_FLAGS[command]
+        assert listed - {"config"} == COMMON_FLAGS[command]
 
     def test_help_shows_dataclass_defaults(self, monkeypatch, capsys):
         import functools

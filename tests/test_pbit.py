@@ -265,6 +265,15 @@ class TestActivationProbability:
             assert activation_probability(-1e3, cfg) == 0.0
             assert activation_probability(np.full(3, -1e3), cfg).tolist() == [0.0] * 3
 
+    def test_huge_finite_drive_gives_the_limit(self):
+        # beta * (v - v_ref) overflows to +-inf, whose p is exactly 1 or 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = activation_probability(np.array([1e308, -1e308]), PNeuronConfig())
+            assert p.tolist() == [1.0, 0.0]
+            cfg = PNeuronConfig(v_ref_v=-1e308)
+            assert activation_probability(1e308, cfg) == 1.0
+
     def test_return_types(self):
         cfg = PNeuronConfig()
         assert type(activation_probability(0.1, cfg)) is float
