@@ -10,6 +10,7 @@ fixed but for its energy SNR (`ExperimentConfig.snr_db`): 1 s events at
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -131,17 +132,32 @@ def _survey_onsets(n_events: int, base_seed: int) -> tuple[float, ...]:
 
 
 def _synth_one(snr_db: float, onset_s: float, seed: int) -> Trace:
-    """One survey event at energy SNR snr_db over the whole trace."""
+    """One survey event at energy SNR snr_db over the whole trace.
+
+    The wavelet is built once: its noise is added as `synth_event` adds it,
+    so the event is the one `synth_event` makes at that noise level.
+    """
     clean = synth_event(
         SYNTH_DURATION_S, SYNTH_RATE_HZ, WAVELET_F0_HZ, onset_s,
         WAVELET_AMPLITUDE, 0.0, seed=0,
     )
     energy = float(np.sum(clean.samples**2))
     sigma = float(np.sqrt(energy / (10.0 ** (snr_db / 10.0) * len(clean))))
-    return synth_event(
-        SYNTH_DURATION_S, SYNTH_RATE_HZ, WAVELET_F0_HZ, onset_s,
-        WAVELET_AMPLITUDE, sigma, seed=seed,
-    )
+    if sigma == 0.0:
+        return clean
+    noise = np.random.default_rng(seed).normal(0.0, sigma, len(clean))
+    return Trace(clean.samples + noise, SYNTH_RATE_HZ)
+
+
+def _median(values: list[float]) -> float:
+    """np.median of values, without the numpy.ma import np.median makes on
+    first use: the middle value, or (a + b) / 2 of the middle two, as
+    np.median computes it, and NaN if any value is NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 def synth_survey(
@@ -311,8 +327,8 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
         n_samples_r=int(tot_r),
         savings_pct=sav,
         active_time_pct=100.0 - sav,
-        nmse_time_median=float(np.median([e.nmse_time for e in ok])),
-        nmse_freq_median=float(np.median([e.nmse_freq for e in ok])),
+        nmse_time_median=_median([e.nmse_time for e in ok]),
+        nmse_freq_median=_median([e.nmse_freq for e in ok]),
         n_events=n,
         n_failed=len(results) - len(ok),
         per_event=tuple(results),

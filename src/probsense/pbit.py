@@ -161,6 +161,11 @@ def _lfsr_cycle() -> tuple[np.ndarray, np.ndarray]:
     its position. The output bit is the register's LSB and each shift moves
     bit j down to bit j - 1, so the register at cycle position i holds the
     next 16 output bits, LSB first: a word is one register read, not 16 steps.
+
+    Both tables are uint16, since every register and every cycle position
+    (at most 65534) fits in 16 bits: registers and index hold 128 KiB each,
+    and the build's traced peak is about 450 KiB. A uint16 register divides
+    to the same float64 uniform as a wider one would.
     """
     # The step is linear over GF(2), so step^n of a register is the XOR of
     # step^n of its low byte and of its high byte: `jump` holds those 512
@@ -168,15 +173,15 @@ def _lfsr_cycle() -> tuple[np.ndarray, np.ndarray]:
     # appends step^n of the n registers so far: 16 rounds, no loop over the
     # cycle.
     jump = np.array([_lfsr_step(b) for b in range(256)]
-                    + [_lfsr_step(b << 8) for b in range(256)], dtype=np.uint32)
-    regs = np.ones(1, dtype=np.uint32)
+                    + [_lfsr_step(b << 8) for b in range(256)], dtype=np.uint16)
+    regs = np.ones(1, dtype=np.uint16)
     while regs.size <= LFSR_PERIOD:
         regs = np.concatenate((regs, _apply_jump(jump, regs)))
         jump = _apply_jump(jump, jump)
     assert regs[LFSR_PERIOD] == 1, "LFSR cycle did not close"
     regs = regs[:LFSR_PERIOD]
-    index = np.zeros(0x10000, dtype=np.int64)
-    index[regs] = np.arange(LFSR_PERIOD)
+    index = np.zeros(0x10000, dtype=np.uint16)
+    index[regs] = np.arange(LFSR_PERIOD, dtype=np.uint16)
     return index, regs
 
 
@@ -296,7 +301,9 @@ def telegraph_run(
     calls, so this is the same stream as one rng.random(n). Each chunk is
     composed from the state the previous one left, and only the sorted flip
     positions are kept across chunks: the working arrays are as long as a
-    chunk, and the returned states are the only array as long as the drive.
+    chunk and are released at its end, before the next chunk or the final
+    run-length expansion allocates, and the returned states are the only
+    array as long as the drive.
 
     A saturated drive (p >= 0.99 or p <= 0.01 at dt = tau / 50) makes q01 or
     q10 at least 1, so every step is a non-identity step. A constant step
@@ -352,7 +359,7 @@ def telegraph_run(
             half = (hi - lo) // 2
             if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
                 _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
-        del u_buf, q_buf
+        del u, q, u_buf, q_buf  # the views u and q pin the buffers too
         active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
         value = flip0[active]  # a constant step's value
         flipped = flip1[active]
@@ -375,6 +382,7 @@ def telegraph_run(
         flips += (c - 1) * factor + 1  # the chunk's first step
         state ^= flips.size & 1
         parts.append(flips)
+        del active, value, flipped, h, consts, changed
     flips = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.intp), *parts])
     runs = np.diff(flips, prepend=0, append=n)
     return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)

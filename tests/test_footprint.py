@@ -43,7 +43,12 @@ only the flip positions across chunks, its traced peak fell from 2.81 to
 1.38 MiB on a 500 k-step survey-like drive and from 3.40 to 1.62 MB on a
 `sweep_slope` point, and on a 2 M-step survey-like drive it holds 1.34 MiB
 beyond its uint8 states, from 8.61 MiB; a default survey event (100 k
-steps) composes in one pass, at 0.78 MiB as before.
+steps) composes in one pass, at 0.78 MiB as before. Since `telegraph_run`
+releases each chunk's scratch (its uniform and flip-probability buffers,
+which views had kept alive, and its compose arrays) at the chunk's end, it
+peaks at 0.67 arrays on a default survey event (1.01 before). The LFSR
+cycle tables are uint16, so building them peaks at about 450 KiB (1349 KiB
+with uint32 registers, an int64 index and their temporaries).
 """
 
 import tracemalloc
@@ -53,9 +58,11 @@ import pytest
 
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
-from probsense.harness import ExperimentConfig, SweepGrid, sweep_slope
+from probsense.harness import (
+    ExperimentConfig, SweepGrid, _survey_onsets, _synth_one, sweep_slope,
+)
 from probsense.pbit import (
-    TELEGRAPH_CHUNK, PNeuronConfig, activation_probability, telegraph_run,
+    TELEGRAPH_CHUNK, PNeuronConfig, _lfsr_cycle, activation_probability, telegraph_run,
 )
 from probsense.traces import synth_event, upsample
 
@@ -104,6 +111,27 @@ def test_telegraph_run(drive):
     for p in (survey, np.full(survey.size, 0.995), np.full(survey.size, 0.005)):
         peak = _peak_arrays(lambda: telegraph_run(p, dt, cfg, np.random.default_rng(3)), p.size)
         assert peak < 1.0, f"p[0] = {p[0]}: {peak:.2f} arrays"
+
+
+def test_telegraph_run_survey_event():
+    """One default survey event, p per ADC segment at the survey's factor:
+    its one chunk's scratch is gone before the states are expanded."""
+    cfg = ExperimentConfig()
+    event = _synth_one(cfg.snr_db, _survey_onsets(1, cfg.base_seed)[0], cfg.base_seed)
+    pn = PNeuronConfig()
+    p = activation_probability(AfeConfig().slope_gain * extract_features(event), pn)
+    n = (p.size - 1) * FACTOR + 1
+    assert n < TELEGRAPH_CHUNK
+    dt = 1.0 / (event.rate_hz * FACTOR)
+    peak = _peak_arrays(lambda: telegraph_run(p, dt, pn, np.random.default_rng(3),
+                                              factor=FACTOR), n)
+    assert peak < 0.8, f"{peak:.2f} arrays"
+
+
+def test_lfsr_cycle_build():
+    """A fresh build of the uint16 cycle tables, in KiB (128 float64 per KiB)."""
+    peak = _peak_arrays(_lfsr_cycle.__wrapped__, 1024 // 8)
+    assert peak < 600, f"{peak:.0f} KiB"
 
 
 def test_telegraph_run_working_memory():

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import probsense
 from probsense.acquisition import SampleStream, reconstruct
 from probsense.activation import ActivationConfig, run_activation
 from probsense.afe import AfeConfig, extract_features
@@ -774,6 +779,29 @@ FLAG_VALUES = {
 
 
 class TestCli:
+    def test_surveys_do_not_import_numpy_ma(self, tmp_path):
+        """A survey with either source, and a dataset replay, import no
+        numpy.ma (np.median does, on first use). In a fresh process: pytest
+        and hypothesis may have imported it into this one."""
+        script = """
+import contextlib, io, sys
+from probsense.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["run", "--n-events", "2", "--source", "smtj"],
+                 ["run", "--n-events", "2", "--source", "digital"],
+                 ["synth", "--n-events", "2", "--out", "data"],
+                 ["run", "--dataset", "data", "--n-events", "2", "--out", "replay"]):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+        src = str(Path(probsense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        assert (tmp_path / "replay" / "report.json").exists()
+        assert out.stdout.strip() == "[]"
+
     def test_synth_then_run(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["synth", "--n-events", "3", "--out", str(data)]) == 0

@@ -367,14 +367,15 @@ class TestLfsr:
         assert np.array_equal(got_regs, regs)
         assert np.array_equal(got_regs & 1, bits)
         assert np.array_equal(got_index, index)
-        assert (got_regs.dtype, got_index.dtype) == (regs.dtype, index.dtype)
+        # every register and cycle position fits in 16 bits
+        assert (got_regs.dtype, got_index.dtype) == (np.uint16, np.uint16)
 
     def test_jump_build_matches_loop_oracle(self):
         # a fresh build, not the cached tables
         got_index, got_regs = _lfsr_cycle.__wrapped__()
         bits, index, regs = _lfsr_cycle_loop()
         for got, want in ((got_index, index), (got_regs, regs)):
-            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.dtype == np.uint16 and got.shape == want.shape
             assert np.array_equal(got, want)
         assert np.array_equal(got_regs & 1, bits)
 
