@@ -25,11 +25,9 @@ t_sync = 1.0 / SYNC_HZ
 for mult in (10.0, 1.0, 0.1):
     tau = mult * t_sync
     cfg = PNeuronConfig(tau_s=tau)
-    dt = min(tau / 10, t_sync / 50)
-    spt = max(1, int(round(t_sync / dt)))
+    # the telegraph's law is exact at any step, so one step per tick will do
     states = telegraph_tick_states(
-        0.5, t_sync / spt, cfg, steps_per_tick=spt, n_ticks=100_000,
-        rng=np.random.default_rng(2),
+        0.5, t_sync, cfg, steps_per_tick=1, n_ticks=100_000, rng=np.random.default_rng(2),
     ).astype(float)
     rho = np.corrcoef(states[:-1], states[1:])[0, 1]
     theory = np.exp(-2.0 * t_sync / tau)

@@ -28,7 +28,6 @@ from .acquisition import (
 )
 from .activation import ActivationConfig, _hold_steps, detection_latency, run_activation
 from .pbit import (
-    DT_RESOLUTION_FACTOR,
     activation_probability,
     iid_decisions,
     lfsr_from_seed,
@@ -105,23 +104,11 @@ class GridError(ValueError):
 
 
 def _check_grid(cfg: ExperimentConfig, rate_hz: float) -> None:
-    """Reject a band or upsampling factor that cannot work at ADC rate rate_hz."""
+    """Reject a band that cannot work at ADC rate rate_hz."""
     low, high = cfg.band_hz
     if not 0 <= low < high <= rate_hz / 2:
         raise GridError("band_hz", f"band {low:g}:{high:g} Hz is empty or exceeds the "
                         f"Nyquist frequency {rate_hz / 2:g} Hz of the {rate_hz:g} Hz ADC grid")
-    _check_telegraph_step(cfg, rate_hz)
-
-
-def _check_telegraph_step(cfg: ExperimentConfig, rate_hz: float) -> None:
-    """Reject an upsampling factor whose step is too coarse for the telegraph."""
-    pn = cfg.activation.pneuron
-    dt = 1.0 / (rate_hz * cfg.upsample_factor)
-    if pn.source == "smtj_telegraph" and dt > pn.tau_s / DT_RESOLUTION_FACTOR:
-        raise GridError("upsample_factor", f"factor {cfg.upsample_factor} on the {rate_hz:g} Hz "
-                        f"ADC grid gives a {dt:.3g} s step, too coarse for the telegraph "
-                        f"(needs <= tau_s / {DT_RESOLUTION_FACTOR} = "
-                        f"{pn.tau_s / DT_RESOLUTION_FACTOR:.3g} s)")
 
 
 def _survey_onsets(n_events: int, base_seed: int) -> tuple[float, ...]:
@@ -160,11 +147,18 @@ def _median(values: list[float]) -> float:
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
+def _event_digits(n_events: int) -> int:
+    """Digits of the event number in a survey's file names, at least 3: all
+    names are as long, so sorting by name sorts by event."""
+    return max(3, len(str(n_events - 1)))
+
+
 def synth_survey(
     snr_db: float, n_events: int, base_seed: int, directory: Path | str
 ) -> list[Path]:
-    """Write the synthetic survey to directory as event_NNN.csv, each event as
-    soon as it is made: the events `run_survey` synthesizes for the same seed.
+    """Write the synthetic survey to directory as event_NNN.csv (N padded to
+    `_event_digits`), each event as soon as it is made: the events
+    `run_survey` synthesizes for the same seed.
 
     A directory that already holds CSV files raises FileExistsError before
     anything is written: a replay reads every CSV there, so older events
@@ -178,9 +172,9 @@ def synth_survey(
                               f"which a replay would read with the new events; "
                               f"write to a new or empty directory")
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
+    paths, digits = [], _event_digits(n_events)
     for i, onset in enumerate(_survey_onsets(n_events, base_seed)):
-        path = directory / f"event_{i:03d}.csv"
+        path = directory / f"event_{i:0{digits}d}.csv"
         write_trace(_synth_one(snr_db, onset, base_seed + i), path)
         paths.append(path)
     return paths
@@ -252,9 +246,9 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
     The survey's ADC rate is the synthetic rate_hz, the sidecar
     dataset_rate_hz, or else the rate of the first event that loads; every
     event must share it. A sidecar rate that event 0's own time column
-    contradicts, a dataset directory with no event CSV files, or a band or
-    upsampling factor that cannot work at the survey's rate, raises
-    `GridError` before any event runs.
+    contradicts, a dataset directory with no event CSV files, or a band
+    that cannot work at the survey's rate, raises `GridError` before any
+    event runs.
     """
     if cfg.dataset is not None:
         paths = _event_paths(cfg.dataset)
@@ -290,6 +284,7 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
     out_dir = Path(cfg.output_dir) if cfg.output_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    digits = _event_digits(n)
 
     results: list[EventEval] = []
     for i in range(n):
@@ -308,8 +303,8 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
             ev, p_stream, _, recon = run_event(trace, cfg, i, onsets[i])
             results.append(ev)
             if out_dir is not None:
-                write_trace(recon, out_dir / f"recon_event_{i:03d}.csv")
-                write_csv(out_dir / f"samples_event_{i:03d}.csv", "time_s,value",
+                write_trace(recon, out_dir / f"recon_event_{i:0{digits}d}.csv")
+                write_csv(out_dir / f"samples_event_{i:0{digits}d}.csv", "time_s,value",
                           p_stream.times_s, p_stream.values)
         except Exception as exc:  # noqa: BLE001 - contained per event by contract
             results.append(EventEval(index=i, error=f"{type(exc).__name__}: {exc}"))
@@ -420,12 +415,9 @@ def sweep_vin(cfg: ExperimentConfig) -> np.ndarray:
     The drive is pinned to each voltage of the grid cfg.sweep (VIN_GRID if
     None); zero signal, AFE bypassed. The gated fraction over the grid's
     ticks on the synthetic survey's ADC grid (SYNTH_RATE_HZ) is recorded.
-    An upsampling factor too coarse for the telegraph raises `GridError`
-    before any point runs.
     Returns rows of (v_in, measured_rate, model_probability).
     """
     grid = cfg.sweep or VIN_GRID
-    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
     pn = cfg.activation.pneuron
     rows = np.empty((grid.points, 3))
     for i, v in enumerate(np.linspace(grid.lo, grid.hi, grid.points)):
@@ -463,11 +455,10 @@ def sweep_slope(cfg: ExperimentConfig) -> np.ndarray:
     segment and no turning point, so no slope aliases on the step grid. The
     amplitude override is disabled (no finite sample reaches its threshold)
     so the probabilistic path is isolated. A grid bound that is negative or
-    above `max_ramp_slope`, an upsampling factor too coarse for the
-    telegraph, or a slope gain whose drive on the grid's steepest ramp
-    reaches half the largest float64 (the headroom `max_ramp_slope` keeps)
-    raises `GridError` before any point runs. Returns rows of
-    (slope_v_per_s, measured_rate, model_probability).
+    above `max_ramp_slope`, or a slope gain whose drive on the grid's
+    steepest ramp reaches half the largest float64 (the headroom
+    `max_ramp_slope` keeps), raises `GridError` before any point runs.
+    Returns rows of (slope_v_per_s, measured_rate, model_probability).
     """
     grid = cfg.sweep or SLOPE_GRID
     s_max = max_ramp_slope(grid.ticks)
@@ -478,7 +469,6 @@ def sweep_slope(cfg: ExperimentConfig) -> np.ndarray:
             raise GridError(f"sweep.{name}", f"slope {s:g} V/s exceeds the maximum {s_max:g} "
                             f"V/s for a ramp of {grid.ticks} ticks, whose samples and slope "
                             f"must stay finite")
-    _check_telegraph_step(cfg, SYNTH_RATE_HZ)
     slopes = np.linspace(grid.lo, grid.hi, grid.points)
     gain = cfg.activation.afe.slope_gain
     # in Python floats, so a small gain gives inf here without a warning

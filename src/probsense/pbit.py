@@ -24,25 +24,11 @@ LFSR_TAP_MASK = 0xA011
 LFSR_PERIOD = 65535
 LFSR_WORD_BITS = 16
 
-# Saturation clamp for telegraph dwell computation: keeps dwell times finite
-# when the drive pins the activation at 0 or 1.
-P_CLAMP = 1e-6
-
-# Discretized dwell statistics are trusted only when a mean dwell spans at
-# least this many steps.
-DT_RESOLUTION_FACTOR = 10
-
-# Steps of whole ADC segments whose uniforms `telegraph_run` draws per pass,
-# into one float64 u buffer (256 KiB) that stays in cache; the flip
-# probabilities take one value per segment of the pass. 1 << 16 measured
-# slower on the survey.
+# Steps of whole ADC segments whose uniforms the telegraph draws per pass,
+# into one float64 u buffer (256 KiB) that stays in cache; its transition
+# probabilities take one value per segment of the pass, and only the pass's
+# flip positions outlive it. 1 << 16 measured slower on the survey.
 TELEGRAPH_BLOCK = 1 << 15
-
-# Steps whose flips `telegraph_run` composes per pass, TELEGRAPH_CHUNK //
-# TELEGRAPH_BLOCK whole blocks, so its working arrays stay this long on any
-# drive; a default survey event (about 100 k steps) still composes in one
-# pass. Composing per block measured slower on the survey.
-TELEGRAPH_CHUNK = 1 << 17
 
 DEFAULT_BETA = 10.0
 DEFAULT_MIN_RATE = 0.04
@@ -230,39 +216,78 @@ def iid_decisions(p, s: LfsrState) -> tuple[np.ndarray, LfsrState]:
 # Spintronic entropy source: two-state random telegraph with retention time
 # --------------------------------------------------------------------------
 
-def _flip_probs(p: float, tau_s: float, dt_s: float) -> tuple[float, float]:
-    """Per-step flip probabilities (q_off_to_on, q_on_to_off) at drive p.
+def _check_dt(dt_s: float) -> None:
+    """Raise ValueError unless 0 < dt_s < inf."""
+    if not 0 < dt_s < np.inf:
+        raise ValueError(f"dt_s must be positive and finite, got {dt_s}")
 
-    Dwell means are tau_on = 2*tau*p and tau_off = 2*tau*(1-p), so the
-    stationary ON fraction is exactly p and the mean dwell at p=0.5 is tau.
-    Probabilities saturate at 1 (dwell floor of one step).
+
+def _telegraph(p: np.ndarray, dt_s: float, tau_s: float, rng: np.random.Generator,
+               factor: int) -> np.ndarray:
+    """The exact law of the continuous-time telegraph, sampled every dt_s.
+
+    The run has (len(p) - 1) * factor + 1 steps: step 0 sees p[0] and step
+    s >= 1 sees p[(s - 1) // factor + 1], one ADC segment of factor steps
+    per later entry. The ON and OFF dwells are exponential with means
+    2 tau p and 2 tau (1 - p), so over a step the chain forgets its state
+    with probability 1 - lam, lam = exp(-dt / (2 tau p (1 - p))), and is
+    then ON with probability p: P(ON | OFF) = a = p (1 - lam) and
+    P(ON | ON) = b = a + lam. The state at step 0 is one Bernoulli(p[0])
+    draw; each later step takes one uniform u and sets the state to 1 when
+    u < a, to 0 when u >= b, and holds it otherwise. At p in {0, 1} lam is
+    0, so the state is exactly p. The law is exact at any dt_s > 0, so
+    neither the ON fraction nor the dwell means depend on the step.
+
+    Since b - a = lam >= 0, no step inverts the state: the states are a
+    forward fill of the constant steps (u < a or u >= b), and a flip is a
+    constant step whose value differs from the previous constant step's
+    (or from the start state). Steps 1 onwards run in blocks of whole
+    segments, TELEGRAPH_BLOCK // factor of them (at least one): a and b are
+    computed once per segment and compared with a (segments, factor) view
+    of the block's uniforms, drawn into one buffer. The generator's float64
+    stream does not depend on how it is split into calls, so this is the
+    same stream as one rng.random(n - 1). Each block keeps only its flip
+    positions, so the working arrays are as long as a block and the
+    returned uint8 states are the only array as long as the run.
     """
-    pc = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
-    q01 = dt_s / ((1.0 - pc) * (2.0 * tau_s))
-    q10 = dt_s / (pc * (2.0 * tau_s))
-    return min(q01, 1.0), min(q10, 1.0)
-
-
-def _drop_repeated_constants(flip0: np.ndarray, flip1: np.ndarray) -> None:
-    """In place: clear the flag of each constant step whose predecessor is
-    the same constant step, making it an identity step.
-
-    A const 1 step has flip0 > flip1 and a const 0 step flip1 > flip0. The
-    flip0 pass clears only steps whose flip1 is 0, so the flip1 pass sees
-    the const 0 steps of the original flags. Temporaries are as long as the
-    block, not the drive.
-    """
-    for own, other in ((flip0, flip1), (flip1, flip0)):
-        const = np.greater(own, other)
-        own[1:] ^= const[1:] & const[:-1]
-
-
-def _check_dt(dt_s: float, cfg: PNeuronConfig) -> None:
-    """Raise ValueError unless 0 < dt_s <= tau_s / DT_RESOLUTION_FACTOR."""
-    if not dt_s > 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-    if dt_s > cfg.tau_s / DT_RESOLUTION_FACTOR:
-        raise ValueError(f"dt too coarse: {dt_s:.3g} s cannot resolve tau_s = {cfg.tau_s:.3g} s")
+    n = (p.size - 1) * factor + 1
+    state = s0 = 1 if rng.random() < p[0] else 0
+    segs = max(1, TELEGRAPH_BLOCK // factor)
+    size = min(n - 1, segs * factor)
+    u_buf, on_buf, const_buf = np.empty(size), np.empty(size, bool), np.empty(size, bool)
+    parts = [np.empty(0, np.intp)]
+    rate = dt_s / tau_s / 2.0  # dt / (2 tau), without 2 tau, which overflows past 9e307
+    for j in range(1, p.size, segs):
+        m = min(segs, p.size - j)
+        k = m * factor
+        u = rng.random(k, out=u_buf[:k]).reshape(m, factor)
+        seg_p = p[j:j + m]
+        # lam, then a = p (1 - lam) and b = a + lam, one value per segment; a
+        # saturated p divides by 0 (or overflows), and exp(-inf) is 0
+        lam = np.subtract(1.0, seg_p)
+        lam *= seg_p
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(-rate, lam, out=lam)
+        np.exp(lam, out=lam)
+        a = np.subtract(1.0, lam)
+        a *= seg_p
+        lam += a
+        on = np.less(u, a[:, None], out=on_buf[:k].reshape(m, factor)).ravel()
+        const = np.greater_equal(u, lam[:, None], out=const_buf[:k].reshape(m, factor)).ravel()
+        const |= on
+        steps = np.flatnonzero(const)  # the constant steps, in order
+        if steps.size:
+            value = on[steps]
+            changed = np.empty(steps.size, dtype=bool)
+            changed[0] = value[0] != state
+            np.not_equal(value[1:], value[:-1], out=changed[1:])
+            flips = steps[changed]
+            flips += (j - 1) * factor + 1  # the block's first step
+            parts.append(flips)
+            state = int(value[-1])
+    flips = np.concatenate(parts)
+    runs = np.diff(flips, prepend=0, append=n)
+    return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
 
 
 def telegraph_run(
@@ -270,122 +295,23 @@ def telegraph_run(
 ) -> np.ndarray:
     """Evolve the telegraph over a drive held for `factor` steps per entry of p.
 
-    The run has (len(p) - 1) * factor + 1 steps: step 0 sees p[0] and step
-    s >= 1 sees p[(s - 1) // factor + 1], so each later entry is one ADC
-    segment of factor steps. Returns the state after each step (uint8). The
-    generator gives one draw for the start state, from p[0], then one
-    uniform u per step; a step flips the state when u < q01 (from OFF) or
-    u < q10 (from ON). Saturated drives are accepted, so only dt_s <= tau_s
-    / 10 is needed. Once q01 >= 1 (p >= 1 - dt / (2 tau)), though, an OFF
-    dwell lasts one step, so the ON fraction caps at 2 tau p / (2 tau p +
-    dt), about 0.990 at dt = tau / 50, however close to 1 p is.
+    Returns the state after each of the (len(p) - 1) * factor + 1 steps
+    (uint8): step 0 sees p[0] and step s >= 1 sees p[(s - 1) // factor + 1],
+    so each later entry is one ADC segment of factor steps. The generator
+    gives one draw for the start state, from p[0], then one uniform per
+    step; see `_telegraph` for the law. Any dt_s > 0 is exact.
 
-    Step 0 is folded into the start state (its flip is applied with the
-    second draw). With flip0 = u < q01 and flip1 = u < q10 each other step
-    applies one of four maps to the state: identity (neither), NOT (both),
-    const 1 (flip0 only) or const 0 (flip1 only). Their composition needs
-    no loop: every NOT step flips the state, and a constant step flips it
-    when the state entering it (the previous constant XOR the parity of NOT
-    steps since) differs from its constant. The non-identity steps are
-    taken once, in step order, so the NOT parity is one cumsum over them
-    and the flips are marked in place among them: the flip list comes out
-    sorted, with no search or sort. The flip probabilities are not capped
-    at 1: u < 1, so a cap changes no comparison.
-
-    Steps 1 onwards run in chunks of TELEGRAPH_CHUNK // TELEGRAPH_BLOCK
-    blocks, and each block holds whole segments, TELEGRAPH_BLOCK // factor
-    of them (at least one): the flip probabilities are computed once per
-    segment and compared with a (segments, factor) view of the block's
-    uniforms, writing straight into the chunk's flip0 and flip1. The
-    generator's float64 stream does not depend on how it is split into
-    calls, so this is the same stream as one rng.random(n). Each chunk is
-    composed from the state the previous one left, and only the sorted flip
-    positions are kept across chunks: the working arrays are as long as a
-    chunk and are released at its end, before the next chunk or the final
-    run-length expansion allocates, and the returned states are the only
-    array as long as the drive.
-
-    A saturated drive (p >= 0.99 or p <= 0.01 at dt = tau / 50) makes q01 or
-    q10 at least 1, so every step is a non-identity step. A constant step
-    that directly follows a constant step with the same flags enters the
-    state its predecessor set and leaves it there: it never flips, and its
-    h equals its predecessor's (no NOT step lies between them), so turning
-    it into an identity step before the non-identity steps are listed
-    changes no flip. Every step so dropped keeps the trajectory, so any set
-    of them can be dropped. Blocks where flip0 or flip1 is set on more than
-    half the steps are pruned this way (see `_drop_repeated_constants`),
-    and their list shrinks to about twice their NOT steps, which saves the
-    compose its time on a saturated drive; the two counts allocate nothing,
-    and a block below that share allocates nothing more for it.
-
-    An empty p, an entry outside [0, 1] (or NaN) or a factor that is not a
-    positive integer raises ValueError before the generator is used.
+    An empty p, an entry outside [0, 1] (or NaN), a dt_s that is not
+    positive and finite, or a factor that is not a positive integer raises
+    ValueError before the generator is used.
     """
-    _check_dt(dt_s, cfg)
+    _check_dt(dt_s)
     factor = _step_count("factor", factor)
     p = np.asarray(p, dtype=np.float64)
     _check_probabilities(p)
     if p.size == 0:
         raise ValueError("p is empty: no drive to draw the start state from")
-    n = (p.size - 1) * factor + 1
-    s0 = 1 if rng.random() < p[0] else 0
-    if rng.random() < _flip_probs(p[0], cfg.tau_s, dt_s)[s0]:
-        s0 ^= 1
-    segs = max(1, TELEGRAPH_BLOCK // factor)
-    chunk_segs = segs * (TELEGRAPH_CHUNK // TELEGRAPH_BLOCK)
-    two_tau = 2.0 * cfg.tau_s
-    state, parts = s0, []
-    for c in range(1, p.size, chunk_segs):
-        c_end = min(c + chunk_segs, p.size)
-        size = (c_end - c) * factor
-        flip0 = np.empty(size, dtype=bool)
-        flip1 = np.empty(size, dtype=bool)
-        u_buf = np.empty(min(size, segs * factor))
-        q_buf = np.empty(min(c_end - c, segs))
-        for j in range(c, c_end, segs):
-            m = min(segs, c_end - j)
-            lo, hi = (j - c) * factor, (j - c + m) * factor
-            u = rng.random(hi - lo, out=u_buf[:hi - lo]).reshape(m, factor)
-            seg_p = p[j:j + m]
-            # q01 = dt / ((1 - p) * 2 tau), then q10 = dt / (p * 2 tau), with p
-            # clipped to [P_CLAMP, 1 - P_CLAMP], each computed in turn in q.
-            q = np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q_buf[:m])
-            np.subtract(1.0, q, out=q)
-            q *= two_tau
-            np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip0[lo:hi].reshape(m, factor))
-            np.clip(seg_p, P_CLAMP, 1.0 - P_CLAMP, out=q)
-            q *= two_tau
-            np.less(u, np.divide(dt_s, q, out=q)[:, None], out=flip1[lo:hi].reshape(m, factor))
-            half = (hi - lo) // 2
-            if np.count_nonzero(flip0[lo:hi]) > half or np.count_nonzero(flip1[lo:hi]) > half:
-                _drop_repeated_constants(flip0[lo:hi], flip1[lo:hi])
-        del u, q, u_buf, q_buf  # the views u and q pin the buffers too
-        active = np.flatnonzero(flip0 | flip1)  # the non-identity steps, in order
-        value = flip0[active]  # a constant step's value
-        flipped = flip1[active]
-        del flip0, flip1
-        flipped &= value  # the NOT steps, each a flip; constant steps are marked below
-        # h: each constant step's value XOR the parity of NOT steps up to it
-        # (only the low bit of the uint8 cumsum is read); a constant step
-        # flips the state exactly when h differs from the last constant
-        # step's h, or from the state entering the chunk.
-        h = np.cumsum(flipped, dtype=np.uint8)
-        h ^= value
-        h &= 1
-        consts = np.flatnonzero(~flipped)
-        h = h[consts]
-        changed = np.empty(h.size, dtype=bool)
-        changed[:1] = h[:1] != state
-        np.not_equal(h[1:], h[:-1], out=changed[1:])
-        flipped[consts[changed]] = True
-        flips = active[flipped]
-        flips += (c - 1) * factor + 1  # the chunk's first step
-        state ^= flips.size & 1
-        parts.append(flips)
-        del active, value, flipped, h, consts, changed
-    flips = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.intp), *parts])
-    runs = np.diff(flips, prepend=0, append=n)
-    return np.repeat(((np.arange(flips.size + 1) & 1) ^ s0).astype(np.uint8), runs)
+    return _telegraph(p, dt_s, cfg.tau_s, rng, factor)
 
 
 def telegraph_tick_states(
@@ -396,54 +322,24 @@ def telegraph_tick_states(
     n_ticks: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Telegraph state read at every steps_per_tick-th step, constant drive.
+    """Telegraph state read at every steps_per_tick-th step, constant drive p.
 
-    Dwell-sampled: run lengths are drawn geometrically instead of stepping,
-    which is distribution-identical to `telegraph_run` at constant p and
-    O(number of dwells). Used for long constant-drive characterization runs.
-
-    p must lie in [0, 1] (NaN raises ValueError) and is clamped to
-    [P_CLAMP, 1 - P_CLAMP], as `telegraph_run` clamps its drive, so p = 0
-    gives the same states as p = P_CLAMP. A flip probability saturates at
-    1, a dwell of one step, so the ON fraction saturates too: near 0.01 and
-    0.99 at dt = tau / 50, whatever p is beyond them. dt_s is checked as
-    `telegraph_run` checks it, steps_per_tick must be a positive integer and
-    n_ticks a non-negative one.
-
-    Each drawn dwell is cut at the run's step count: a dwell that outlasts
-    the run ends after every tick either way, and at tau >> dt the
-    generator returns dwells near 2**63 whose sum would wrap.
+    The chain's law is exact at any step, so the states at the ticks are
+    the run at step dt_s * steps_per_tick: `telegraph_run` on n_ticks
+    entries of p gives the same states from the same generator. p must lie
+    in [0, 1] (NaN raises ValueError), dt_s must be positive and finite,
+    steps_per_tick a positive integer and n_ticks a non-negative one.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    _check_dt(dt_s, cfg)
+    _check_dt(dt_s)
     steps_per_tick = _step_count("steps_per_tick", steps_per_tick)
     if not isinstance(n_ticks, (int, np.integer)) or n_ticks < 0:
         raise ValueError(f"n_ticks must be a non-negative integer, got {n_ticks}")
-    p = min(max(p, P_CLAMP), 1.0 - P_CLAMP)
-    q01, q10 = _flip_probs(p, cfg.tau_s, dt_s)
-    s0 = 1 if rng.random() < p else 0
-    total = n_ticks * steps_per_tick + 1
-    q_even = q10 if s0 else q01  # dwells at even index are spent in state s0
-    q_odd = q01 if s0 else q10
-    chunks = []
-    acc = 0
-    # A pair of dwells spans 1/q_even + 1/q_odd steps on average: the pairs
-    # expected to cover the run, padded; the loop tops up in the rare shortfall
-    est = max(64, int(1.2 * total / (1.0 / q_even + 1.0 / q_odd)) + 64)
-    while acc < total:
-        m = min(est, 1 << 20)
-        pair = np.empty(2 * m, dtype=np.int64)
-        pair[0::2] = rng.geometric(q_even, size=m)
-        pair[1::2] = rng.geometric(q_odd, size=m)
-        np.minimum(pair, total, out=pair)
-        chunks.append(pair)
-        acc += int(pair.sum())
-    dwell = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    boundaries = np.cumsum(dwell)
-    ticks = np.arange(n_ticks, dtype=np.int64) * steps_per_tick
-    k = np.searchsorted(boundaries, ticks, side="right")
-    return ((s0 + k) % 2).astype(np.uint8)
+    if n_ticks == 0:
+        return np.empty(0, dtype=np.uint8)
+    return _telegraph(np.broadcast_to(np.float64(p), n_ticks), dt_s * steps_per_tick,
+                      cfg.tau_s, rng, 1)
 
 
 def estimate_retention(bits, dt_s: float) -> float:

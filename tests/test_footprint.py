@@ -48,7 +48,13 @@ releases each chunk's scratch (its uniform and flip-probability buffers,
 which views had kept alive, and its compose arrays) at the chunk's end, it
 peaks at 0.67 arrays on a default survey event (1.01 before). The LFSR
 cycle tables are uint16, so building them peaks at about 450 KiB (1349 KiB
-with uint32 registers, an int64 index and their temporaries).
+with uint32 registers, an int64 index and their temporaries). Since the
+telegraph samples its exact law per step, a forward fill of the constant
+steps with one level of blocks and no chunk or pruning, `telegraph_run`
+peaks at 0.60 arrays on a default survey event (0.67 before) and at
+0.31-0.36 on the 500 k-step drives (0.21-0.22; a block's constant steps
+are listed unpruned), and holds 1.18 MiB beyond its states on the 2 M-step
+drive (0.95).
 """
 
 import tracemalloc
@@ -62,7 +68,7 @@ from probsense.harness import (
     ExperimentConfig, SweepGrid, _survey_onsets, _synth_one, sweep_slope,
 )
 from probsense.pbit import (
-    TELEGRAPH_CHUNK, PNeuronConfig, _lfsr_cycle, activation_probability, telegraph_run,
+    TELEGRAPH_BLOCK, PNeuronConfig, _lfsr_cycle, activation_probability, telegraph_run,
 )
 from probsense.traces import synth_event, upsample
 
@@ -115,13 +121,13 @@ def test_telegraph_run(drive):
 
 def test_telegraph_run_survey_event():
     """One default survey event, p per ADC segment at the survey's factor:
-    its one chunk's scratch is gone before the states are expanded."""
+    a few blocks, whose scratch is one block long."""
     cfg = ExperimentConfig()
     event = _synth_one(cfg.snr_db, _survey_onsets(1, cfg.base_seed)[0], cfg.base_seed)
     pn = PNeuronConfig()
     p = activation_probability(AfeConfig().slope_gain * extract_features(event), pn)
     n = (p.size - 1) * FACTOR + 1
-    assert n < TELEGRAPH_CHUNK
+    assert n > 3 * TELEGRAPH_BLOCK
     dt = 1.0 / (event.rate_hz * FACTOR)
     peak = _peak_arrays(lambda: telegraph_run(p, dt, pn, np.random.default_rng(3),
                                               factor=FACTOR), n)
@@ -136,13 +142,13 @@ def test_lfsr_cycle_build():
 
 def test_telegraph_run_working_memory():
     """A 2 M-step survey-like drive, p per ADC segment at the survey's factor:
-    beyond its uint8 states the run holds one chunk's arrays and the flip
+    beyond its uint8 states the run holds one block's arrays and the flip
     positions, not arrays as long as the drive."""
     event = synth_event(20.0, 2000.0, 50.0, 10.0, 1.0, 0.004, seed=7)
     cfg = PNeuronConfig()
     p = activation_probability(AfeConfig().slope_gain * extract_features(event), cfg)
     n = (p.size - 1) * FACTOR + 1
-    assert n > 15 * TELEGRAPH_CHUNK
+    assert n > 60 * TELEGRAPH_BLOCK
     surplus = _peak_arrays(lambda: telegraph_run(p, 1e-5, cfg, np.random.default_rng(3),
                                                  factor=FACTOR), n) * 8 * n - n
     assert surplus < 2 * 2**20, f"{surplus / 2**20:.2f} MiB"

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -128,6 +129,30 @@ class TestSynthSurvey:
         with pytest.raises(FileExistsError, match="3 CSV file"):
             synth_survey(SNR_DB, 2, base_seed=7, directory=tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_thousand_events_replay_in_order(self, tmp_path, monkeypatch):
+        # with 1001 events the names are padded to 4 digits, so event_1000.csv
+        # sorts last, not between event_100 and event_101, and a replay runs
+        # every file as its own index; each short event is constant at its
+        # seed, the override samples it whole, and its samples file shows
+        # which event ran under its name
+        import probsense.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "_synth_one",
+                            lambda snr_db, onset_s, seed: Trace(np.full(8, float(seed)), 2000.0))
+        n, base = 1001, 3
+        paths = synth_survey(SNR_DB, n, base_seed=base, directory=tmp_path / "data")
+        assert [p.name for p in paths] == [f"event_{i:04d}.csv" for i in range(n)]
+        out = tmp_path / "out"
+        rep = run_survey(ExperimentConfig(dataset=tmp_path / "data", n_events=n,
+                                          base_seed=base, output_dir=out))
+        assert rep.n_failed == 0
+        samples = sorted(out.glob("samples_event_*.csv"))
+        assert [p.name for p in samples] == [f"samples_event_{i:04d}.csv" for i in range(n)]
+        assert len(list(out.glob("recon_event_*.csv"))) == n
+        for i, path in enumerate(samples):
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+            assert np.all(values == base + i), path.name
 
     def test_accepts_a_directory_without_csv_files(self, tmp_path):
         (tmp_path / "notes.txt").write_text("survey notes\n")
@@ -256,15 +281,15 @@ class TestRunSurvey:
     def test_grid_checked_before_any_event(self, tmp_path, monkeypatch):
         import probsense.harness as harness_mod
 
-        # the digital source has no dwell time to resolve, so upsample 1 works
+        # no factor is too coarse: the telegraph's law is exact at any step
         coarse = ExperimentConfig(upsample_factor=1, n_events=1)
         pn = replace(coarse.activation.pneuron, source="digital_iid")
         digital = replace(coarse, activation=replace(coarse.activation, pneuron=pn))
+        assert run_survey(coarse).n_failed == 0
         assert run_survey(digital).n_failed == 0
         calls = []
         monkeypatch.setattr(harness_mod, "run_event", lambda *a: calls.append(a))
         for cfg, field, match in ((ExperimentConfig(band_hz=(0.0, 2000.0)), "band_hz", "Nyquist"),
-                                  (coarse, "upsample_factor", "too coarse"),
                                   (ExperimentConfig(dataset=tmp_path / "missing"), "dataset",
                                    "no event CSV files"),
                                   (ExperimentConfig(dataset=tmp_path), "dataset",
@@ -430,16 +455,28 @@ class TestSweeps:
         v_rows = _sweep_at(sweep_vin, cfg, gain * slopes, 4000)
         assert np.max(np.abs(s_rows[:, 1] - v_rows[:, 1])) < 0.03
 
-    def test_slope_saturates(self):
+    def test_slope_saturates(self, monkeypatch):
         # no slope cap: any slope whose ramp is finite runs, and p = 1 once
         # the drive is far above v_ref
+        import probsense.harness as harness_mod
+
+        overrides = []
+
+        def spy(*args, **kwargs):
+            act = run_activation(*args, **kwargs)
+            overrides.append(int(act.det_override.sum()))
+            return act
+
+        monkeypatch.setattr(harness_mod, "run_activation", spy)
         steep = [50_000.0, 1e300, max_ramp_slope(2000)]
         rows = _sweep_at(sweep_slope, ExperimentConfig(), [2000.0, 5000.0, *steep], 2000)
         assert np.all(rows[:, 1] > 0.97)
         assert np.all(rows[2:, 2] == 1.0)
-        # the override stays off however large the ramp grows: the telegraph's
-        # ON fraction caps near 0.99, where the override would gate every tick
-        assert np.all(rows[:, 1] < 1.0)
+        # at p = 1 the p-neuron is ON at every tick after tick 0, which sees
+        # the ramp's first sample (slope 0, p = X); the override stays off
+        # however large the ramp grows
+        assert np.all(rows[2:, 1] >= 1.0 - 1 / 2000)
+        assert overrides == [0] * len(rows)
 
     @pytest.mark.parametrize("slope, ticks", [
         (0.0, 1000), (150.0, 1000), (306.6, 1000), (5000.0, 1000), (1e300, 1000),
@@ -491,13 +528,10 @@ class TestSweeps:
                                                           f"maximum {s_max:g} V/s")) as exc:
                 sweep_slope(replace(cfg, sweep=grid))
             assert exc.value.field == field
-        # a negative slope, and a factor too coarse for the telegraph, fail
-        # before any point too
+        # a negative slope fails before any point too
         with pytest.raises(GridError, match="must be >= 0") as exc:
             sweep_slope(replace(cfg, sweep=SweepGrid(0.0, -5.0, 2, 1000)))
         assert exc.value.field == "sweep.hi"
-        with pytest.raises(GridError, match="too coarse for the telegraph"):
-            sweep_slope(replace(cfg, upsample_factor=1, sweep=SweepGrid(0.0, 500.0, 2, 1000)))
         assert calls == []
 
     def test_slope_gain_overflow_rejected_before_any_point(self, monkeypatch):
@@ -527,15 +561,14 @@ class TestSweeps:
 
     def test_sweeps_match_oracle_kernels(self, monkeypatch):
         # every row, bit for bit, as computed with the reference kernels: the
-        # sort-based telegraph and 16-bit-gather words
-        import probsense.activation as activation_mod
+        # telegraph's scalar loop and 16-bit-gather words
         import probsense.pbit as pbit_mod
-        from test_pbit import _lfsr_word_uniforms_gather, _telegraph_run_three_arrays
+        from test_pbit import _lfsr_word_uniforms_gather, _telegraph_loop
 
         smtj = ExperimentConfig()
         digital = replace(smtj, activation=replace(
             smtj.activation, pneuron=PNeuronConfig(source="digital_iid")))
-        # 306.6 V/s drives p to 0.98: q01 = 0.5, so half the steps are not identity
+        # 306.6 V/s drives p to 0.98; 5000 V/s saturates it
         slopes = [0.0, 150.0, 306.6, 500.0, 5000.0]
         v_grid = SweepGrid(-0.1, 0.8, 4, 1000)
 
@@ -546,7 +579,8 @@ class TestSweeps:
 
         got = rows()
         assert got[0][2, 2] == pytest.approx(0.98, abs=0.002)
-        monkeypatch.setattr(activation_mod, "telegraph_run", _telegraph_run_three_arrays)
+        # both telegraph entry points call `pbit._telegraph`
+        monkeypatch.setattr(pbit_mod, "_telegraph", _telegraph_loop)
         monkeypatch.setattr(pbit_mod, "lfsr_word_uniforms", _lfsr_word_uniforms_gather)
         for a, b in zip(got, rows()):
             assert a.tobytes() == b.tobytes()
@@ -691,10 +725,12 @@ class TestConfigFile:
 # (The CSV digests were 0a00f0ee...d90465c5 and 215fb838...1d33f29a while each
 # event also wrote a rate_event_NNN.csv. With a 1 ms AFE moving average the
 # smtj digests were b86b014d...4424647f and dd0c886e...ff6b6428, the digital
-# ones c9ebbb0e...776e414e and cb46900e...14f20f00.)
+# ones c9ebbb0e...776e414e and cb46900e...14f20f00. The smtj digests were
+# da0c9a31...5781d7f8e and c255c0ba...353fd59ae while the telegraph flipped
+# with probability dt / dwell per step, before its exact law.)
 GOLDEN_RUN = {
-    "smtj": ("da0c9a3153365afd7fbf20e23a2ed77105c61157919d10574e576215781d7f8e",
-             "c255c0babdda83f1caaa3bb048619330655a233ef917d04b9b9b33a353fd59ae"),
+    "smtj": ("21785ce8f0d4a06d8bd63f2f19067eeeac50e66375b175833dc0dc335264dee7",
+             "1a5cc35752d6a398ab56e093bd578b2b68c996a1ddea2c3b01f89d992821e34e"),
     "digital": ("d8b0a9a08b6df6d3bace172d59762c40a6184c008e133fd2751e5f1e76c0f8dc",
                 "15212b514671fe7e1e76ceeac328a76919c6b03afcab743a0bfc2f93d0868051"),
 }
@@ -720,27 +756,31 @@ def test_default_run_outputs_are_golden(source, tmp_path, capsys):
 GOLDEN_OUTPUTS = {
     "sweep-vin --source digital":
         "0c4ca01b357c02e105b1440d47d61270d5211245d34141d668542e71446b1ed8",
-    # telegraph_tick_states sizes its dwell draw by the mean pair length
-    # (was dff3389f...d1bbf16, when it drew about 15 times more pairs)
+    # the telegraph's exact law at tick spacing (was 96bf109a...e1c743ff with
+    # geometric dwells of dt / dwell steps, and dff3389f...d1bbf16 when those
+    # drew about 15 times more pairs)
     "sweep-vin --source smtj":
-        "96bf109a24578d21378085820311c7cbf59bda47e8de8de60c3be1dcb0c743ff",
+        "5f3bb91c6ce3506b8c9416c2f527b04aa8983e1c460da07fced4859f4eb8ae37",
     # (were e703966e...6606976c and abe4c45d...a339d85a with a 1 ms AFE
     # moving average)
     "sweep-slope --source digital":
         "a12ba8f8980b58bdb9f92cc402efeceb8b7cd9026368d3880dcbb8f1e062a690",
     # a ramp on the ADC grid, run at the survey's factor: the telegraph sees
     # no turning step of the 100 kHz triangle wave it ran on before, and the
-    # 150 V/s point reads 0.5729 (was 2cb2023a...aab27bee, reading 0.5693)
+    # 150 V/s point reads 0.5729 (was 2cb2023a...aab27bee, reading 0.5693).
+    # With the telegraph's exact law the high points read p, not about 0.99,
+    # and 150 V/s reads 0.5626 (was c0749f20...df8df0ad)
     "sweep-slope --source smtj":
-        "c0749f209b428d8cb94df3fa966841df8df0ad698b8be52d1a54732e59c047f6",
+        "630ba2a15a78d33752a1f3d219bdf6b75d3831d7d2e4006d94d771186f9d90bb",
     "synth": "ac60a31589d666d176fb79e305a530cea67f3abbc3e555c4f03dcd90e46c75a3",
     # a factor other than the default: the p-neuron's drive is held over 30
     # steps per ADC sample, and the 10 ms hold is 600 steps. (Were
     # a88a8a44...1000fcb8 and 026d2ffb...4ffe3276 while the AFE window was
     # 100 steps and the hold 1000 steps at any factor, then fd992563...22c5ffd5
-    # and 50ab13ca...d51d9bb9 while the window was 1 ms, 30 steps.)
+    # and 50ab13ca...d51d9bb9 while the window was 1 ms, 30 steps. The smtj
+    # digest was eb0a697f...35028074 before the telegraph's exact law.)
     "run --source smtj --upsample 30":
-        "eb0a697f1cc41b38bd4b097a8d63c53cb04a77d213f1e11b20ac015335028074",
+        "01ccaf3a9f168c98e2b5905b614f9d804a5f61e794a77514063f0ffaf47fdafb",
     "run --source digital --upsample 30":
         "586b2781d7c107072a6ff0e7d3deb7c3f967dc3939e95970ef2decaa286bbc38",
 }
@@ -968,10 +1008,9 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 
     @pytest.mark.parametrize("flags, flag", [
         (["--band", "0:2000"], "--band"),
-        (["--upsample", "1", "--source", "smtj"], "--upsample"),
         (["--dataset", "{tmp}/missing"], "--dataset"),
         (["--dataset", "{tmp}/empty"], "--dataset"),
-    ], ids=["band", "upsample", "missing-dataset", "empty-dataset"])
+    ], ids=["band", "missing-dataset", "empty-dataset"])
     def test_grid_error_is_one_line_before_any_event(self, flags, flag, tmp_path, monkeypatch,
                                                      capsys):
         import probsense.harness as harness_mod
@@ -989,23 +1028,20 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
         assert cap.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["sweep-vin", "sweep-slope"])
-    def test_sweep_coarse_step_is_one_line_before_any_point(self, command, tmp_path,
-                                                            monkeypatch, capsys):
-        import probsense.harness as harness_mod
-
-        calls = []
-        for name in ("run_activation", "telegraph_tick_states"):
-            monkeypatch.setattr(harness_mod, name, lambda *a: calls.append(a))
-        out = tmp_path / "sw"
-        code = main([command, "--source", "smtj", "--upsample", "1", "--points", "2",
-                     "--ticks", "1000", "--out", str(out)])
-        assert code == 2
-        assert calls == [] and not out.exists()
-        cap = capsys.readouterr()
-        err = cap.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: --upsample:")
-        assert cap.out == ""
+    @pytest.mark.parametrize("command", [
+        ["run", "--n-events", "2"],
+        ["sweep-vin", "--points", "2", "--ticks", "1000"],
+        ["sweep-slope", "--points", "2", "--ticks", "1000"],
+    ], ids=["run", "sweep-vin", "sweep-slope"])
+    def test_smtj_runs_at_upsample_1(self, command, tmp_path, capsys):
+        # the telegraph's law is exact at any step, so no factor is too
+        # coarse for it (each command used to exit 2 here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*command, "--source", "smtj", "--upsample", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("source", ["smtj", "digital"])
     def test_sweep_slope_gain_overflow_is_one_line_before_any_point(self, source, tmp_path,
