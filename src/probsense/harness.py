@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -180,9 +181,18 @@ def synth_survey(
     return paths
 
 
+def _name_order(path: Path) -> tuple[list[str | int], str]:
+    """Sort key of a file name with each run of digits read as a number, so
+    event_9.csv comes before event_10.csv; names that read the same
+    (event_9, event_09) fall back to plain name order."""
+    parts: list[str | int] = re.split(r"(\d+)", path.name)
+    parts[1::2] = [int(d) for d in parts[1::2]]
+    return parts, path.name
+
+
 def _event_paths(directory: Path | str) -> list[Path]:
-    """The event CSV files of a survey directory, sorted by name."""
-    paths = sorted(Path(directory).glob("*.csv"))
+    """The event CSV files of a survey directory, in `_name_order`."""
+    paths = sorted(Path(directory).glob("*.csv"), key=_name_order)
     if not paths:
         raise GridError("dataset", f"no event CSV files in {directory}")
     return paths
@@ -486,6 +496,7 @@ def sweep_slope(cfg: ExperimentConfig) -> np.ndarray:
         act = run_activation(Trace._adopt(t * s, SYNTH_RATE_HZ), act_cfg, factor,
                              cfg.base_seed + i, factor=factor)
         measured = float(np.mean(act.gate[act.sync_ticks]))
+        del act  # one point's trace at a time: the next point's run starts without it
         model = activation_probability(act_cfg.afe.slope_gain * float(s), act_cfg.pneuron)
         rows[i] = (s, measured, model)
     return rows

@@ -1,60 +1,30 @@
 """Traced memory peaks of the high-rate kernels, in float64 arrays of the drive's length.
 
 Each kernel allocates little more than the arrays it returns: every fresh
-multi-MB temporary on a long drive costs page faults. The bounds are the
-measured peaks plus about half an array. The earlier forms of these kernels
-(repeat/tile `upsample`, np.diff/concatenate features, the % triangle wave
-and a `run_activation` with the logistic at every step and a
-maximum.accumulate override latch) peaked at 8, 4, 4 and 7.4 arrays. Since
-`Trace` keeps the package's fresh outputs without a copy and the digital
-source computes its drive only at the ticks, `upsample` peaks at 1.2 arrays
-(2.0 before), the digital `run_activation` at 2.1 (3.0) and one digital
-`sweep_slope` point at 3.1 (4.0). Since the smtj source turns the slope
-array `extract_features` returns into its drive and p in place, and
-`telegraph_run` computes its uniforms and flip probabilities in blocks,
-`telegraph_run` peaks at 0.86 arrays (2.25 before; its flip flags and
-non-identity step indices, not the blocks), the smtj `run_activation` at
-2.1 (3.3) and one smtj `sweep_slope` point at 3.1 (4.3). Since the slope
-is computed in closed form from the ADC-rate trace and no amplitude array
-is kept, `extract_features` peaks at 1.0 arrays on a drive (2.0 before) and
-1.1 on the event itself, and `run_activation` runs on the event: smtj 1.9,
-digital 1.1 (2.1 each on the upsampled drive before); one `sweep_slope`
-point peaks at 2.7 (smtj) and 2.1 (digital), from 3.1. Since
-`telegraph_run` drops the repeated constant steps of saturated blocks and
-`run_activation` lets go of the sweep's wave before the telegraph runs,
-`telegraph_run` peaks at 0.53 arrays on a constant drive saturated ON
-(p = 0.995) or OFF (p = 0.005), 2.8 before, when its step lists grew with
-the drive, and at 0.86 on the survey drive, as before; one `sweep_slope`
-point peaks at 2.03 at 0, 250 and 500 V/s with either source (smtj 2.9,
-2.7 and 4.8 before, digital 2.1). Since the AFE has no moving average and
-its slope is one value per sample of the trace, `extract_features` peaks at
-1.0 arrays of the trace's own length (of the high-rate steps before), the
-digital `run_activation` at 0.65 (1.08 before) and the smtj one at 1.83, as
-before; one `sweep_slope` point peaks at 2.00 with either source. Since
-`telegraph_run` takes p per ADC segment with its factor, and the override
-is evaluated at the ticks alone, the smtj `run_activation` builds no
-step-length drive or latch and peaks at 0.78 arrays (1.83 before); the
-digital one peaks at 0.66. Since `sweep_slope` feeds each point a ramp on
-the ADC grid, run at the survey's factor, in place of a triangle wave built
-at every high-rate step, one point peaks at 0.52-1.10 arrays (smtj) and
-0.46-0.66 (digital), from 2.00-2.11 and 2.00. Since `telegraph_run`
-composes its flips one chunk of TELEGRAPH_CHUNK steps at a time and keeps
-only the flip positions across chunks, its traced peak fell from 2.81 to
-1.38 MiB on a 500 k-step survey-like drive and from 3.40 to 1.62 MB on a
-`sweep_slope` point, and on a 2 M-step survey-like drive it holds 1.34 MiB
-beyond its uint8 states, from 8.61 MiB; a default survey event (100 k
-steps) composes in one pass, at 0.78 MiB as before. Since `telegraph_run`
-releases each chunk's scratch (its uniform and flip-probability buffers,
-which views had kept alive, and its compose arrays) at the chunk's end, it
-peaks at 0.67 arrays on a default survey event (1.01 before). The LFSR
-cycle tables are uint16, so building them peaks at about 450 KiB (1349 KiB
-with uint32 registers, an int64 index and their temporaries). Since the
-telegraph samples its exact law per step, a forward fill of the constant
-steps with one level of blocks and no chunk or pruning, `telegraph_run`
-peaks at 0.60 arrays on a default survey event (0.67 before) and at
-0.31-0.36 on the 500 k-step drives (0.21-0.22; a block's constant steps
-are listed unpruned), and holds 1.18 MiB beyond its states on the 2 M-step
-drive (0.95).
+multi-MB temporary on a long drive costs page faults. Each bound sits above
+the measured peak, given in parentheses, and says why the peak is that low:
+
+- `upsample` < 1.5 (1.18): its output, which `Trace` keeps without a copy.
+- `extract_features` < 1.5 (1.00), in arrays of the trace's own length: the
+  slope is computed in closed form, one value per sample.
+- `telegraph_run` < 1.0 on a 500 k-step survey drive (0.31) and on constant
+  drives of its length saturated ON or OFF (0.36): the uint8 states are the
+  only array as long as the run; beyond them it holds one
+  `TELEGRAPH_BLOCK`'s uniforms, flags and constant steps, and the flip
+  positions.
+- `telegraph_run` < 0.8 on a default survey event with p per ADC segment at
+  the survey's factor (0.60), and < 2 MiB beyond its states on a 2 M-step
+  drive (1.18 MiB): its scratch is one block long, whatever the drive.
+- The uint16 LFSR cycle tables build in < 600 KiB (453).
+- `run_activation` on a survey event < 1.3 (smtj, 0.44) and < 1.0
+  (digital, 0.47): p is one value per ADC sample and the override is read
+  at the ticks only, so no step-length drive or latch is built.
+- One `sweep_slope` point < 1.6 (smtj, 0.44-0.61) and < 1.2 (digital,
+  0.46-0.53): a ramp on the ADC grid, run at the survey's factor.
+- A 4-point `sweep_slope` peaks within 0.05 arrays of a 1-point one (0.44
+  smtj, 0.46 digital): each point's `ActivationTrace` is dropped before the
+  next point runs, so a sweep holds one point's trace whatever its number
+  of points (0.83 and 0.86 while the previous point's trace stayed bound).
 """
 
 import tracemalloc
@@ -177,3 +147,22 @@ def test_sweep_slope_point(source, bound):
                                sweep=SweepGrid(slope, slope, 1, ticks))
         peak = _peak_arrays(lambda: sweep_slope(cfg), ticks * FACTOR)
         assert peak < bound, f"{slope} V/s: {peak:.2f} arrays"
+
+
+@pytest.mark.parametrize("source", ["smtj_telegraph", "digital_iid"])
+def test_sweep_slope_holds_one_point(source):
+    """A 4-point sweep peaks as one point does: the loop keeps each point's
+    rate, not its trace. A warm-up sweep first makes the process's one-time
+    allocations (the digital source's LFSR tables among them)."""
+    ticks = 10_000
+
+    def sweep(slope, points):
+        pn = PNeuronConfig(source=source)
+        cfg = ExperimentConfig(activation=ActivationConfig(pneuron=pn),
+                               sweep=SweepGrid(slope, slope, points, ticks))
+        return _peak_arrays(lambda: sweep_slope(cfg), ticks * FACTOR)
+
+    sweep(250.0, 1)
+    for slope in (250.0, 500.0):
+        one, four = sweep(slope, 1), sweep(slope, 4)
+        assert four < one + 0.05, f"{slope} V/s: {four:.2f} arrays against {one:.2f}"

@@ -29,6 +29,7 @@ from probsense.harness import (
     ExperimentConfig,
     GridError,
     SweepGrid,
+    _event_paths,
     _survey_onsets,
     _synth_one,
     max_ramp_slope,
@@ -153,6 +154,31 @@ class TestSynthSurvey:
         for i, path in enumerate(samples):
             values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
             assert np.all(values == base + i), path.name
+
+    def test_unpadded_numbers_replay_in_number_order(self, tmp_path):
+        # a dataset not written by synth: event_10.csv replays after
+        # event_9.csv, not before event_2.csv; each short event is constant
+        # at its number, so its samples file shows which event ran
+        data = tmp_path / "data"
+        data.mkdir()
+        numbers = (10, 2, 9, 100, 1)
+        for k in numbers:
+            write_trace(Trace(np.full(8, float(k)), 2000.0), data / f"event_{k}.csv")
+        out = tmp_path / "out"
+        rep = run_survey(ExperimentConfig(dataset=data, n_events=len(numbers), output_dir=out))
+        assert rep.n_failed == 0
+        samples = sorted(out.glob("samples_event_*.csv"))
+        ran = [np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[0, 1] for p in samples]
+        assert ran == sorted(numbers)
+
+    def test_event_paths_compare_digit_runs_as_numbers(self, tmp_path):
+        names = ["b_2.csv", "a_10_1.csv", "event_9.csv", "a_9_20.csv", "event_09.csv",
+                 "event_10.csv", "a_9_3.csv", "event_010.csv", "event.csv"]
+        for name in names:
+            (tmp_path / name).write_text("value\n0\n")
+        assert [p.name for p in _event_paths(tmp_path)] == [
+            "a_9_3.csv", "a_9_20.csv", "a_10_1.csv", "b_2.csv", "event.csv",
+            "event_09.csv", "event_9.csv", "event_010.csv", "event_10.csv"]
 
     def test_accepts_a_directory_without_csv_files(self, tmp_path):
         (tmp_path / "notes.txt").write_text("survey notes\n")
