@@ -4,12 +4,13 @@ The AFE's slope feature drives the p-neuron. The slope is one value per
 sample of the trace, so the drive and the activation probability are too:
 every high-rate step of a segment sees its segment's p, and the p-neuron
 responds within steps of a change in slope, not after a smoothing window.
-Its output is masked by the regular ADC's clock (every steps_per_tick-th
-step of the high-rate grid) so samples only ever fall on the regular ADC
-grid. A deterministic amplitude override, latched for a configurable hold,
-forces acquisition whenever the signal is unambiguously large. The hold,
-hold_s, is a time: a run turns it into steps at its own high rate, so the
-upsampling factor does not change it.
+Its output is read once per tick of the regular ADC's clock (every
+factor-th step of the high-rate grid, the trace's own samples), so samples
+only ever fall on the regular ADC grid. A deterministic amplitude
+override, latched for a configurable hold, forces acquisition whenever the
+signal is unambiguously large. The hold, hold_s, is a time: a run turns it
+into steps at its own high rate, so the upsampling factor does not change
+it.
 """
 
 from __future__ import annotations
@@ -50,32 +51,26 @@ def _hold_steps(cfg: ActivationConfig, rate_hz: float, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ActivationTrace:
-    """Per-step activation outputs on the high-rate grid.
+    """The activation unit's outputs, one per ADC tick: tick k is sample k of
+    the trace it was run on and high-rate step k * factor.
 
-    gate is nonzero only at sync ticks: gate[i] = (pneuron_out[i] OR
-    det_override[i]) AND (i in sync_ticks). With the digital source
-    pneuron_out is nonzero only at sync ticks, the only steps it decides,
-    each with the p of the trace sample that ends its segment, so its
-    logistic runs on the trace's samples, and only those the ticks read;
-    the telegraph's pneuron_out is its state after every step.
-    det_override is nonzero only at sync ticks too: det_override[i] is 1
-    at a sync tick i when a trigger (a step whose interpolated signal
-    magnitude is >= amp_threshold_v) fell on a step t with t <= i <= t +
-    hold. Between ticks it is 0, as nothing reads it there.
-
-    No caller reads pneuron_out. It is kept because it holds the p-neuron
-    output until the trace is dropped: freeing it mid-event measured 21.5 k
-    minor page faults per `smtj` survey against at most 7.6 k, a heap-layout
-    cost, not work.
+    gate = pneuron_out | det_override. pneuron_out is the p-neuron's
+    decision at each tick: a fresh digital decision, or the telegraph's
+    state at the tick's step. det_override[k] is 1 when a trigger (a step
+    whose interpolated signal magnitude is >= amp_threshold_v) fell on a
+    step t with t <= k * factor <= t + hold.
     """
 
     gate: np.ndarray
-    sync_ticks: np.ndarray
     pneuron_out: np.ndarray
     det_override: np.ndarray
-    rate_hz: float
-    steps_per_tick: int
-    factor: int = 1  # high-rate steps per sample of the trace it was run on
+    rate_hz: float  # high-rate steps per second
+    factor: int = 1  # high-rate steps per tick
+
+    @property
+    def sync_ticks(self) -> np.ndarray:
+        """The tick numbers, 0 to len(self) - 1."""
+        return np.arange(self.gate.size)
 
     def __len__(self) -> int:
         return self.gate.size
@@ -103,88 +98,71 @@ def _trigger_steps(x: Trace, thr: float, factor: int) -> np.ndarray:
 
 
 def run_activation(
-    x: Trace, cfg: ActivationConfig, steps_per_tick: int, seed: int, factor: int = 1
+    x: Trace, cfg: ActivationConfig, seed: int, factor: int = 1
 ) -> ActivationTrace:
-    """Sweep the activation unit over the high-rate steps of a trace.
+    """Run the activation unit over `x`, one decision per sample: the ADC's
+    clock is the trace's grid, and tick k is sample k of `x`.
 
     The high-rate grid is `x` linearly interpolated onto a grid `factor`
-    times finer, `upsample(x, factor)`, which is never built. Sync ticks
-    fall on every steps_per_tick-th step from step 0. The survey passes its
-    ADC-rate trace with both numbers set to the upsampling factor, so the
-    ticks are the trace's own samples: the regular ADC's clock is the
-    trace's grid.
+    times finer, `upsample(x, factor)`, which is never built; tick k is
+    its step k * factor.
 
     The AFE's slope, and so the drive and the activation probability p,
     are one value per sample of `x` (see `extract_features`), computed in
     place in the slope array. High-rate step s >= 1 lies in segment
-    (s - 1) // factor and sees p[(s - 1) // factor + 1]; floor division maps
-    step 0 to p[0]. The digital source draws one fresh Bernoulli decision
-    per sync tick from the p its tick sees, so its drive and logistic are
-    evaluated at the ticks only. The telegraph source evolves on every
-    high-rate step and is read at ticks; it takes p and factor as they are,
-    so no array of p held over the steps is built. The override's triggers
-    come from the few segments that can reach the threshold (see
-    `_trigger_steps`). The override is evaluated at the ticks alone: each
-    tick finds the last trigger at or before it by `searchsorted` and is
-    overridden when that trigger lies within the hold, so no per-step latch
-    is built.
+    (s - 1) // factor and sees p[(s - 1) // factor + 1], so tick k sees
+    p[k]. The digital source draws one fresh Bernoulli decision per tick
+    from its p. The telegraph source evolves on every high-rate step and
+    is read at the ticks; it takes p and factor as they are, so no array of
+    p held over the steps is built. The override's triggers come from the
+    few segments that can reach the threshold (see `_trigger_steps`). Each
+    tick finds the last trigger at or before its step by `searchsorted` and
+    is overridden when that trigger lies within the hold, so no per-step
+    latch is built.
     The function drops its reference to `x` once the triggers and features
     are taken: a trace the caller holds nowhere else is freed before the
     p-neuron runs. The entropy source is seeded with `seed`, so the result
     is deterministic per seed.
     """
-    spt = _step_count("steps_per_tick", steps_per_tick)
     factor = _step_count("factor", factor)
     rate_hz = x.rate_hz * factor
     n = (len(x) - 1) * factor + 1
     trigger_steps = _trigger_steps(x, cfg.afe.amp_threshold_v, factor)
-    slope = extract_features(x)
+    p = _activation_inplace(drive_voltages(extract_features(x), cfg.afe), cfg.pneuron)
     del x
-    ticks = np.arange(0, n, spt, dtype=np.int64)
 
     if cfg.pneuron.source == "digital_iid":
-        seg = ticks - 1  # tick s >= 1 sees p[(s - 1) // factor + 1], tick 0 p[0]
-        seg //= factor
-        seg += 1
-        p = _activation_inplace(drive_voltages(slope[seg], cfg.afe), cfg.pneuron)
-        del slope
-        decisions, _ = iid_decisions(p, lfsr_from_seed(seed))
-        pneuron_out = np.zeros(n, dtype=np.uint8)
-        pneuron_out[ticks] = decisions
+        pneuron_out, _ = iid_decisions(p, lfsr_from_seed(seed))
     else:
-        p = _activation_inplace(drive_voltages(slope, cfg.afe), cfg.pneuron)
-        del slope
         rng = np.random.default_rng(seed)
-        pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng, factor=factor)
+        pneuron_out = telegraph_run(p, 1.0 / rate_hz, cfg.pneuron, rng,
+                                    factor=factor)[::factor].copy()
 
-    # A tick is overridden when the last trigger at or before it lies within
-    # the hold; index -1 (no such trigger) reads the last trigger, which is
-    # after the tick.
-    overridden = ticks[:0]
+    # A tick is overridden when the last trigger at or before its step lies
+    # within the hold; index -1 (no such trigger) reads the last trigger,
+    # which is after the tick.
+    det_override = np.zeros(p.size, dtype=np.uint8)
     if trigger_steps.size:
-        last = trigger_steps[np.searchsorted(trigger_steps, ticks, "right") - 1]
-        overridden = ticks[(last <= ticks) & (ticks - last <= _hold_steps(cfg, rate_hz, n))]
-    det_override = np.zeros(n, dtype=np.uint8)
-    det_override[overridden] = 1
-    gate = np.zeros(n, dtype=np.uint8)
-    gate[ticks] = pneuron_out[ticks]
-    gate[overridden] = 1
+        steps = np.arange(0, n, factor, dtype=np.int64)
+        last = trigger_steps[np.searchsorted(trigger_steps, steps, "right") - 1]
+        hold = _hold_steps(cfg, rate_hz, n)
+        det_override = ((last <= steps) & (steps - last <= hold)).view(np.uint8)
     return ActivationTrace(
-        gate=gate,
-        sync_ticks=ticks,
+        gate=pneuron_out | det_override,
         pneuron_out=pneuron_out,
         det_override=det_override,
         rate_hz=rate_hz,
-        steps_per_tick=spt,
         factor=factor,
     )
 
 
 def detection_latency(a: ActivationTrace, onset_step: int) -> float:
-    """Seconds from onset_step to the first gated sync tick at or after it."""
-    if not 0 <= onset_step < len(a):
-        raise ValueError(f"onset_step {onset_step} out of range [0, {len(a)})")
-    gated = a.sync_ticks[a.gate[a.sync_ticks] > 0]
+    """Seconds from high-rate step onset_step to the first gated tick at or after it."""
+    n = (len(a) - 1) * a.factor + 1
+    if not 0 <= onset_step < n:
+        raise ValueError(f"onset_step {onset_step} out of range [0, {n})")
+    gated = np.flatnonzero(a.gate)
+    gated *= a.factor
     after = gated[gated >= onset_step]
     if after.size == 0:
         raise ValueError("no activation after onset")

@@ -25,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     GridError,
     SweepGrid,
+    _event_digits,
     run_survey,
     sweep_slope,
     sweep_vin,
@@ -221,9 +222,10 @@ def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     print(f"savings          : {report.savings_pct:.2f} % (active {report.active_time_pct:.2f} %)")
     if cfg.output_dir is not None:
         print(f"report           : {Path(cfg.output_dir) / 'report.json'}")
+    digits = _event_digits(report.n_events)  # as the --out files number the events
     for ev in report.per_event:
         if ev.error is not None:
-            print(f"event {ev.index:03d} FAILED: {ev.error}", file=sys.stderr)
+            print(f"event {ev.index:0{digits}d} FAILED: {ev.error}", file=sys.stderr)
     return 1 if report.n_failed else 0
 
 

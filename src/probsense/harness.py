@@ -82,6 +82,10 @@ class ExperimentConfig:
         if self.snr_db != ExperimentConfig.snr_db and self.dataset is not None:
             raise ValueError(f"snr_db = {self.snr_db:g} applies only to the synthetic survey, "
                              f"not a replay")
+        for name in ("n_events", "upsample_factor", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_events < 1:
@@ -202,15 +206,15 @@ def run_event(trace: Trace, cfg: ExperimentConfig, index: int, onset_s: float | 
     """Run one event through activation -> P-ADC -> reconstruction.
 
     The activation runs on the trace upsampled by upsample_factor without
-    building it, and the trace's own grid is the ADC grid: the sync ticks
-    are every upsample_factor-th high-rate step, the trace's samples. With
+    building it, and the trace's own grid is the ADC grid: its ticks are
+    the trace's samples, every upsample_factor-th high-rate step. With
     the onset of a synthetic event's WAVELET_F0_HZ wavelet, the event window
     savings and the detection latency are measured too.
     Returns (EventEval, p_stream, r_stream, recon).
     """
     factor = cfg.upsample_factor
     seed = cfg.base_seed + NEURON_SEED_OFFSET + index
-    act = run_activation(trace, cfg.activation, factor, seed, factor=factor)
+    act = run_activation(trace, cfg.activation, seed, factor=factor)
     p_stream = sample_gated(trace, act)
     r_stream = sample_regular(trace, act)
     recon = reconstruct(p_stream, trace.rate_hz, len(trace), trace.t0_s)
@@ -307,9 +311,6 @@ def run_survey(cfg: ExperimentConfig) -> EvalReport:
                     f"event rate {trace.rate_hz:.6g} Hz disagrees with survey rate "
                     f"{rate:.6g} Hz"
                 )
-            # r_stream is held until the next event: freeing it inside
-            # run_event raised an smtj survey's minor page faults (heap
-            # layout, not work).
             ev, p_stream, _, recon = run_event(trace, cfg, i, onsets[i])
             results.append(ev)
             if out_dir is not None:
@@ -493,9 +494,9 @@ def sweep_slope(cfg: ExperimentConfig) -> np.ndarray:
     t = np.arange(grid.ticks) / SYNTH_RATE_HZ
     rows = np.empty((grid.points, 3))
     for i, s in enumerate(slopes):
-        act = run_activation(Trace._adopt(t * s, SYNTH_RATE_HZ), act_cfg, factor,
-                             cfg.base_seed + i, factor=factor)
-        measured = float(np.mean(act.gate[act.sync_ticks]))
+        act = run_activation(Trace._adopt(t * s, SYNTH_RATE_HZ), act_cfg, cfg.base_seed + i,
+                             factor=factor)
+        measured = float(act.gate.mean())
         del act  # one point's trace at a time: the next point's run starts without it
         model = activation_probability(act_cfg.afe.slope_gain * float(s), act_cfg.pneuron)
         rows[i] = (s, measured, model)

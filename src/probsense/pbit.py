@@ -12,6 +12,7 @@ occupancy of the ON state equals the activation probability.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -29,6 +30,11 @@ LFSR_WORD_BITS = 16
 # probabilities take one value per segment of the pass, and only the pass's
 # flip positions outlive it. 1 << 16 measured slower on the survey.
 TELEGRAPH_BLOCK = 1 << 15
+
+# Each thread keeps the telegraph's block buffers between runs. Allocated per
+# run, their 320 KiB went back to the system after each survey event and
+# were faulted in again by the next, about 90 page faults an event.
+_telegraph_blocks = threading.local()
 
 DEFAULT_BETA = 10.0
 DEFAULT_MIN_RATE = 0.04
@@ -222,6 +228,21 @@ def _check_dt(dt_s: float) -> None:
         raise ValueError(f"dt_s must be positive and finite, got {dt_s}")
 
 
+def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers for a block of size steps: float64 uniforms and two bool flags.
+
+    Up to TELEGRAPH_BLOCK steps they are this thread's kept buffers; a
+    longer block (one segment of more steps) gets fresh ones.
+    """
+    if size > TELEGRAPH_BLOCK:
+        return np.empty(size), np.empty(size, bool), np.empty(size, bool)
+    bufs = getattr(_telegraph_blocks, "bufs", None)
+    if bufs is None:
+        n = TELEGRAPH_BLOCK
+        bufs = _telegraph_blocks.bufs = (np.empty(n), np.empty(n, bool), np.empty(n, bool))
+    return bufs
+
+
 def _telegraph(p: np.ndarray, dt_s: float, tau_s: float, rng: np.random.Generator,
                factor: int) -> np.ndarray:
     """The exact law of the continuous-time telegraph, sampled every dt_s.
@@ -244,17 +265,18 @@ def _telegraph(p: np.ndarray, dt_s: float, tau_s: float, rng: np.random.Generato
     (or from the start state). Steps 1 onwards run in blocks of whole
     segments, TELEGRAPH_BLOCK // factor of them (at least one): a and b are
     computed once per segment and compared with a (segments, factor) view
-    of the block's uniforms, drawn into one buffer. The generator's float64
-    stream does not depend on how it is split into calls, so this is the
-    same stream as one rng.random(n - 1). Each block keeps only its flip
-    positions, so the working arrays are as long as a block and the
-    returned uint8 states are the only array as long as the run.
+    of the block's uniforms, drawn into one buffer that the thread keeps
+    between runs (`_block_buffers`). The generator's float64 stream does
+    not depend on how it is split into calls, so this is the same stream as
+    one rng.random(n - 1). Each block keeps only its flip positions, so the
+    working arrays are as long as a block and the returned uint8 states are
+    the only array as long as the run.
     """
     n = (p.size - 1) * factor + 1
     state = s0 = 1 if rng.random() < p[0] else 0
     segs = max(1, TELEGRAPH_BLOCK // factor)
     size = min(n - 1, segs * factor)
-    u_buf, on_buf, const_buf = np.empty(size), np.empty(size, bool), np.empty(size, bool)
+    u_buf, on_buf, const_buf = _block_buffers(size)
     parts = [np.empty(0, np.intp)]
     rate = dt_s / tau_s / 2.0  # dt / (2 tau), without 2 tau, which overflows past 9e307
     for j in range(1, p.size, segs):

@@ -30,7 +30,7 @@ from probsense.pbit import (
     telegraph_tick_states,
     v_ref_for_min_rate,
 )
-from probsense.traces import synth_event, upsample
+from probsense.traces import synth_event
 
 SYNC_HZ = 2000.0
 
@@ -79,15 +79,15 @@ def test_criterion_2_sample_savings(default_survey):
 
 def test_criterion_3_oracle_equivalence():
     # saturated activation: v_ref = -5 V pins p to exactly 1.0 in float64
+    # run on the ADC trace at the survey's factor
     trace = synth_event(1.0, SYNC_HZ, 50.0, 0.5, 1.0, 0.004, seed=11)
-    x_high = upsample(trace, 50)
     cfg = ActivationConfig(
         pneuron=PNeuronConfig(v_ref_v=-5.0, source="digital_iid"),
         afe=AfeConfig(amp_threshold_v=1e9),
     )
-    act = run_activation(x_high, cfg, 50, seed=0)
-    p_stream = sample_gated(x_high, act)
-    r_stream = sample_regular(x_high, act)
+    act = run_activation(trace, cfg, 0, factor=50)
+    p_stream = sample_gated(trace, act)
+    r_stream = sample_regular(trace, act)
     identical = np.array_equal(p_stream.times_s, r_stream.times_s) and np.array_equal(
         p_stream.values, r_stream.values
     )

@@ -40,29 +40,29 @@ def _never_cfg():
 
 class TestSampling:
     def test_saturated_equals_regular(self):
-        x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg(), 50, seed=0)
+        x = synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1)
+        act = run_activation(x, _saturated_cfg(), 0, factor=50)
         p = sample_gated(x, act)
         r = sample_regular(x, act)
         assert np.array_equal(p.times_s, r.times_s)
         assert np.array_equal(p.values, r.values)
 
     def test_no_gate_empty_stream(self):
-        x = Trace(np.zeros(50_000), 100_000.0)
-        act = run_activation(x, _never_cfg(), 50, seed=0)
+        x = Trace(np.zeros(1000), 2000.0)
+        act = run_activation(x, _never_cfg(), 0, factor=50)
         assert len(sample_gated(x, act)) == 0
 
     def test_baseline_sample_count_binomial(self):
         # X = 0.05 over 1e4 ticks: expect 500 +- 3 sigma (binomial)
-        x = Trace(np.zeros(10_000 * 50), 100_000.0)
-        act = run_activation(x, _baseline_cfg(0.05), 50, seed=2)
+        x = Trace(np.zeros(10_000), 2000.0)
+        act = run_activation(x, _baseline_cfg(0.05), 2, factor=50)
         n = len(sample_gated(x, act))
         sigma = np.sqrt(10_000 * 0.05 * 0.95)
         assert abs(n - 500) <= 3 * sigma
 
     def test_timestamps_on_sync_grid(self):
-        x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=5), 50)
-        act = run_activation(x, ActivationConfig(), 50, seed=0)
+        x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.02, seed=5)
+        act = run_activation(x, ActivationConfig(), 0, factor=50)
         s = sample_gated(x, act)
         assert s.ticks.dtype == np.int64
         assert np.array_equal(np.sort(s.ticks), s.ticks)
@@ -71,45 +71,40 @@ class TestSampling:
         assert np.array_equal(s.times_s, s.ticks / 2000.0)
 
     def test_grid_mismatch_rejected(self):
-        x = upsample(synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0), 50)
-        act = run_activation(x, ActivationConfig(), 50, seed=0)
-        other = Trace(np.zeros(100), 100_000.0)
+        x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
+        act = run_activation(x, ActivationConfig(), 0, factor=50)
+        other = Trace(np.zeros(100), 2000.0)
         with pytest.raises(ValueError, match="grid"):
             sample_gated(other, act)
 
-    @pytest.mark.parametrize("factor, spt", [(50, 50), (30, 30), (64, 64), (7, 21), (1, 3)])
-    def test_values_at_ticks_match_upsampled_trace(self, factor, spt):
-        # the survey samples its ADC trace at steps // factor: the values
-        # upsample keeps at every k * factor, bit for bit
+    @pytest.mark.parametrize("factor", [50, 30, 64, 7, 1])
+    def test_values_at_ticks_match_upsampled_trace(self, factor):
+        # tick k is sample k: the value upsample keeps at step k * factor,
+        # bit for bit, on the trace's own grid
         x = synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=6)
-        act = run_activation(x, _baseline_cfg(0.3), spt, seed=1, factor=factor)
+        act = run_activation(x, _baseline_cfg(0.3), 1, factor=factor)
         x_high = upsample(x, factor)
-        for stream, steps in ((sample_regular(x, act), act.sync_ticks),
-                              (sample_gated(x, act), act.sync_ticks[act.gate[act.sync_ticks] > 0])):
-            assert stream.values.tobytes() == x_high.samples[steps].tobytes()
-            assert stream.ticks.tobytes() == (steps // spt).tobytes()
-            assert stream.rate_hz == x_high.rate_hz / spt
-
-    def test_ticks_between_samples_rejected(self):
-        x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
-        act = run_activation(x, ActivationConfig(), 25, seed=0, factor=50)
-        with pytest.raises(ValueError, match="between the trace's samples"):
-            sample_regular(x, act)
+        gated = np.flatnonzero(act.gate)
+        assert 0 < gated.size < len(x)
+        for stream, ticks in ((sample_regular(x, act), np.arange(len(x))),
+                              (sample_gated(x, act), gated)):
+            assert stream.values.tobytes() == x_high.samples[ticks * factor].tobytes()
+            assert stream.ticks.tobytes() == ticks.tobytes()
+            assert stream.rate_hz == x.rate_hz and stream.t0_s == x.t0_s
 
     def test_factor_mismatch_rejected(self):
         x = synth_event(0.25, 2000.0, 50.0, 0.1, 1.0, 0.0, seed=0)
-        act = run_activation(x, ActivationConfig(), 50, seed=0, factor=50)
+        act = run_activation(x, ActivationConfig(), 0, factor=50)
         with pytest.raises(ValueError, match="grid"):
             sample_gated(upsample(x, 50), act)
 
 
 class TestReconstruct:
     def test_all_points_exact(self):
-        x = upsample(synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1), 50)
-        act = run_activation(x, _saturated_cfg(), 50, seed=0)
+        x = synth_event(0.5, 2000.0, 50.0, 0.25, 1.0, 0.01, seed=1)
+        act = run_activation(x, _saturated_cfg(), 0, factor=50)
         rec = reconstruct(sample_gated(x, act), 2000.0, 1000)
-        orig = x.samples[::50]
-        assert np.array_equal(rec.samples, orig)
+        assert np.array_equal(rec.samples, x.samples)
 
     def test_midpoint(self):
         s = SampleStream(np.array([0, 2]), np.array([0.0, 1.0]), rate_hz=2.0)

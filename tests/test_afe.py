@@ -186,16 +186,17 @@ class TestClosedForm:
 
     def test_too_short_counts_steps(self):
         # no trace is too short: a single sample has the slope 0, and three
-        # samples at factor 50 are 101 high-rate steps
+        # samples at factor 50, 101 high-rate steps, are three ticks
         assert extract_features(Trace(np.ones(1), 10.0)).tolist() == [0.0]
         x = Trace(np.arange(3.0), 2000.0)
         assert extract_features(x).tolist() == [0.0, 2000.0, 2000.0]
-        assert len(run_activation(x, ActivationConfig(), 50, seed=0, factor=50)) == 101
+        act = run_activation(x, ActivationConfig(), 0, factor=50)
+        assert (len(act), act.factor, act.rate_hz) == (3, 50, 100_000.0)
 
     @pytest.mark.parametrize("factor", [0, -1, 2.5, 2.0, "2"])
     def test_bad_factor(self, factor):
         with pytest.raises(ValueError, match="factor must be a positive integer"):
-            run_activation(Trace(np.arange(10.0), 10.0), ActivationConfig(), 1, 0, factor)
+            run_activation(Trace(np.arange(10.0), 10.0), ActivationConfig(), 0, factor)
 
 
 class TestDriveVoltage:

@@ -7,24 +7,30 @@ the measured peak, given in parentheses, and says why the peak is that low:
 - `upsample` < 1.5 (1.18): its output, which `Trace` keeps without a copy.
 - `extract_features` < 1.5 (1.00), in arrays of the trace's own length: the
   slope is computed in closed form, one value per sample.
-- `telegraph_run` < 1.0 on a 500 k-step survey drive (0.31) and on constant
-  drives of its length saturated ON or OFF (0.36): the uint8 states are the
-  only array as long as the run; beyond them it holds one
-  `TELEGRAPH_BLOCK`'s uniforms, flags and constant steps, and the flip
-  positions.
+- `telegraph_run` < 1.0 on a 500 k-step survey drive (0.31 on the thread's
+  first run, 0.23 after it) and on constant drives of its length saturated
+  ON or OFF (0.28): the uint8 states are the only array as long as the run;
+  beyond them it holds one `TELEGRAPH_BLOCK`'s uniforms and flags (on the
+  thread's first run), its constant steps and the flip positions.
 - `telegraph_run` < 0.8 on a default survey event with p per ADC segment at
-  the survey's factor (0.60), and < 2 MiB beyond its states on a 2 M-step
-  drive (1.18 MiB): its scratch is one block long, whatever the drive.
+  the survey's factor (0.60 on the thread's first run), and < 2 MiB beyond
+  its states on a 2 M-step drive (0.86 MiB): its scratch is one block long,
+  whatever the drive.
+- A second `telegraph_run` of that event on the thread < 0.3 (0.19): the
+  thread keeps the block buffers, so the run allocates its states, constant
+  steps and flip positions only (0.60 while each run allocated its own).
 - The uint16 LFSR cycle tables build in < 600 KiB (453).
-- `run_activation` on a survey event < 1.3 (smtj, 0.44) and < 1.0
-  (digital, 0.47): p is one value per ADC sample and the override is read
-  at the ticks only, so no step-length drive or latch is built.
-- One `sweep_slope` point < 1.6 (smtj, 0.44-0.61) and < 1.2 (digital,
-  0.46-0.53): a ramp on the ADC grid, run at the survey's factor.
-- A 4-point `sweep_slope` peaks within 0.05 arrays of a 1-point one (0.44
-  smtj, 0.46 digital): each point's `ActivationTrace` is dropped before the
-  next point runs, so a sweep holds one point's trace whatever its number
-  of points (0.83 and 0.86 while the previous point's trace stayed bound).
+- `run_activation` on a survey event < 1.3 (smtj, 0.21) and < 1.0
+  (digital, 0.10), in arrays of its high-rate steps: p is one value per ADC
+  sample, the override is read at the ticks only and the outputs are one
+  uint8 per tick, so no step-length drive, latch or gate is built. The
+  telegraph's uint8 states are its only step-length array.
+- One `sweep_slope` point < 1.6 (smtj, 0.19-0.23) and < 1.2 (digital,
+  0.10): a ramp on the ADC grid, run at the survey's factor.
+- A 4-point `sweep_slope` peaks within 0.05 arrays of a 1-point one (0.19-
+  0.23 smtj, 0.10 digital): each point's `ActivationTrace` is dropped before
+  the next point runs, so a sweep holds one point's trace whatever its
+  number of points.
 """
 
 import tracemalloc
@@ -104,6 +110,24 @@ def test_telegraph_run_survey_event():
     assert peak < 0.8, f"{peak:.2f} arrays"
 
 
+def test_telegraph_run_keeps_its_block_buffers():
+    """The default survey event run twice on one thread: the second run
+    draws into the block buffers the first one left to the thread."""
+    cfg = ExperimentConfig()
+    event = _synth_one(cfg.snr_db, _survey_onsets(1, cfg.base_seed)[0], cfg.base_seed)
+    pn = PNeuronConfig()
+    p = activation_probability(AfeConfig().slope_gain * extract_features(event), pn)
+    n = (p.size - 1) * FACTOR + 1
+    dt = 1.0 / (event.rate_hz * FACTOR)
+
+    def run():
+        return telegraph_run(p, dt, pn, np.random.default_rng(3), factor=FACTOR)
+
+    run()
+    peak = _peak_arrays(run, n)
+    assert peak < 0.3, f"{peak:.2f} arrays"
+
+
 def test_lfsr_cycle_build():
     """A fresh build of the uint16 cycle tables, in KiB (128 float64 per KiB)."""
     peak = _peak_arrays(_lfsr_cycle.__wrapped__, 1024 // 8)
@@ -126,13 +150,16 @@ def test_telegraph_run_working_memory():
 
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 1.3), ("digital_iid", 1.0)])
 def test_run_activation(event, source, bound):
-    """The survey's event path: the event itself, on its upsampled grid."""
+    """The survey's event path: the event itself, on its upsampled grid. The
+    bound is in arrays of the run's high-rate steps; the result holds one
+    entry per sample of the event."""
     cfg = ActivationConfig(pneuron=PNeuronConfig(source=source))
-    act = run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR)
+    act = run_activation(event, cfg, 3, factor=FACTOR)
     assert act.det_override.any()  # the override is exercised
-    n = len(act)
-    assert _peak_arrays(lambda: run_activation(event, cfg, FACTOR, seed=3, factor=FACTOR),
-                        n) < bound
+    for a in (act.gate, act.pneuron_out, act.det_override):
+        assert a.size == len(event)
+    steps = (len(event) - 1) * FACTOR + 1
+    assert _peak_arrays(lambda: run_activation(event, cfg, 3, factor=FACTOR), steps) < bound
 
 
 @pytest.mark.parametrize("source, bound", [("smtj_telegraph", 1.6), ("digital_iid", 1.2)])

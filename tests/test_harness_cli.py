@@ -208,6 +208,15 @@ class TestRunSurvey:
         assert disk.nmse_time == pytest.approx(mem.nmse_time, abs=0.005)
         assert disk.savings_pct == pytest.approx(mem.savings_pct, abs=1.5)
 
+    @pytest.mark.parametrize("field", ["upsample_factor", "n_events", "base_seed"])
+    @pytest.mark.parametrize("value", [2.5, 50.0, np.float64(3.0), True, "3"])
+    def test_integer_knobs_checked_when_built(self, field, value):
+        # a float factor used to pass here and fail every event, naming a
+        # knob the config does not have
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ExperimentConfig(**{field: value})
+        assert getattr(ExperimentConfig(**{field: np.int64(3)}), field) == 3
+
     def test_per_event_failure_contained(self, tmp_path):
         d = tmp_path / "data"
         synth_survey(SNR_DB, 3, base_seed=4, directory=d)
@@ -387,7 +396,8 @@ class TestOutputFiles:
 
     @pytest.mark.parametrize("rate_hz, factor, timed", [
         (2000.0, 50, True),
-        # (r * 42) / 42 != r: the samples' times are on the stream's own rate
+        # (r * 42) / 42 != r: the samples' times are the trace's own, not
+        # times on the step rate divided by the factor
         (27524.72501488567, 42, False),
     ])
     def test_replay_csvs_match_line_loops(self, tmp_path, rate_hz, factor, timed):
@@ -411,7 +421,8 @@ class TestOutputFiles:
             trace = load_trace(data / f"event_{i:03d}.csv", cfg.dataset_rate_hz)
             assert trace.t0_s == t0s[i]
             _, p_stream, _, recon = run_event(trace, cfg, i)
-            assert p_stream.rate_hz != trace.rate_hz or timed
+            assert p_stream.rate_hz == trace.rate_hz
+            assert p_stream.times_s.tobytes() == trace.times_s[p_stream.ticks].tobytes()
             _write_stream_loop(tmp_path / "samples.csv", p_stream)
             _write_stream_loop(tmp_path / "recon.csv", SimpleNamespace(
                 times_s=recon.t0_s + np.arange(len(recon)) / recon.rate_hz,
@@ -514,14 +525,14 @@ class TestSweeps:
 
         seen = []
 
-        def spy(x, cfg, steps_per_tick, seed, factor):
-            seen.append((x, steps_per_tick, factor))
-            return run_activation(x, cfg, steps_per_tick, seed, factor=factor)
+        def spy(x, cfg, seed, factor):
+            seen.append((x, factor))
+            return run_activation(x, cfg, seed, factor=factor)
 
         monkeypatch.setattr(harness_mod, "run_activation", spy)
         sweep_slope(ExperimentConfig(sweep=SweepGrid(slope, slope, 1, ticks)))
-        [(x, spt, factor)] = seen
-        assert (len(x), x.rate_hz, spt, factor) == (ticks, SYNTH_RATE_HZ, 50, 50)
+        [(x, factor)] = seen
+        assert (len(x), x.rate_hz, factor) == (ticks, SYNTH_RATE_HZ, 50)
         g = extract_features(x)
         assert g[0] == 0.0
         # each sample is rounded once in k / rate and once in the product
@@ -900,6 +911,19 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
         code = main(["run", "--dataset", str(data), "--n-events", "2"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+    def test_failure_line_names_the_file_number(self, monkeypatch, capsys):
+        # with 1001 events the --out files number the events with 4 digits,
+        # and so does the failure line; every event is constant but event 7,
+        # which is all zero and so has no NMSE
+        import probsense.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "_synth_one",
+                            lambda snr_db, onset_s, seed: Trace(np.full(8, float(seed != 7)),
+                                                                2000.0))
+        assert main(["run", "--n-events", "1001", "--seed", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("event 0007 FAILED: ")
 
     @pytest.mark.parametrize("hold", [2**63 - 1, 10**20, 1e300, 1e308])
     def test_huge_hold_latches_to_the_trace_end(self, hold, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -566,6 +567,36 @@ class TestTelegraph:
         x = states.astype(np.float64)
         assert x.mean() == pytest.approx(p, abs=0.005)
         assert np.corrcoef(x[:-1], x[1:])[0, 1] == pytest.approx(lam, abs=0.01)
+
+    def test_threads_keep_their_own_block_buffers(self):
+        # four threads at once, each drawing into the block buffers its
+        # thread keeps, give the states of one run after another; a short
+        # switch interval interleaves them within their blocks
+        drives = [np.random.default_rng(k).random(1500) for k in range(4)]
+
+        def run(k):
+            rng = np.random.default_rng(k)
+            return telegraph_run(drives[k], 1e-5, self.CFG, rng, factor=50).tobytes()
+
+        expect = [run(k) for k in range(4)]
+        same = [[] for _ in range(4)]
+
+        def work(k):
+            for _ in range(5):
+                same[k].append(run(k) == expect[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert same == [[True] * 5] * 4
 
     def test_dwell_mean_at_half(self):
         # >= 1e5 dwells: estimator converges well inside the 5 % band
